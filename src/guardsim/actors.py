@@ -1,7 +1,10 @@
 """Behavioral node models: client, server, routers/guards, AS, rendezvous,
 and the four attacker models.
 
-Addresses are plain strings; routing is a static prefix table per node.
+Addresses are plain strings; routing is a static table of
+`coap_lite.matches` patterns per node. Every frame leaves a node through
+`Node.send_via`, every confirmable request (plain or tunneled) is one
+`Exchange`, and every ACK is built by `coap_lite.ack`.
 Topology (built by the harness):
 
     cli* -- rtrC -- (internet) -- rtrS -- srv
@@ -15,12 +18,13 @@ import json
 from dataclasses import dataclass, field
 
 from . import ace as ace_mod
-from .coap_lite import (SimMessage, TxState, message_size, tx_step,
-                        ProxyTable)
+from .coap_lite import (DEFAULT_BASE_TIMEOUT_MS, DEFAULT_RETRANSMIT_LIMIT,
+                        ProxyTable, SimMessage, TxState, ack, matches,
+                        message_size, tx_step)
 from .netsim import EnergyBudget, Frame, World
 from . import seclayer
 from .seclayer import (AuthError, ReplayError, SecurityContext, UnknownKid,
-                       aead_seal, aead_open, EDHOC_MSG_SIZES)
+                       aead_nonce, aead_seal, open_sealed, EDHOC_MSG_SIZES)
 from .guard import (GuardConfig, GuardState, TUNNEL)
 
 REKEY_THRESHOLD = 3
@@ -57,7 +61,6 @@ class AttackerModel:
     start_ms: int = 0
     stop_ms: int = 10**12
     knows_kid: bool = False
-    knows_client: bool = False
     corrupt_budget: int = 4
 
 
@@ -122,8 +125,6 @@ def deserialize_full(data: bytes) -> SimMessage:
 
 
 class Node:
-    constrained = False
-
     def __init__(self, world: World, address: str,
                  energy: EnergyBudget | None = None):
         self.world = world
@@ -143,10 +144,8 @@ class Node:
         return addr == self.address
 
     def route_to(self, dst: str) -> str | None:
-        for prefix, neighbor in self.routes:
-            if dst == prefix:
-                return neighbor
-            if prefix.endswith("*") and dst.startswith(prefix[:-1]):
+        for pattern, neighbor in self.routes:
+            if matches(dst, pattern):
                 return neighbor
         return None
 
@@ -161,21 +160,12 @@ class Node:
     # --- transmission ------------------------------------------------------
 
     def send_frame(self, msg: SimMessage, origin: str) -> None:
-        neighbor = self.route_to(msg.dst)
-        if neighbor is None:
-            self.world.emit("drop", self.address, reason="no_route", dst=msg.dst)
-            return
-        self.send_via(msg, origin, neighbor)
+        """Originate `msg` on behalf of `origin`."""
+        self.forward(Frame(msg, origin, message_size(msg)), self.address)
 
-    def send_via(self, msg: SimMessage, origin: str, neighbor: str) -> None:
-        link = self.links[neighbor]
-        frame = Frame(msg, origin, message_size(msg))
-        target = self.world.nodes[neighbor]
-        if getattr(link, "tag", None) == "constrained":
-            self.world.emit("link_frame", link.name, dst=msg.dst, src=msg.src,
-                            payload_kind=msg.payload_kind, code=msg.code,
-                            origin=origin)
-        link.transmit(frame, lambda fr, _from=self.address: target.receive(fr, _from))
+    def reply(self, req: SimMessage, origin: str, code: str, **fields) -> None:
+        """Answer `req` with an ACK (see `coap_lite.ack`)."""
+        self.send_frame(ack(req, self.address, code, **fields), origin)
 
     def receive(self, frame: Frame, from_addr: str) -> None:
         msg = frame.msg
@@ -197,13 +187,17 @@ class Node:
             self.world.emit("drop", self.address, reason="no_route",
                             dst=frame.msg.dst)
             return
+        self.send_via(frame, neighbor)
+
+    def send_via(self, frame: Frame, neighbor: str) -> None:
+        """Put `frame` on the link to `neighbor`; the only way out of a node."""
         link = self.links[neighbor]
         target = self.world.nodes[neighbor]
         if getattr(link, "tag", None) == "constrained":
-            self.world.emit("link_frame", link.name, dst=frame.msg.dst,
-                            src=frame.msg.src,
-                            payload_kind=frame.msg.payload_kind,
-                            code=frame.msg.code, origin=frame.origin)
+            msg = frame.msg
+            self.world.emit("link_frame", link.name, dst=msg.dst, src=msg.src,
+                            payload_kind=msg.payload_kind, code=msg.code,
+                            origin=frame.origin)
         link.transmit(frame, lambda fr, _from=self.address: target.receive(fr, _from))
 
     def handle(self, frame: Frame, from_addr: str) -> None:
@@ -223,10 +217,11 @@ class Node:
 
     def send_con(self, msg: SimMessage, origin: str, on_response,
                  on_giveup=None, interaction: Interaction | None = None,
-                 base_timeout_ms: int = 2000, retransmit_limit: int = 4):
-        ex = Exchange(self, msg, origin, on_response, on_giveup, interaction,
-                      base_timeout_ms, retransmit_limit)
-        self.outstanding[msg.token] = ex
+                 base_timeout_ms: int = DEFAULT_BASE_TIMEOUT_MS,
+                 retransmit_limit: int = DEFAULT_RETRANSMIT_LIMIT):
+        ex = Exchange(self, msg, origin, self.send_frame, self.outstanding,
+                      on_response, on_giveup, interaction, base_timeout_ms,
+                      retransmit_limit)
         ex.start()
         return ex
 
@@ -248,27 +243,45 @@ class Node:
 
 
 class Exchange:
-    """One confirmable request with retransmission managed by its owner."""
+    """One confirmable request, retransmitted with doubling timeouts until a
+    response or an empty ACK ends it, or it gives up.
 
-    def __init__(self, owner: Node, msg: SimMessage, origin: str, on_response,
-                 on_giveup, interaction, base_timeout_ms: int,
-                 retransmit_limit: int):
+    `send(msg, origin)` puts the request on the wire, each time it is
+    (re)sent; `pending` maps the request token to the exchange while it is
+    outstanding. Retransmit and give-up events name the destination, or
+    `via` when the request travels inside a tunnel.
+    """
+
+    def __init__(self, owner: Node, msg: SimMessage, origin: str, send,
+                 pending: dict, on_response=None, on_giveup=None,
+                 interaction: Interaction | None = None,
+                 base_timeout_ms: int = DEFAULT_BASE_TIMEOUT_MS,
+                 retransmit_limit: int = DEFAULT_RETRANSMIT_LIMIT,
+                 via: str | None = None):
         self.owner = owner
         self.msg = msg
         self.origin = origin
+        self.send = send
+        self.pending = pending
         self.on_response = on_response
         self.on_giveup = on_giveup
         self.interaction = interaction
+        self.via = via
         self.state = TxState(base_timeout_ms=base_timeout_ms,
                              retransmit_limit=retransmit_limit)
         self.acked = False
         self.done = False
-        self.retransmissions = 0
 
     def start(self) -> None:
+        self.pending[self.msg.token] = self
         tx_step(self.state, self.owner.world.clock.now, "sent")
-        self.owner.send_frame(self.msg, self.origin)
+        self.send(self.msg, self.origin)
         self._arm_timer()
+
+    def _emit(self, kind: str) -> None:
+        where = {"via": self.via} if self.via else {"dst": self.msg.dst}
+        self.owner.world.emit(kind, self.owner.address,
+                              token=self.msg.token.hex(), **where)
 
     def _arm_timer(self) -> None:
         self.owner.world.schedule_in(self.state.next_timeout_ms, self._timer)
@@ -279,18 +292,15 @@ class Exchange:
         now = self.owner.world.clock.now
         action = tx_step(self.state, now, "timer")
         if action == "retransmit":
-            self.retransmissions += 1
             if self.interaction is not None:
                 self.interaction.retransmissions += 1
-            self.owner.world.emit("retransmit", self.owner.address,
-                                  dst=self.msg.dst, token=self.msg.token.hex())
-            self.owner.send_frame(self.msg, self.origin)
+            self._emit("retransmit")
+            self.send(self.msg, self.origin)
             self._arm_timer()
         else:  # give_up
             self.done = True
-            self.owner.outstanding.pop(self.msg.token, None)
-            self.owner.world.emit("giveup", self.owner.address,
-                                  dst=self.msg.dst, token=self.msg.token.hex())
+            self.pending.pop(self.msg.token, None)
+            self._emit("giveup")
             if self.interaction is not None:
                 self.interaction.time_out(now)
             if self.on_giveup is not None:
@@ -328,9 +338,8 @@ class ThrottleRouter(RouterNode):
         self.bucket = TokenBucket(rate_per_s, burst)
 
     def _inbound(self, msg: SimMessage, from_addr: str) -> bool:
-        going_in = any(msg.dst == p or (p.endswith("*") and msg.dst.startswith(p[:-1]))
-                       for p in self.protected_prefixes)
-        coming_in = not any(from_addr == p or (p.endswith("*") and from_addr.startswith(p[:-1]))
+        going_in = any(matches(msg.dst, p) for p in self.protected_prefixes)
+        coming_in = not any(matches(from_addr, p)
                             for p in self.protected_prefixes)
         return going_in and coming_in
 
@@ -362,22 +371,18 @@ class RendezvousNode(Node):
         msg = frame.msg
         if msg.payload_kind == "rd_register":
             self.register(RendezvousEntry.from_doc(msg.payload["entry"]))
-            self._respond(msg, "2.01", "rd_ack", {})
+            self.reply(msg, "legit", "2.01", payload_kind="rd_ack",
+                       payload_len=2)
         elif msg.payload_kind == "rd_lookup":
             entry = self.lookup(msg.payload["name"])
             if entry is None:
-                self._respond(msg, "4.04", "rd_ack", {})
+                self.reply(msg, "legit", "4.04", payload_kind="rd_ack",
+                           payload_len=2)
             else:
-                self._respond(msg, "2.05", "rd_entry", {"entry": entry.to_doc()})
+                self.reply(msg, "legit", "2.05", payload_kind="rd_entry",
+                           payload={"entry": entry.to_doc()}, payload_len=20)
         else:
             self.world.emit("drop", self.address, reason="unknown_request")
-
-    def _respond(self, req: SimMessage, code: str, kind: str, payload: dict) -> None:
-        resp = SimMessage(src=self.address, dst=req.src, mtype="ACK",
-                          mid=req.mid, token=req.token, code=code,
-                          payload_kind=kind, payload=payload,
-                          payload_len=20 if payload else 2)
-        self.send_frame(resp, "legit")
 
 
 class AsNode(Node):
@@ -421,19 +426,14 @@ class AsNode(Node):
         self._respond(msg, "2.01", {"token": token.to_wire()})
 
     def _respond(self, req: SimMessage, code: str, payload: dict) -> None:
-        resp = SimMessage(src=self.address, dst=req.src, mtype="ACK",
-                          mid=req.mid, token=req.token, code=code,
-                          payload_kind="as_response", payload=payload,
-                          payload_len=60)
-        self.send_frame(resp, "legit")
+        self.reply(req, "legit", code, payload_kind="as_response",
+                   payload=payload, payload_len=60)
 
 
 # --- constrained endpoints -------------------------------------------------
 
 
 class ServerNode(Node):
-    constrained = True
-
     def __init__(self, world, address="srv", energy=None, guard_address=None,
                  scenario="baseline-open", audience="aud_srv",
                  as_key_id="key_as", audience_key=b"", rd_address="rd"):
@@ -510,11 +510,9 @@ class ServerNode(Node):
     def _respond(self, req: SimMessage, frame: Frame, code: str, kind: str,
                  payload: dict, payload_len: int, sealed=None, kid=None,
                  piv=None) -> None:
-        resp = SimMessage(src=self.address, dst=req.src, mtype="ACK",
-                          mid=req.mid, token=req.token, code=code,
-                          payload_kind=kind, payload=payload,
-                          payload_len=payload_len, sealed=sealed,
-                          oscore_kid=kid, oscore_piv=piv)
+        resp = ack(req, self.address, code, payload_kind=kind,
+                   payload=payload, payload_len=payload_len, sealed=sealed,
+                   oscore_kid=kid, oscore_piv=piv)
         self.dedup[(req.src, req.mid)] = resp
         if len(self.dedup) > 256:
             self.dedup.pop(next(iter(self.dedup)))
@@ -582,13 +580,12 @@ class ServerNode(Node):
 
 
 class ClientNode(Node):
-    constrained = True
-
     def __init__(self, world, address="cli", energy=None,
                  scenario="baseline-open", guard_address=None,
                  rd_address="rd", as_address="as", server_name="srv",
                  request_interval_ms=10_000, rekey_threshold=REKEY_THRESHOLD,
-                 base_timeout_ms=2000, retransmit_limit=4):
+                 base_timeout_ms=DEFAULT_BASE_TIMEOUT_MS,
+                 retransmit_limit=DEFAULT_RETRANSMIT_LIMIT):
         super().__init__(world, address, energy)
         self.scenario = scenario
         self.guard_address = guard_address
@@ -866,58 +863,6 @@ class ClientNode(Node):
 # --- guard proxies -----------------------------------------------------------
 
 
-def _tunnel_nonce(kid: bytes, piv: int) -> bytes:
-    return kid + piv.to_bytes(5, "big")
-
-
-class TunnelExchange:
-    """One tunneled request; retransmissions re-wrap under the current
-    tunnel context so they survive a renegotiation."""
-
-    def __init__(self, guard: "GuardNode", inner: SimMessage, origin: str,
-                 base_timeout_ms: int = 2000, retransmit_limit: int = 4):
-        self.guard = guard
-        self.inner = inner
-        self.origin = origin
-        self.state = TxState(base_timeout_ms=base_timeout_ms,
-                             retransmit_limit=retransmit_limit)
-        self.done = False
-        self.queued = False
-
-    def start(self) -> None:
-        tx_step(self.state, self.guard.world.clock.now, "sent")
-        self.send()
-        self._arm()
-
-    def send(self) -> None:
-        if self.guard.tunnel_ctx is None:
-            if not self.queued:
-                self.queued = True
-                self.guard.tunnel_queue.append(self)
-            return
-        self.queued = False
-        self.guard.send_tunnel_data(self.guard.tunnel_ctx, self.inner,
-                                    self.guard.server_guard_address, self.origin)
-
-    def _arm(self) -> None:
-        self.guard.world.schedule_in(self.state.next_timeout_ms, self._timer)
-
-    def _timer(self) -> None:
-        if self.done:
-            return
-        action = tx_step(self.state, self.guard.world.clock.now, "timer")
-        if action == "retransmit":
-            self.guard.world.emit("retransmit", self.guard.address,
-                                  token=self.inner.token.hex(), via="tunnel")
-            self.send()
-            self._arm()
-        else:
-            self.done = True
-            self.guard.tunnel_pending.pop(self.inner.token, None)
-            self.guard.world.emit("giveup", self.guard.address,
-                                  token=self.inner.token.hex(), via="tunnel")
-
-
 class GuardNode(RouterNode):
     """Router that additionally runs a guard proxy.
 
@@ -960,8 +905,8 @@ class GuardNode(RouterNode):
         self.server_guard_address: str | None = None
         self.tunnel_ctx: SecurityContext | None = None
         self.tunnel_rx: dict[bytes, SecurityContext] = {}
-        self.tunnel_queue: list[TunnelExchange] = []
-        self.tunnel_pending: dict[bytes, TunnelExchange] = {}
+        self.tunnel_queue: dict[bytes, Exchange] = {}  # waiting for a tunnel
+        self.tunnel_pending: dict[bytes, Exchange] = {}
         self.establishing = False
         self.consec_tunnel_fail = 0
         self.renegotiations = 0
@@ -971,13 +916,8 @@ class GuardNode(RouterNode):
         self.rng = rng
         self.gstate.rng = rng
 
-    def _matches(self, addr: str, prefix: str) -> bool:
-        if prefix.endswith("*"):
-            return addr.startswith(prefix[:-1])
-        return addr == prefix
-
     def _inside(self, addr: str) -> bool:
-        return self._matches(addr, self.constrained_prefix)
+        return matches(addr, self.constrained_prefix)
 
     # --- dispatch -------------------------------------------------------------
 
@@ -1041,13 +981,10 @@ class GuardNode(RouterNode):
         self.accepted_as = (msg.payload.get("as_key_id"), self.audience)
         self.world.emit("setup_step", self.address, step=1)
         self.guard_key_issued = self.key_id or f"key_{self.address}"
-        resp = SimMessage(src=self.address, dst=msg.src, mtype="ACK",
-                          mid=msg.mid, token=msg.token, code="2.01",
-                          payload_kind="onboard_ack",
-                          payload={"guard_key_id": self.guard_key_issued},
-                          payload_len=20)
         self.world.emit("setup_step", self.address, step=2)
-        self.send_frame(resp, "legit")
+        self.reply(msg, "legit", "2.01", payload_kind="onboard_ack",
+                   payload={"guard_key_id": self.guard_key_issued},
+                   payload_len=20)
 
     # --- exemptions mode ---------------------------------------------------------
 
@@ -1077,10 +1014,7 @@ class GuardNode(RouterNode):
         elif action == "reject":
             self.world.emit("seq_conflict", self.address, src=msg.src,
                             origin=frame.origin)
-            reject = SimMessage(src=self.address, dst=msg.src, mtype="ACK",
-                                mid=msg.mid, token=msg.token, code="4.01",
-                                payload_len=2)
-            self.send_frame(reject, "legit")
+            self.reply(msg, "legit", "4.01", payload_len=2)
         else:  # drop / block
             self.world.emit("guard_drop", self.address, src=msg.src,
                             reason=detail.get("reason", action),
@@ -1093,7 +1027,7 @@ class GuardNode(RouterNode):
             self.send_frame(self.done_cache[key], "legit")
             return
         if msg.mtype == "CON":
-            self._send_empty_ack(msg)
+            self.reply(msg, "legit", "EMPTY", token=b"")
         if key in self.pending_up:
             return
         up = self.table.rewrite_request(msg, "reverse", self.origin_server)
@@ -1103,11 +1037,6 @@ class GuardNode(RouterNode):
         self.send_con(up, frame.origin,
                       lambda r, f, m=meta: self._upstream_response(r, f, m),
                       on_giveup=lambda m=meta: self._upstream_giveup(m))
-
-    def _send_empty_ack(self, msg: SimMessage) -> None:
-        ack = SimMessage(src=self.address, dst=msg.src, mtype="ACK",
-                         mid=msg.mid, token=b"", code="EMPTY")
-        self.send_frame(ack, "legit")
 
     def _upstream_response(self, resp: SimMessage, frame: Frame, meta) -> None:
         self.pending_up.pop(meta["key"], None)
@@ -1151,11 +1080,8 @@ class GuardNode(RouterNode):
         except ace_mod.InvalidToken as e:
             self.world.emit("token_rejected", self.address, reason=e.reason,
                             origin=frame.origin)
-            resp = SimMessage(src=self.address, dst=msg.src, mtype="ACK",
-                              mid=msg.mid, token=msg.token, code="4.01",
-                              payload_kind="token_reject",
-                              payload={"reason": e.reason}, payload_len=10)
-            self.send_frame(resp, frame.origin)
+            self.reply(msg, frame.origin, "4.01", payload_kind="token_reject",
+                       payload={"reason": e.reason}, payload_len=10)
             return
         self.world.emit("token_verified", self.address,
                         subject=token.subject_key_id, origin=frame.origin)
@@ -1170,28 +1096,21 @@ class GuardNode(RouterNode):
         self.world.emit("tunnel_established", self.address,
                         subject=token.subject_key_id, origin=frame.origin)
         self.world.emit("setup_step", self.address, step=8)
-        resp = SimMessage(src=self.address, dst=msg.src, mtype="ACK",
-                          mid=msg.mid, token=msg.token, code="2.01",
-                          payload_kind="tunnel_token_ack",
-                          payload={"nonce": nonce_s}, payload_len=20)
-        self.send_frame(resp, frame.origin)
+        self.reply(msg, frame.origin, "2.01", payload_kind="tunnel_token_ack",
+                   payload={"nonce": nonce_s}, payload_len=20)
 
     def _tunnel_data_in(self, frame: Frame) -> None:
         msg = frame.msg
         ctx = self.tunnel_ctxs[msg.oscore_kid]
-        piv = msg.oscore_piv or 0
-        if not ctx.replay_window.check(piv):
+        try:
+            data = open_sealed(ctx, msg, b"tun")
+        except ReplayError:
             self.world.emit("tunnel_replay", self.address, origin=frame.origin)
             return
-        try:
-            data = aead_open(ctx.recipient_key,
-                             _tunnel_nonce(msg.oscore_kid, piv), b"tun",
-                             msg.sealed)
         except AuthError:
             self.world.emit("tunnel_auth_fail", self.address,
                             origin=frame.origin)
             return
-        ctx.replay_window.accept(piv)
         inner = deserialize_full(data)
         self.world.emit("guard_forward", self.address, cls=TUNNEL,
                         src=msg.src, origin=frame.origin)
@@ -1228,7 +1147,7 @@ class GuardNode(RouterNode):
         data = serialize_full(inner)
         piv = ctx.sender_seq
         ctx.sender_seq += 1
-        sealed = aead_seal(ctx.sender_key, _tunnel_nonce(ctx.sender_id, piv),
+        sealed = aead_seal(ctx.sender_key, aead_nonce(ctx.sender_id, piv),
                            b"tun", data)
         msg = SimMessage(src=self.address, dst=dst, mtype="NON",
                          mid=self.new_mid(), token=b"", code="POST",
@@ -1247,10 +1166,8 @@ class GuardNode(RouterNode):
             self.server_guard_address = entry.published_address
             self.audience = msg.payload.get("audience", f"aud_{entry.name}")
             self.world.emit("setup_step", self.address, step=5)
-            resp = SimMessage(src=self.address, dst=msg.src, mtype="ACK",
-                              mid=msg.mid, token=msg.token, code="2.04",
-                              payload_kind="brief_ack", payload_len=2)
-            self.send_frame(resp, frame.origin)
+            self.reply(msg, frame.origin, "2.04", payload_kind="brief_ack",
+                       payload_len=2)
             return
         if msg.proxy_uri is None:
             self.world.emit("drop", self.address, reason="no_proxy_uri")
@@ -1259,14 +1176,25 @@ class GuardNode(RouterNode):
             self._step6_done = True
             self.world.emit("setup_step", self.address, step=6)
         if msg.mtype == "CON":
-            self._send_empty_ack(msg)
+            self.reply(msg, "legit", "EMPTY", token=b"")
         origin_server = msg.proxy_uri.split("://", 1)[-1]
         up = self.table.rewrite_request(msg, "forward", origin_server)
-        tex = TunnelExchange(self, up, frame.origin)
-        self.tunnel_pending[up.token] = tex
-        tex.start()
+        Exchange(self, up, frame.origin, self._send_tunneled,
+                 self.tunnel_pending,
+                 on_giveup=lambda: self.tunnel_queue.pop(up.token, None),
+                 via="tunnel").start()
         if self.tunnel_ctx is None:
             self._establish_tunnel()
+
+    def _send_tunneled(self, inner: SimMessage, origin: str) -> None:
+        """Wrap under the current tunnel context, so that retransmissions
+        survive a renegotiation; without a context, queue the exchange
+        until the tunnel is ready."""
+        if self.tunnel_ctx is None:
+            self.tunnel_queue[inner.token] = self.tunnel_pending[inner.token]
+            return
+        self.send_tunnel_data(self.tunnel_ctx, inner,
+                              self.server_guard_address, origin)
 
     def _establish_tunnel(self) -> None:
         if self.establishing or self.server_meta is None:
@@ -1308,10 +1236,10 @@ class GuardNode(RouterNode):
             self.tunnel_rx[kid_s] = self.tunnel_ctx
             self.establishing = False
             self.world.emit("tunnel_ready", self.address)
-            queued, self.tunnel_queue = self.tunnel_queue, []
-            for tex in queued:
-                if not tex.done:
-                    tex.send()
+            queued, self.tunnel_queue = self.tunnel_queue, {}
+            for ex in queued.values():
+                if not ex.done:
+                    self._send_tunneled(ex.msg, ex.origin)
 
         self.send_con(post, "legit", done, on_giveup=self._tunnel_setup_failed)
 
@@ -1326,14 +1254,11 @@ class GuardNode(RouterNode):
                             kind2=msg.payload_kind)
             return
         ctx = self.tunnel_rx[msg.oscore_kid]
-        piv = msg.oscore_piv or 0
-        if not ctx.replay_window.check(piv):
+        try:
+            data = open_sealed(ctx, msg, b"tun")
+        except ReplayError:
             self.world.emit("tunnel_replay", self.address, origin=frame.origin)
             return
-        try:
-            data = aead_open(ctx.recipient_key,
-                             _tunnel_nonce(msg.oscore_kid, piv), b"tun",
-                             msg.sealed)
         except AuthError:
             self.world.emit("tunnel_auth_fail", self.address,
                             origin=frame.origin)
@@ -1341,12 +1266,11 @@ class GuardNode(RouterNode):
             if self.consec_tunnel_fail >= REKEY_THRESHOLD:
                 self._renegotiate()
             return
-        ctx.replay_window.accept(piv)
         self.consec_tunnel_fail = 0
         inner = deserialize_full(data)
-        tex = self.tunnel_pending.pop(inner.token, None)
-        if tex is not None:
-            tex.done = True
+        ex = self.tunnel_pending.pop(inner.token, None)
+        if ex is not None:
+            ex.finish()
         down = self.table.rewrite_response(inner)
         if down is not None:
             self.send_frame(down, frame.origin)

@@ -1,8 +1,10 @@
-"""Simplified CoAP message model: sizes, confirmable retransmission, proxying.
+"""Simplified CoAP message model: addresses, sizes, ACKs, confirmable
+retransmission, proxying.
 
 Message sizes are synthetic (fixed header + token + per-option overhead +
 payload length), good enough for bandwidth and energy modeling but not
-wire-accurate.
+wire-accurate. Addresses are plain strings; a pattern ending in `*` matches
+every address with that prefix.
 """
 
 from __future__ import annotations
@@ -60,6 +62,21 @@ class SimMessage:
     @property
     def is_protected(self) -> bool:
         return self.oscore_kid is not None
+
+
+def matches(addr: str, pattern: str) -> bool:
+    """Exact match, or prefix match when `pattern` ends in `*`."""
+    if pattern.endswith("*"):
+        return addr.startswith(pattern[:-1])
+    return addr == pattern
+
+
+def ack(req: SimMessage, src: str, code: str, **fields) -> SimMessage:
+    """ACK to `req` from `src`: piggybacked response, or empty with
+    code "EMPTY" and token=b"". Echoes the request's mid and token."""
+    fields.setdefault("token", req.token)
+    return SimMessage(src=src, dst=req.src, mtype="ACK", mid=req.mid,
+                      code=code, **fields)
 
 
 def piv_len(piv: int) -> int:
@@ -225,7 +242,3 @@ class ProxyTable:
         return msg.copy(src=self.proxy_address, dst=client_src,
                         token=client_token, mid=client_mid)
 
-
-def proxy_rewrite(table: ProxyTable, msg: SimMessage, mode: str,
-                  origin: str) -> SimMessage:
-    return table.rewrite_request(msg, mode, origin)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .coap_lite import SimMessage
+from .coap_lite import SimMessage, ack
 
 # Priority classes, highest first. Tunnel and AllowListed bypass throttling
 # entirely; Blocked never forwards.
@@ -65,7 +65,7 @@ class BucketSpec:
 
 
 DEFAULT_BUCKETS = {
-    UNKNOWN_VIA_PROXY: BucketSpec(0.2, 2, 2.0, 4),
+    UNKNOWN_VIA_PROXY: BucketSpec(0.2, 2, 1.0, 2),
     NON_PROXY: BucketSpec(0.05, 1, 0.1, 2),
     REACHABILITY_VERIFIED: BucketSpec(1.0, 2, 5.0, 8),
 }
@@ -235,17 +235,13 @@ class GuardState:
         nonce = self.rng.bytes(8)
         rec.echo_nonce = nonce
         rec.echo_issued_ms = now_ms
-        return SimMessage(src=self.proxy_address, dst=msg.src, mtype="ACK",
-                          mid=msg.mid, token=msg.token, code="4.01",
-                          echo=nonce, payload_len=2)
+        return ack(msg, self.proxy_address, "4.01", echo=nonce, payload_len=2)
 
     def issue_jump_challenge(self, source: str, msg: SimMessage,
                              now_ms: int) -> SimMessage:
         nonce = self.rng.bytes(8)
         self.jump_challenges[source] = (nonce, now_ms)
-        return SimMessage(src=self.proxy_address, dst=msg.src, mtype="ACK",
-                          mid=msg.mid, token=msg.token, code="4.01",
-                          echo=nonce, payload_len=2)
+        return ack(msg, self.proxy_address, "4.01", echo=nonce, payload_len=2)
 
     def verify_echo(self, rec: FlowRecord, msg: SimMessage, now_ms: int) -> str:
         """Verified | stale | mismatch. Verified lifts the flow to

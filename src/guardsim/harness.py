@@ -15,15 +15,17 @@ import csv
 import io
 import json
 import statistics
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .actors import (AsNode, AttackerModel, AttackerNode, ClientNode,
                      GuardNode, RendezvousNode, RouterNode, ServerNode,
                      ThrottleRouter)
 from .ace import AsRegistry
 from .coap_lite import DEFAULT_BASE_TIMEOUT_MS, DEFAULT_RETRANSMIT_LIMIT
-from .guard import (BucketSpec, GuardConfig, NON_PROXY,
-                    REACHABILITY_VERIFIED, UNKNOWN_VIA_PROXY)
+from .guard import (DEFAULT_ALLOWLIST_IDLE_EXPIRY_MS, DEFAULT_BUCKETS,
+                    DEFAULT_ECHO_MAX_AGE_MS, DEFAULT_JUMP_THRESHOLD,
+                    DEFAULT_SEQ_MEMORY, NON_PROXY, REACHABILITY_VERIFIED,
+                    UNKNOWN_VIA_PROXY, BucketSpec, GuardConfig)
 from .netsim import EnergyBudget, Link, World
 from .seclayer import fnv1a64
 
@@ -88,30 +90,19 @@ class CoapConfig:
     retransmit_limit: int = DEFAULT_RETRANSMIT_LIMIT
 
 
-@dataclass
-class BucketConfig:
-    per_source_rate: float
-    per_source_burst: float
-    aggregate_rate: float
-    aggregate_burst: float
-
-    def spec(self) -> BucketSpec:
-        return BucketSpec(self.per_source_rate, self.per_source_burst,
-                          self.aggregate_rate, self.aggregate_burst)
+def _default_bucket(cls: str):
+    return field(default_factory=lambda: replace(DEFAULT_BUCKETS[cls]))
 
 
 @dataclass
 class GuardSettings:
-    jump_threshold: int = 128
-    seq_memory: int = 64
-    echo_max_age_ms: int = 40_000
-    allowlist_idle_expiry_ms: int = 600_000
-    unknown_bucket: BucketConfig = field(
-        default_factory=lambda: BucketConfig(0.2, 2, 1.0, 2))
-    non_proxy_bucket: BucketConfig = field(
-        default_factory=lambda: BucketConfig(0.05, 1, 0.1, 2))
-    verified_bucket: BucketConfig = field(
-        default_factory=lambda: BucketConfig(1.0, 2, 5.0, 8))
+    jump_threshold: int = DEFAULT_JUMP_THRESHOLD
+    seq_memory: int = DEFAULT_SEQ_MEMORY
+    echo_max_age_ms: int = DEFAULT_ECHO_MAX_AGE_MS
+    allowlist_idle_expiry_ms: int = DEFAULT_ALLOWLIST_IDLE_EXPIRY_MS
+    unknown_bucket: BucketSpec = _default_bucket(UNKNOWN_VIA_PROXY)
+    non_proxy_bucket: BucketSpec = _default_bucket(NON_PROXY)
+    verified_bucket: BucketSpec = _default_bucket(REACHABILITY_VERIFIED)
 
     def guard_config(self, mode: str) -> GuardConfig:
         return GuardConfig(
@@ -121,9 +112,9 @@ class GuardSettings:
             echo_max_age_ms=self.echo_max_age_ms,
             allowlist_idle_expiry_ms=self.allowlist_idle_expiry_ms,
             buckets={
-                UNKNOWN_VIA_PROXY: self.unknown_bucket.spec(),
-                NON_PROXY: self.non_proxy_bucket.spec(),
-                REACHABILITY_VERIFIED: self.verified_bucket.spec(),
+                UNKNOWN_VIA_PROXY: self.unknown_bucket,
+                NON_PROXY: self.non_proxy_bucket,
+                REACHABILITY_VERIFIED: self.verified_bucket,
             })
 
 
@@ -135,7 +126,6 @@ class BaselineThrottleConfig:
 
 @dataclass
 class ClientConfig:
-    enabled: bool = True
     request_interval_ms: int = 10_000
     setup_pause_ms: int = 5_000
 
@@ -188,15 +178,6 @@ class SimConfig:
     resource: ResourceConfig = field(default_factory=ResourceConfig)
 
 
-_NESTED = {
-    "links": LinksConfig, "energy": EnergyConfig, "coap": CoapConfig,
-    "guard": GuardSettings, "baseline_throttle": BaselineThrottleConfig,
-    "client": ClientConfig, "attacks": AttackConfig,
-    "durations": DurationConfig, "classify": ClassifyConfig,
-    "resource": ResourceConfig,
-}
-
-
 def _fill_dataclass(cls, doc: dict, path: str, base=None):
     if not isinstance(doc, dict):
         raise ConfigError(f"{path or 'config'}: expected an object")
@@ -207,7 +188,7 @@ def _fill_dataclass(cls, doc: dict, path: str, base=None):
         if key not in known:
             raise ConfigError(f"{where}: unknown field")
         current = getattr(obj, key)
-        if isinstance(current, (LinkSpec, BucketConfig)) or key in _NESTED:
+        if is_dataclass(current):
             setattr(obj, key, _fill_dataclass(type(current), value, where,
                                               base=copy.deepcopy(current)))
         else:
@@ -419,7 +400,7 @@ def run_subrun(config: SimConfig, scenario: str, attack_kind: str,
         attack_start = config.durations.warmup_ms
         until = attack_start + config.durations.steady_ms
     handles = build_world(config, scenario, attack_kind, attack_start, until,
-                          seed, client_enabled=config.client.enabled)
+                          seed)
     handles.server.start()
     client = handles.client
     if client is not None:

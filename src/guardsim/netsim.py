@@ -22,10 +22,6 @@ def s_to_ms(seconds: float) -> int:
     return int(round(seconds * 1000))
 
 
-def ms_to_s(ms: int) -> float:
-    return ms / 1000.0
-
-
 class Rng:
     """SplitMix64 pseudo-random generator.
 
@@ -105,13 +101,11 @@ class EventQueue:
 class Trace:
     """Chronological list of simulation events, exportable as JSON lines."""
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self.events: list[dict] = []
 
     def emit(self, t: int, kind: str, node: str, **detail) -> None:
-        if self.enabled:
-            self.events.append({"t": t, "kind": kind, "node": node, "detail": detail})
+        self.events.append({"t": t, "kind": kind, "node": node, "detail": detail})
 
     def to_jsonl(self) -> str:
         return "\n".join(
@@ -248,11 +242,11 @@ class Link:
 class World:
     """Owns the clock, queue, RNG and trace for one simulation run."""
 
-    def __init__(self, seed: int, trace_enabled: bool = True):
+    def __init__(self, seed: int):
         self.clock = SimClock()
         self.queue = EventQueue(self.clock)
         self.rng = Rng(seed)
-        self.trace = Trace(trace_enabled)
+        self.trace = Trace()
         self.nodes: dict[str, object] = {}
 
     def schedule(self, at: int, fn) -> int:

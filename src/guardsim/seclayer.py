@@ -150,7 +150,8 @@ class SecurityContext:
                                replay_window=ReplayWindow(self.replay_window.size))
 
 
-def _nonce(kid: bytes, piv: int) -> bytes:
+def aead_nonce(kid: bytes, piv: int) -> bytes:
+    """Per-message nonce: the sender's kid followed by the 5-byte piv."""
     return kid + piv.to_bytes(5, "big")
 
 
@@ -172,7 +173,8 @@ def oscore_protect(ctx: SecurityContext, inner: SimMessage,
     else:
         piv = request_piv
         aad = b"resp" + request_piv.to_bytes(5, "big")
-    sealed = aead_seal(ctx.sender_key, _nonce(ctx.sender_id, piv), aad, plaintext)
+    sealed = aead_seal(ctx.sender_key, aead_nonce(ctx.sender_id, piv), aad,
+                       plaintext)
     return inner.copy(
         code="POST" if request_piv is None else "2.04",
         oscore_kid=ctx.sender_id,
@@ -191,28 +193,39 @@ def inner_payload_size(inner: SimMessage) -> int:
     return message_size(inner) + TAG_LEN
 
 
+def open_sealed(ctx: SecurityContext, msg: SimMessage, aad: bytes,
+                replay: bool = True) -> bytes:
+    """Verify and decrypt `msg.sealed` under `ctx`.
+
+    With `replay`, the piv is first checked against the replay window, and
+    the window only advances once the tag verifies.
+    """
+    piv = msg.oscore_piv or 0
+    if replay and not ctx.replay_window.check(piv):
+        raise ReplayError(f"piv {piv} replayed or below window")
+    plaintext = aead_open(ctx.recipient_key, aead_nonce(msg.oscore_kid, piv),
+                          aad, msg.sealed)
+    if replay:
+        ctx.replay_window.accept(piv)
+    return plaintext
+
+
 def oscore_unprotect(ctx: SecurityContext, msg: SimMessage,
                      request_piv: int | None = None) -> SimMessage:
     """Verify and decrypt a protected message.
 
-    Requests are additionally checked against the replay window; the window
-    only advances when the tag verifies.
+    Requests are additionally checked against the replay window; responses
+    are bound to their request's piv instead.
     """
     if msg.oscore_kid is None or msg.sealed is None:
         raise UnknownKid("message carries no OSCORE header")
     if msg.oscore_kid != ctx.recipient_id:
         raise UnknownKid(f"kid {msg.oscore_kid.hex()} not known to this context")
-    piv = msg.oscore_piv or 0
     if request_piv is None:
-        aad = b"req"
-        if not ctx.replay_window.check(piv):
-            raise ReplayError(f"piv {piv} replayed or below window")
+        plaintext = open_sealed(ctx, msg, b"req")
     else:
         aad = b"resp" + request_piv.to_bytes(5, "big")
-    plaintext = aead_open(ctx.recipient_key, _nonce(msg.oscore_kid, piv), aad,
-                          msg.sealed)
-    if request_piv is None:
-        ctx.replay_window.accept(piv)
+        plaintext = open_sealed(ctx, msg, aad, replay=False)
     return deserialize_inner(plaintext, msg.copy(oscore_kid=None, oscore_piv=None,
                                                  sealed=None))
 
@@ -228,9 +241,7 @@ class EdhocSession:
 
     role: str  # "initiator" | "responder"
     ephemeral: bytes
-    step: int = 0
     peer_ephemeral: bytes | None = None
-    derived: SecurityContext | None = None
 
 
 def edhoc_master(ephemeral_a: bytes, ephemeral_b: bytes) -> bytes:
@@ -261,12 +272,9 @@ def edhoc_derive(session: EdhocSession, window: int = DEFAULT_REPLAY_WINDOW,
     own_is_lo = session.ephemeral == lo
     sender_id = kid_lo if own_is_lo else kid_hi
     recipient_id = kid_hi if own_is_lo else kid_lo
-    ctx = SecurityContext(sender_id=sender_id, recipient_id=recipient_id,
-                          master_key=master,
-                          replay_window=ReplayWindow(window))
-    session.derived = ctx
-    session.step = 3
-    return ctx
+    return SecurityContext(sender_id=sender_id, recipient_id=recipient_id,
+                           master_key=master,
+                           replay_window=ReplayWindow(window))
 
 
 def edhoc_confirmation(master: bytes) -> bytes:

@@ -96,7 +96,6 @@ def test_flood_drain_matches_bandwidth_bound_hand_computation():
     cfg.links.constrained = LinkSpec(bandwidth_bps=1000, delay_ms=10,
                                      queue_capacity=8)
     cfg.attacks.blind_rate = 5.0  # comfortably saturates 1 kbit/s
-    cfg.client.enabled = False
 
     handles = build_world(cfg, "baseline-open", "blind_flood", 0, hour_ms,
                           seed=42, client_enabled=False)

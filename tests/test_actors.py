@@ -239,6 +239,41 @@ def test_non_tunnel_traffic_blocked_in_fullguard():
     assert len(srv_link_frames(world.trace)) >= before
 
 
+def test_tunnel_exchange_gives_up_and_leaves_no_state():
+    def corrupt(handles):
+        handles.server.audience_key = b"not-the-real-key"
+
+    handles = run_fullguard_steady(until_ms=150_000, mutate=corrupt)
+    guard = handles.client_router
+    giveups = handles.world.trace.by_kind("giveup")
+    assert [(e["t"], e["node"], e["detail"].get("via")) for e in giveups] == \
+        [(63_282, "rtrC", "tunnel")]
+    assert guard.tunnel_pending == {}
+    assert len(guard.tunnel_queue) == 0
+
+
+def test_replayed_tunnel_frame_is_dropped_before_the_server():
+    captured = []
+
+    def capture(link, frame):
+        if frame.msg.payload_kind == "tunnel_data" and not captured:
+            captured.append(frame)
+        return frame
+
+    def tap(handles):
+        handles.client_router.links["rtrS"].interceptor = capture
+
+    handles = run_fullguard_steady(mutate=tap)
+    world, guard = handles.world, handles.server_router
+    assert captured, "no tunnel frame crossed rtrC->rtrS"
+    before = len([e for e in srv_link_frames(world.trace)
+                  if e["node"] == "rtrS->srv"])
+    guard.receive(captured[0], "rtrC")
+    assert len(world.trace.by_kind("tunnel_replay")) == 1
+    assert len([e for e in srv_link_frames(world.trace)
+                if e["node"] == "rtrS->srv"]) == before
+
+
 # --- attackers -------------------------------------------------------------------------------
 
 def test_spoofed_sources_never_reach_verified():

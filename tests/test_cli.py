@@ -67,6 +67,13 @@ def test_invalid_config_field_is_config_error(tmp_path, capsys):
     assert "scenario" in capsys.readouterr().err
 
 
+def test_removed_client_enabled_field_is_config_error(tmp_path, capsys):
+    path = tmp_path / "noclient.json"
+    path.write_text('{"client": {"enabled": false}}')
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    assert "client.enabled: unknown field" in capsys.readouterr().err
+
+
 def test_command_required():
     with pytest.raises(SystemExit):
         main([])

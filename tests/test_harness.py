@@ -46,8 +46,8 @@ def test_unknown_field_names_its_path():
 def test_wrong_type_rejected():
     with pytest.raises(ConfigError, match="seed"):
         config_from_dict({"seed": "forty-two"})
-    with pytest.raises(ConfigError, match="client.enabled"):
-        config_from_dict({"client": {"enabled": 1}})
+    with pytest.raises(ConfigError, match="attacks.impersonator_knows_kid"):
+        config_from_dict({"attacks": {"impersonator_knows_kid": 1}})
 
 
 def test_unknown_scenario_rejected():

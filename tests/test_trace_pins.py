@@ -1,0 +1,53 @@
+"""Byte-level trace pins: short seed-42 runs of the cells that exercise the
+edge throttle, Echo challenges, empty ACKs, seq_conflict rejects, reverse
+proxying, tunnel retransmits, tunnel auth failures and renegotiation.
+
+A refactor of the actor layer must leave every trace byte where it was; a
+digest that moves means behaviour moved. Re-record a digest only together
+with a stated reason for the behaviour change.
+"""
+
+import hashlib
+
+import pytest
+
+from guardsim.harness import SimConfig, run_cell
+
+PINS = {
+    ("baseline-throttled", "blind_flood"): (
+        "26c503d19c9daccf4762436fbd05013b9d22fcfea38232ed029e59915007d827",
+        "0dce9a7ea8e00fb179716c3b7b1b8f223625188e35d863e804958c6119c558da"),
+    ("exemptions", "distributed_flood"): (
+        "d1543aa116cd04d4e3757a408a37603608a46a305bf607116d9d1effc60a9e12",
+        "a42d2edda30733e40f5516fa8a81b5e6264c79b8b509793bcd75f0542307f186"),
+    ("exemptions", "impersonator"): (
+        "3611aed0fb59eb708a665291edeed5e4bf0978de419ecfc9b03253a8d5f8034c",
+        "5c8efebd0d2e74f76755589c44f427ab98756cdd998c73f346939a0ba86a8834"),
+    ("fullguard", "on_path"): (
+        "019d3c89afa3b5506dbeb5e3b0993837fbad06c2c6dc31fee7213ca17bb02c7c",
+        "dd203cf4f16dd1f8740d6a73e225d038e8b93195c0dbda20ab2da991248c2096"),
+    ("fullguard", "impersonator"): (
+        "abb8ca3be993c8181dc9c11ef4d06c69715c8f9157ccca1fe4c30e4fafd15209",
+        "39da41c12889e79be488a1ea233edb52743fdf485d129c6fa27a9a3e8461c229"),
+}
+
+
+def short_config() -> SimConfig:
+    cfg = SimConfig()
+    cfg.seed = 42
+    cfg.client.request_interval_ms = 2000
+    cfg.client.setup_pause_ms = 2000
+    cfg.durations.setup_ms = 40_000
+    cfg.durations.warmup_ms = 5_000
+    cfg.durations.steady_ms = 40_000
+    cfg.durations.grace_ms = 10_000
+    return cfg
+
+
+@pytest.mark.parametrize("scenario,attack", list(PINS),
+                         ids=[f"{s}-{a}" for s, a in PINS])
+def test_subrun_traces_match_pinned_digests(scenario, attack):
+    cell = run_cell(short_config(), scenario, attack, collect_traces=True)
+    digests = tuple(hashlib.sha256(tr.to_jsonl().encode()).hexdigest()
+                    for tr in cell["_traces"])
+    assert digests == PINS[(scenario, attack)]
