@@ -209,12 +209,43 @@ def _fill_dataclass(cls, doc: dict, path: str, base=None):
     return obj
 
 
+# Fields the simulation divides by or paces itself with: zero raises
+# ZeroDivisionError or schedules without end. Every other number except
+# `seed` (durations, counts, capacities, costs, bucket rates, fractions)
+# must not be negative.
+POSITIVE_FIELDS = frozenset({
+    "links.constrained.bandwidth_bps",
+    "links.internet.bandwidth_bps",
+    "coap.base_timeout_ms",
+    "client.request_interval_ms",
+    "attacks.blind_rate",
+    "attacks.distributed_rate",
+    "attacks.distributed_sources",
+    "attacks.impersonator_rate",
+})
+
+
+def _check_ranges(obj, path: str) -> None:
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        where = f"{path}.{f.name}" if path else f.name
+        if is_dataclass(value):
+            _check_ranges(value, where)
+        elif where in POSITIVE_FIELDS:
+            if not value > 0:
+                raise ConfigError(f"{where}: must be > 0")
+        elif (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and where != "seed" and not value >= 0):
+            raise ConfigError(f"{where}: must be >= 0")
+
+
 def config_from_dict(doc: dict) -> SimConfig:
     cfg = _fill_dataclass(SimConfig, doc, "")
     if cfg.scenario not in SCENARIOS:
         raise ConfigError(f"scenario: must be one of {', '.join(SCENARIOS)}")
     if cfg.attack not in ATTACKS:
         raise ConfigError(f"attack: must be one of {', '.join(ATTACKS)}")
+    _check_ranges(cfg, "")
     return cfg
 
 

@@ -4,17 +4,31 @@ A deterministic FNV-1a-based authenticated cipher stands in for AES-CCM;
 it is explicitly insecure and exists only so that protection, tampering and
 replay behave faithfully inside the simulator. The interface is small
 enough that a real AEAD could be dropped in.
+
+Every AEAD output is defined by per-byte FNV-1a over `key + nonce + ...`:
+keystream block `i` is `fnv1a64(key + nonce + i.to_bytes(8, "big"))` and the
+tag is `fnv1a64(key + nonce + aad + plaintext)`. FNV-1a is a left fold, so
+each call hashes `key + nonce` once into a prefix state and continues from
+it (`fnv1a64(data, h)`); the counter's leading zero bytes fold into one
+multiply by `FNV_PRIME**7` (see `_keystream`). Outputs equal the per-byte
+definition above.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .coap_lite import SimMessage, deserialize_inner, serialize_inner
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 MASK64 = (1 << 64) - 1
+FNV_PRIME_7 = pow(FNV_PRIME, 7, 1 << 64)
+# Block counters below this differ from zero only in their last byte; see
+# `_keystream`.
+SHORT_BLOCKS = 256
 
 TAG_LEN = 8
 DEFAULT_REPLAY_WINDOW = 32
@@ -37,27 +51,40 @@ class SeqExhausted(Exception):
     pass
 
 
-def fnv1a64(data: bytes) -> int:
-    h = FNV_OFFSET
+def fnv1a64(data: bytes, h: int = FNV_OFFSET) -> int:
+    """FNV-1a over `data`, continuing from state `h` (the offset basis by
+    default), so `fnv1a64(a + b) == fnv1a64(b, fnv1a64(a))`."""
     for b in data:
         h = ((h ^ b) * FNV_PRIME) & MASK64
     return h
 
 
-def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    out = bytearray()
-    block = 0
-    while len(out) < length:
-        out += fnv1a64(key + nonce + block.to_bytes(8, "big")).to_bytes(8, "big")
-        block += 1
-    return bytes(out[:length])
+def _keystream(prefix: int, length: int) -> int:
+    """The first `length` keystream bytes, as a big-endian integer.
+
+    Block `i` hashes the 8-byte big-endian counter on from `prefix`, the
+    state after `key + nonce`. Below SHORT_BLOCKS the counter is seven zero
+    bytes and then `i`; XOR with zero is the identity, so the zero bytes
+    are seven multiplies by FNV_PRIME, one multiply by FNV_PRIME_7 shared by
+    every block, and each block costs one xor-multiply.
+    """
+    nblocks = -(-length // 8)
+    z = (prefix * FNV_PRIME_7) & MASK64
+    blocks = [((z ^ i) * FNV_PRIME) & MASK64 if i < SHORT_BLOCKS
+              else fnv1a64(i.to_bytes(8, "big"), prefix)
+              for i in range(nblocks)]
+    return int.from_bytes(struct.pack(f">{nblocks}Q", *blocks)[:length], "big")
+
+
+def _xor(data: bytes, ks: int) -> bytes:
+    return (int.from_bytes(data, "big") ^ ks).to_bytes(len(data), "big")
 
 
 def aead_seal(key: bytes, nonce: bytes, aad: bytes, plaintext: bytes) -> bytes:
     """XOR-keystream encryption plus a 64-bit keyed tag over the plaintext."""
-    ks = _keystream(key, nonce, len(plaintext))
-    ct = bytes(p ^ k for p, k in zip(plaintext, ks))
-    tag = fnv1a64(key + nonce + aad + plaintext).to_bytes(TAG_LEN, "big")
+    prefix = fnv1a64(key + nonce)
+    ct = _xor(plaintext, _keystream(prefix, len(plaintext)))
+    tag = fnv1a64(aad + plaintext, prefix).to_bytes(TAG_LEN, "big")
     return ct + tag
 
 
@@ -65,9 +92,9 @@ def aead_open(key: bytes, nonce: bytes, aad: bytes, sealed: bytes) -> bytes:
     if len(sealed) < TAG_LEN:
         raise AuthError("sealed input shorter than tag")
     ct, tag = sealed[:-TAG_LEN], sealed[-TAG_LEN:]
-    ks = _keystream(key, nonce, len(ct))
-    pt = bytes(c ^ k for c, k in zip(ct, ks))
-    expect = fnv1a64(key + nonce + aad + pt).to_bytes(TAG_LEN, "big")
+    prefix = fnv1a64(key + nonce)
+    pt = _xor(ct, _keystream(prefix, len(ct)))
+    expect = fnv1a64(aad + pt, prefix).to_bytes(TAG_LEN, "big")
     if expect != tag:
         raise AuthError("tag mismatch")
     return pt
@@ -135,11 +162,13 @@ class SecurityContext:
     replay_window: ReplayWindow = field(default_factory=ReplayWindow)
     max_seq: int = DEFAULT_MAX_SEQ
 
-    @property
+    # Derived once per context: the ids and master key never change after
+    # construction.
+    @cached_property
     def sender_key(self) -> bytes:
         return derive_key(self.master_key, b"key" + self.sender_id)
 
-    @property
+    @cached_property
     def recipient_key(self) -> bytes:
         return derive_key(self.master_key, b"key" + self.recipient_id)
 

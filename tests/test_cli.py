@@ -74,6 +74,29 @@ def test_removed_client_enabled_field_is_config_error(tmp_path, capsys):
     assert "client.enabled: unknown field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"links": {"constrained": {"bandwidth_bps": 0}}},
+     "links.constrained.bandwidth_bps: must be > 0"),
+    ({"attacks": {"blind_rate": 0}}, "attacks.blind_rate: must be > 0"),
+    ({"attacks": {"distributed_sources": 0}},
+     "attacks.distributed_sources: must be > 0"),
+    ({"client": {"request_interval_ms": 0}},
+     "client.request_interval_ms: must be > 0"),
+    ({"coap": {"base_timeout_ms": -1}}, "coap.base_timeout_ms: must be > 0"),
+    ({"durations": {"steady_ms": -5}}, "durations.steady_ms: must be >= 0"),
+    ({"links": {"internet": {"queue_capacity": -1}}},
+     "links.internet.queue_capacity: must be >= 0"),
+    ({"energy": {"cost_per_msg": -0.5}}, "energy.cost_per_msg: must be >= 0"),
+    ({"guard": {"unknown_bucket": {"aggregate_rate": -1}}},
+     "guard.unknown_bucket.aggregate_rate: must be >= 0"),
+])
+def test_out_of_range_value_is_config_error(tmp_path, capsys, doc, message):
+    path = tmp_path / "range.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
 def test_command_required():
     with pytest.raises(SystemExit):
         main([])

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from guardsim.coap_lite import SimMessage
 from guardsim.seclayer import (AuthError, EdhocSession, ReplayError,
                                ReplayWindow, SecurityContext, SeqExhausted,
-                               UnknownKid, aead_open, aead_seal,
+                               UnknownKid, aead_open, aead_seal, derive_key,
                                edhoc_confirmation, edhoc_derive, edhoc_master,
                                fnv1a64, oscore_protect, oscore_unprotect,
                                replay_window_check)
@@ -26,7 +26,43 @@ def test_fnv1a64_reference_vectors():
         assert fnv1a64(data) == expected
 
 
+@given(st.binary(max_size=64), st.binary(max_size=64))
+def test_fnv1a64_continues_from_a_prefix_state(a, b):
+    assert fnv1a64(a + b) == fnv1a64(b, fnv1a64(a))
+
+
 # --- AEAD -------------------------------------------------------------------
+
+def _reference_keystream(key, nonce, length):
+    out = bytearray()
+    block = 0
+    while len(out) < length:
+        out += fnv1a64(key + nonce + block.to_bytes(8, "big")).to_bytes(8, "big")
+        block += 1
+    return bytes(out[:length])
+
+
+def _reference_seal(key, nonce, aad, plaintext):
+    """The AEAD by its definition: every block and the tag hash the whole
+    `key + nonce + ...` input from the FNV offset basis."""
+    ks = _reference_keystream(key, nonce, len(plaintext))
+    ct = bytes(p ^ k for p, k in zip(plaintext, ks))
+    return ct + fnv1a64(key + nonce + aad + plaintext).to_bytes(8, "big")
+
+
+# 2048 bytes is the last length whose keystream blocks all have counters
+# below 256; the second range crosses into the per-byte counter path.
+@pytest.mark.parametrize("length", [*range(71), *range(2040, 2057)])
+def test_aead_matches_per_byte_reference(length):
+    rng = random.Random(length)
+    for aad in (b"", rng.randbytes(rng.randint(1, 12))):
+        key = rng.randbytes(16)
+        nonce = rng.randbytes(rng.randint(1, 13))
+        plaintext = rng.randbytes(length)
+        sealed = aead_seal(key, nonce, aad, plaintext)
+        assert sealed == _reference_seal(key, nonce, aad, plaintext)
+        assert aead_open(key, nonce, aad, sealed) == plaintext
+
 
 def test_seal_empty_plaintext_is_tag_only():
     out = aead_seal(bytes(16), b"\x00", b"", b"")
@@ -139,6 +175,15 @@ def make_pair():
                              master_key=b"m" * 16)
     server = client.mirrored()
     return client, server
+
+
+def test_context_subkeys_are_derived_once_and_mirrored():
+    client, server = make_pair()
+    assert client.sender_key == derive_key(b"m" * 16, b"key\x01")
+    assert client.recipient_key == derive_key(b"m" * 16, b"key\x02")
+    assert client.sender_key is client.sender_key
+    assert (server.sender_key, server.recipient_key) \
+        == (client.recipient_key, client.sender_key)
 
 
 def inner_request():
