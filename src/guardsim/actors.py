@@ -25,7 +25,7 @@ from .netsim import EnergyBudget, Frame, World
 from . import seclayer
 from .seclayer import (AuthError, ReplayError, SecurityContext, UnknownKid,
                        aead_nonce, aead_seal, open_sealed, EDHOC_MSG_SIZES)
-from .guard import (GuardConfig, GuardState, TUNNEL)
+from .guard import GuardConfig, GuardState, TUNNEL
 
 REKEY_THRESHOLD = 3
 
@@ -434,12 +434,17 @@ class AsNode(Node):
 
 
 class ServerNode(Node):
+    """Constrained server. With a `guard_address` it onboards with that guard
+    before it registers; `behind_tunnel` says the guard is a tunnel end, so
+    the server hands it the token-verification keys and publishes its own
+    address with the guard as proxy, instead of publishing the guard's."""
+
     def __init__(self, world, address="srv", energy=None, guard_address=None,
-                 scenario="baseline-open", audience="aud_srv",
+                 behind_tunnel=False, audience="aud_srv",
                  as_key_id="key_as", audience_key=b"", rd_address="rd"):
         super().__init__(world, address, energy)
         self.guard_address = guard_address
-        self.scenario = scenario
+        self.behind_tunnel = behind_tunnel
         self.audience = audience
         self.as_key_id = as_key_id
         self.audience_key = audience_key
@@ -453,9 +458,9 @@ class ServerNode(Node):
         self.world.schedule(0, self._boot)
 
     def _boot(self) -> None:
-        if self.scenario in ("exemptions", "fullguard") and self.guard_address:
-            payload = {"audience": self.audience, "mode": self.scenario}
-            if self.scenario == "fullguard":
+        if self.guard_address:
+            payload = {"audience": self.audience}
+            if self.behind_tunnel:
                 payload["as_key_id"] = self.as_key_id
                 payload["audience_key"] = self.audience_key
             msg = SimMessage(src=self.address, dst=self.guard_address,
@@ -472,15 +477,14 @@ class ServerNode(Node):
         self._register()
 
     def _register(self) -> None:
-        if self.scenario == "exemptions":
-            entry = RendezvousEntry(name=self.address, address=self.guard_address)
-        elif self.scenario == "fullguard":
+        if self.behind_tunnel:
             entry = RendezvousEntry(name=self.address, address=self.address,
                                     proxy_address=self.guard_address,
                                     server_guard_key_id=self.guard_key_id,
                                     as_hint="as")
         else:
-            entry = RendezvousEntry(name=self.address, address=self.address)
+            entry = RendezvousEntry(name=self.address,
+                                    address=self.guard_address or self.address)
         msg = SimMessage(src=self.address, dst=self.rd_address, mtype="CON",
                          mid=self.new_mid(), token=self.new_token(),
                          code="POST", payload_kind="rd_register",
@@ -580,15 +584,13 @@ class ServerNode(Node):
 
 
 class ClientNode(Node):
-    def __init__(self, world, address="cli", energy=None,
-                 scenario="baseline-open", guard_address=None,
+    def __init__(self, world, address="cli", energy=None, guard_address=None,
                  rd_address="rd", as_address="as", server_name="srv",
                  request_interval_ms=10_000, rekey_threshold=REKEY_THRESHOLD,
                  base_timeout_ms=DEFAULT_BASE_TIMEOUT_MS,
                  retransmit_limit=DEFAULT_RETRANSMIT_LIMIT):
         super().__init__(world, address, energy)
-        self.scenario = scenario
-        self.guard_address = guard_address
+        self.guard_address = guard_address  # set: requests go via this proxy
         self.rd_address = rd_address
         self.as_address = as_address
         self.server_name = server_name
@@ -632,7 +634,7 @@ class ClientNode(Node):
                 self.world.schedule_in(2000, lookup)
                 return
             self.entry = RendezvousEntry.from_doc(resp.payload["entry"])
-            if self.scenario == "fullguard":
+            if self.guard_address:
                 self._authorize_binding(on_done)
             else:
                 on_done()
@@ -667,13 +669,14 @@ class ClientNode(Node):
 
     def _request(self, dst: str, kind: str, payload: dict, payload_len: int,
                  direct: bool = False) -> SimMessage:
-        """Build a request; server-bound traffic is routed per scenario plan."""
+        """Build a request; server-bound traffic goes via the client's guard
+        proxy, if it has one."""
         msg = SimMessage(src=self.current_src, dst=dst, mtype="CON",
                          mid=self.new_mid(), token=self.new_token(),
                          code="POST" if kind != "rd_lookup" else "GET",
                          payload_kind=kind, payload=payload,
                          payload_len=payload_len)
-        if not direct and self.scenario == "fullguard":
+        if not direct and self.guard_address:
             msg.dst = self.guard_address
             msg.proxy_uri = f"coap://{self.entry.address}"
         return msg
@@ -864,57 +867,29 @@ class ClientNode(Node):
 
 
 class GuardNode(RouterNode):
-    """Router that additionally runs a guard proxy.
+    """Router that additionally runs a guard proxy for the addresses matching
+    `constrained_prefix`. Traffic from inside leaves freely; each subclass is
+    one guard role and says what may come in (`inbound`) and what it serves
+    itself (`handle_outside`, `handle_inside`):
 
-    Modes:
-      exemptions        server-side guard: throttling with reachability and
-                        allow-list exemptions, reverse proxying to the server
-      fullguard_server  only tunnel traffic (and onboarding/registration
-                        responses) may enter; unwraps and forwards
-      fullguard_client  forward proxy for its clients; wraps traffic into the
-                        guard-to-guard tunnel, renegotiates on auth failures
+      ExemptionsGuard    server side: throttling with reachability and
+                         allow-list exemptions, reverse proxying to the server
+      ServerTunnelGuard  server side: only tunnel traffic (and registration
+                         responses) may enter; unwraps and forwards
+      ClientTunnelGuard  client side: forward proxy for its clients; wraps
+                         traffic into the tunnel, renegotiates on auth failures
     """
 
-    def __init__(self, world, address, mode, constrained_prefix,
-                 config: GuardConfig | None = None, key_id="", key=b"",
-                 as_address="as"):
+    def __init__(self, world, address, constrained_prefix, key_id=""):
         super().__init__(world, address)
-        self.mode = mode
         self.constrained_prefix = constrained_prefix
         self.key_id = key_id
-        self.key = key
-        self.as_address = as_address
-        gmode = "fullguard" if mode.startswith("fullguard") else "exemptions"
-        self.config = config or GuardConfig(mode=gmode)
-        self.gstate = GuardState(address, self.config, None)  # rng set later
         self.table = ProxyTable(address)
         self.origin_server: str | None = None
         self.audience: str | None = None
         self.audience_key: bytes = b""
         self.accepted_as: tuple | None = None
         self.guard_key_issued: str | None = None
-        # exemptions proxying
-        self.pending_up: dict[tuple, bool] = {}
-        self.done_cache: dict[tuple, SimMessage] = {}
-        # fullguard server side
-        self.tunnel_ctxs: dict[bytes, SecurityContext] = {}
-        self.tunnel_pending_in: dict[tuple, bool] = {}
-        self.tunnel_done_in: dict[tuple, tuple] = {}
-        # fullguard client side
-        self.server_meta: dict | None = None
-        self.server_guard_address: str | None = None
-        self.tunnel_ctx: SecurityContext | None = None
-        self.tunnel_rx: dict[bytes, SecurityContext] = {}
-        self.tunnel_queue: dict[bytes, Exchange] = {}  # waiting for a tunnel
-        self.tunnel_pending: dict[bytes, Exchange] = {}
-        self.establishing = False
-        self.consec_tunnel_fail = 0
-        self.renegotiations = 0
-        self._step6_done = False
-
-    def attach_rng(self, rng) -> None:
-        self.rng = rng
-        self.gstate.rng = rng
 
     def _inside(self, addr: str) -> bool:
         return matches(addr, self.constrained_prefix)
@@ -933,43 +908,21 @@ class GuardNode(RouterNode):
             self.forward(frame, from_addr)  # transit
 
     def handle(self, frame: Frame, from_addr: str) -> None:
-        msg = frame.msg
         if self.match_response(frame):
             return
-        if self._inside(from_addr):
-            if msg.payload_kind == "onboard_request":
-                self._onboard(frame)
-            elif self.mode == "fullguard_client":
-                self._client_side_request(frame)
-            else:
-                self.world.emit("drop", self.address, reason="unhandled_inside")
-            return
-        if self.mode == "exemptions":
-            self._exemptions_pipeline(frame, from_addr)
-        elif self.mode == "fullguard_server":
-            self._fullguard_server_handle(frame)
-        elif self.mode == "fullguard_client":
-            self._client_tunnel_inbound(frame)
+        if not self._inside(from_addr):
+            self.handle_outside(frame, from_addr)
+        elif frame.msg.payload_kind == "onboard_request":
+            self._onboard(frame)
+        else:
+            self.handle_inside(frame)
 
-    def inbound(self, frame: Frame, from_addr: str) -> None:
-        msg = frame.msg
-        if self.mode == "exemptions":
-            self._exemptions_pipeline(frame, from_addr)
-        elif self.mode == "fullguard_server":
-            # Registration/authorization handshakes initiated from inside may
-            # complete; everything else unsolicited is blocked outright.
-            if msg.is_response and msg.payload_kind in ("rd_ack", "rd_entry",
-                                                        "as_response"):
-                self.forward(frame, from_addr)
-            else:
-                self.world.emit("blocked", self.address, dst=msg.dst,
-                                origin=frame.origin, kind2=msg.payload_kind)
-        else:  # fullguard_client: protect the client network
-            if msg.is_response:
-                self.forward(frame, from_addr)
-            else:
-                self.world.emit("blocked", self.address, dst=msg.dst,
-                                origin=frame.origin, kind2=msg.payload_kind)
+    def handle_inside(self, frame: Frame) -> None:
+        self.world.emit("drop", self.address, reason="unhandled_inside")
+
+    def _block(self, frame: Frame, **detail) -> None:
+        self.world.emit("blocked", self.address, origin=frame.origin,
+                        kind2=frame.msg.payload_kind, **detail)
 
     # --- onboarding -------------------------------------------------------------
 
@@ -986,9 +939,30 @@ class GuardNode(RouterNode):
                    payload={"guard_key_id": self.guard_key_issued},
                    payload_len=20)
 
-    # --- exemptions mode ---------------------------------------------------------
 
-    def _exemptions_pipeline(self, frame: Frame, from_addr: str) -> None:
+class ExemptionsGuard(GuardNode):
+    """Reverse proxy in front of the server: every request from outside goes
+    through the `GuardState` policy, whether addressed to the guard or past
+    it to the server."""
+
+    def __init__(self, world, address, constrained_prefix, config: GuardConfig,
+                 key_id=""):
+        # The policy engine draws the Echo nonces from the node's random
+        # stream, so it must exist before `Node.__init__` sets `rng`.
+        self.gstate = GuardState(address, config, None)
+        super().__init__(world, address, constrained_prefix, key_id)
+        self.pending_up: dict[tuple, bool] = {}
+        self.done_cache: dict[tuple, SimMessage] = {}
+
+    @property
+    def rng(self):
+        return self.gstate.rng
+
+    @rng.setter
+    def rng(self, rng) -> None:
+        self.gstate.rng = rng
+
+    def inbound(self, frame: Frame, from_addr: str) -> None:
         msg = frame.msg
         now = self.world.clock.now
         if msg.is_response:
@@ -1015,10 +989,12 @@ class GuardNode(RouterNode):
             self.world.emit("seq_conflict", self.address, src=msg.src,
                             origin=frame.origin)
             self.reply(msg, "legit", "4.01", payload_len=2)
-        else:  # drop / block
+        else:  # drop
             self.world.emit("guard_drop", self.address, src=msg.src,
                             reason=detail.get("reason", action),
                             origin=frame.origin)
+
+    handle_outside = inbound
 
     def _proxy_upstream(self, frame: Frame) -> None:
         msg = frame.msg
@@ -1032,7 +1008,7 @@ class GuardNode(RouterNode):
             return
         up = self.table.rewrite_request(msg, "reverse", self.origin_server)
         meta = {"key": key, "src": msg.src, "kid": msg.oscore_kid,
-                "request_kind": msg.payload_kind}
+                "request_kind": msg.payload_kind, "token": up.token}
         self.pending_up[key] = True
         self.send_con(up, frame.origin,
                       lambda r, f, m=meta: self._upstream_response(r, f, m),
@@ -1056,20 +1032,81 @@ class GuardNode(RouterNode):
 
     def _upstream_giveup(self, meta) -> None:
         self.pending_up.pop(meta["key"], None)
+        self.table.out.pop(meta["token"], None)
         self.world.emit("upstream_giveup", self.address, src=meta["src"])
 
-    # --- fullguard, server side -----------------------------------------------------
 
-    def _fullguard_server_handle(self, frame: Frame) -> None:
+class TunnelGuard(GuardNode):
+    """One end of the guard-to-guard tunnel. From outside, only responses
+    that `passes_inward` accepts get past it unwrapped."""
+
+    def passes_inward(self, msg: SimMessage) -> bool:
+        raise NotImplementedError
+
+    def inbound(self, frame: Frame, from_addr: str) -> None:
+        if self.passes_inward(frame.msg):
+            self.forward(frame, from_addr)
+        else:
+            self._block(frame, dst=frame.msg.dst)
+
+    def open_tunnel_frame(self, ctx: SecurityContext,
+                          frame: Frame) -> SimMessage | None:
+        """The message sealed in a tunnel frame, or None if the frame is a
+        replay or fails authentication."""
+        try:
+            data = open_sealed(ctx, frame.msg, b"tun")
+        except ReplayError:
+            self.world.emit("tunnel_replay", self.address, origin=frame.origin)
+            return None
+        except AuthError:
+            self.world.emit("tunnel_auth_fail", self.address,
+                            origin=frame.origin)
+            self.tunnel_auth_failed()
+            return None
+        return deserialize_full(data)
+
+    def tunnel_auth_failed(self) -> None:
+        pass
+
+    def send_tunnel_data(self, ctx: SecurityContext, inner: SimMessage,
+                         dst: str, origin: str) -> None:
+        data = serialize_full(inner)
+        piv = ctx.sender_seq
+        ctx.sender_seq += 1
+        sealed = aead_seal(ctx.sender_key, aead_nonce(ctx.sender_id, piv),
+                           b"tun", data)
+        msg = SimMessage(src=self.address, dst=dst, mtype="NON",
+                         mid=self.new_mid(), token=b"", code="POST",
+                         oscore_kid=ctx.sender_id, oscore_piv=piv,
+                         payload_kind="tunnel_data", payload_len=len(sealed),
+                         sealed=sealed)
+        self.send_frame(msg, origin)
+
+
+class ServerTunnelGuard(TunnelGuard):
+    """Server end of the tunnel: verifies tunnel tokens, unwraps tunnel
+    requests and relays them to the server."""
+
+    def __init__(self, world, address, constrained_prefix, key_id=""):
+        super().__init__(world, address, constrained_prefix, key_id)
+        self.tunnel_ctxs: dict[bytes, SecurityContext] = {}
+        self.tunnel_pending_in: dict[tuple, bool] = {}
+        self.tunnel_done_in: dict[tuple, tuple] = {}
+
+    def passes_inward(self, msg: SimMessage) -> bool:
+        # Registration/authorization handshakes initiated from inside may
+        # complete; everything else unsolicited is blocked outright.
+        return msg.is_response and msg.payload_kind in ("rd_ack", "rd_entry",
+                                                        "as_response")
+
+    def handle_outside(self, frame: Frame, from_addr: str) -> None:
         msg = frame.msg
         if msg.payload_kind == "tunnel_token_post":
             self._token_post(frame)
-            return
-        if msg.is_protected and msg.oscore_kid in self.tunnel_ctxs:
+        elif msg.is_protected and msg.oscore_kid in self.tunnel_ctxs:
             self._tunnel_data_in(frame)
-            return
-        self.world.emit("blocked", self.address, origin=frame.origin,
-                        kind2=msg.payload_kind)
+        else:
+            self._block(frame)
 
     def _token_post(self, frame: Frame) -> None:
         msg = frame.msg
@@ -1102,16 +1139,9 @@ class GuardNode(RouterNode):
     def _tunnel_data_in(self, frame: Frame) -> None:
         msg = frame.msg
         ctx = self.tunnel_ctxs[msg.oscore_kid]
-        try:
-            data = open_sealed(ctx, msg, b"tun")
-        except ReplayError:
-            self.world.emit("tunnel_replay", self.address, origin=frame.origin)
+        inner = self.open_tunnel_frame(ctx, frame)
+        if inner is None:
             return
-        except AuthError:
-            self.world.emit("tunnel_auth_fail", self.address,
-                            origin=frame.origin)
-            return
-        inner = deserialize_full(data)
         self.world.emit("guard_forward", self.address, cls=TUNNEL,
                         src=msg.src, origin=frame.origin)
         key = (inner.src, inner.token.hex(), inner.oscore_piv)
@@ -1127,10 +1157,11 @@ class GuardNode(RouterNode):
                         proxy_uri=None)
         self.table.out[up.token] = (inner.src, inner.token, inner.mid)
         self.tunnel_pending_in[key] = True
-        meta = {"key": key, "ctx": ctx, "reply_dst": msg.src}
+        meta = {"key": key, "ctx": ctx, "reply_dst": msg.src,
+                "token": up.token}
         self.send_con(up, frame.origin,
                       lambda r, f, m=meta: self._tunnel_upstream_response(r, f, m),
-                      on_giveup=lambda m=meta: self.tunnel_pending_in.pop(m["key"], None))
+                      on_giveup=lambda m=meta: self._tunnel_upstream_giveup(m))
 
     def _tunnel_upstream_response(self, resp: SimMessage, frame: Frame, meta) -> None:
         self.tunnel_pending_in.pop(meta["key"], None)
@@ -1142,23 +1173,36 @@ class GuardNode(RouterNode):
             self.tunnel_done_in.pop(next(iter(self.tunnel_done_in)))
         self.send_tunnel_data(meta["ctx"], down, meta["reply_dst"], frame.origin)
 
-    def send_tunnel_data(self, ctx: SecurityContext, inner: SimMessage,
-                         dst: str, origin: str) -> None:
-        data = serialize_full(inner)
-        piv = ctx.sender_seq
-        ctx.sender_seq += 1
-        sealed = aead_seal(ctx.sender_key, aead_nonce(ctx.sender_id, piv),
-                           b"tun", data)
-        msg = SimMessage(src=self.address, dst=dst, mtype="NON",
-                         mid=self.new_mid(), token=b"", code="POST",
-                         oscore_kid=ctx.sender_id, oscore_piv=piv,
-                         payload_kind="tunnel_data", payload_len=len(sealed),
-                         sealed=sealed)
-        self.send_frame(msg, origin)
+    def _tunnel_upstream_giveup(self, meta) -> None:
+        self.tunnel_pending_in.pop(meta["key"], None)
+        self.table.out.pop(meta["token"], None)
 
-    # --- fullguard, client side ---------------------------------------------------
 
-    def _client_side_request(self, frame: Frame) -> None:
+class ClientTunnelGuard(TunnelGuard):
+    """Client end of the tunnel: forward proxy for the clients behind it.
+    Requests wait for a tunnel, travel sealed under the current tunnel
+    context, and the tunnel is renegotiated after repeated auth failures."""
+
+    def __init__(self, world, address, constrained_prefix, key_id="", key=b"",
+                 as_address="as"):
+        super().__init__(world, address, constrained_prefix, key_id)
+        self.key = key
+        self.as_address = as_address
+        self.server_meta: dict | None = None
+        self.server_guard_address: str | None = None
+        self.tunnel_ctx: SecurityContext | None = None
+        self.tunnel_rx: dict[bytes, SecurityContext] = {}
+        self.tunnel_queue: dict[bytes, Exchange] = {}  # waiting for a tunnel
+        self.tunnel_pending: dict[bytes, Exchange] = {}
+        self.establishing = False
+        self.consec_tunnel_fail = 0
+        self.renegotiations = 0
+        self._step6_done = False
+
+    def passes_inward(self, msg: SimMessage) -> bool:
+        return msg.is_response  # protect the client network
+
+    def handle_inside(self, frame: Frame) -> None:
         msg = frame.msg
         if msg.payload_kind == "guard_brief":
             entry = RendezvousEntry.from_doc(msg.payload["entry"])
@@ -1247,33 +1291,26 @@ class GuardNode(RouterNode):
         self.establishing = False
         self.world.emit("tunnel_setup_failed", self.address)
 
-    def _client_tunnel_inbound(self, frame: Frame) -> None:
+    def handle_outside(self, frame: Frame, from_addr: str) -> None:
         msg = frame.msg
         if not msg.is_protected or msg.oscore_kid not in self.tunnel_rx:
-            self.world.emit("blocked", self.address, origin=frame.origin,
-                            kind2=msg.payload_kind)
+            self._block(frame)
             return
-        ctx = self.tunnel_rx[msg.oscore_kid]
-        try:
-            data = open_sealed(ctx, msg, b"tun")
-        except ReplayError:
-            self.world.emit("tunnel_replay", self.address, origin=frame.origin)
-            return
-        except AuthError:
-            self.world.emit("tunnel_auth_fail", self.address,
-                            origin=frame.origin)
-            self.consec_tunnel_fail += 1
-            if self.consec_tunnel_fail >= REKEY_THRESHOLD:
-                self._renegotiate()
+        inner = self.open_tunnel_frame(self.tunnel_rx[msg.oscore_kid], frame)
+        if inner is None:
             return
         self.consec_tunnel_fail = 0
-        inner = deserialize_full(data)
         ex = self.tunnel_pending.pop(inner.token, None)
         if ex is not None:
             ex.finish()
         down = self.table.rewrite_response(inner)
         if down is not None:
             self.send_frame(down, frame.origin)
+
+    def tunnel_auth_failed(self) -> None:
+        self.consec_tunnel_fail += 1
+        if self.consec_tunnel_fail >= REKEY_THRESHOLD:
+            self._renegotiate()
 
     def _renegotiate(self) -> None:
         """Rebuild the tunnel after repeated auth failures. The constrained

@@ -13,13 +13,12 @@ from dataclasses import dataclass, field
 from .coap_lite import SimMessage, ack
 
 # Priority classes, highest first. Tunnel and AllowListed bypass throttling
-# entirely; Blocked never forwards.
+# entirely.
 TUNNEL = "tunnel"
 ALLOW_LISTED = "allow_listed"
 REACHABILITY_VERIFIED = "reachability_verified"
 UNKNOWN_VIA_PROXY = "unknown_via_proxy"
 NON_PROXY = "non_proxy"
-BLOCKED = "blocked"
 
 CLASS_PRIORITY = {
     TUNNEL: 5,
@@ -27,13 +26,10 @@ CLASS_PRIORITY = {
     REACHABILITY_VERIFIED: 4,
     UNKNOWN_VIA_PROXY: 3,
     NON_PROXY: 2,
-    BLOCKED: 0,
 }
 
 DEFAULT_JUMP_THRESHOLD = 128
 DEFAULT_SEQ_MEMORY = 64
-DEFAULT_ECHO_MAX_AGE_MS = 40_000
-DEFAULT_ALLOWLIST_IDLE_EXPIRY_MS = 600_000
 
 
 class TokenBucket:
@@ -64,13 +60,6 @@ class BucketSpec:
     aggregate_burst: float
 
 
-DEFAULT_BUCKETS = {
-    UNKNOWN_VIA_PROXY: BucketSpec(0.2, 2, 1.0, 2),
-    NON_PROXY: BucketSpec(0.05, 1, 0.1, 2),
-    REACHABILITY_VERIFIED: BucketSpec(1.0, 2, 5.0, 8),
-}
-
-
 class ThrottlePolicy:
     """Two-level throttling: per-source and per-class aggregate buckets.
 
@@ -79,8 +68,8 @@ class ThrottlePolicy:
     bucket while a distributed one starves the aggregate.
     """
 
-    def __init__(self, specs: dict[str, BucketSpec] | None = None):
-        self.specs = dict(specs or DEFAULT_BUCKETS)
+    def __init__(self, specs: dict[str, BucketSpec]):
+        self.specs = dict(specs)
         self._aggregate: dict[str, TokenBucket] = {}
         self._per_source: dict[tuple[str, str], TokenBucket] = {}
 
@@ -109,7 +98,7 @@ class ThrottlePolicy:
 
 def throttle_admit(policy: ThrottlePolicy, cls: str, source: str,
                    now_ms: int) -> str:
-    if cls in (ALLOW_LISTED, TUNNEL, BLOCKED):
+    if cls in (ALLOW_LISTED, TUNNEL):
         raise ValueError(f"class {cls} is not subject to buckets")
     return "admit" if policy.admit(cls, source, now_ms) else "drop"
 
@@ -174,14 +163,21 @@ def seq_check(trackers: dict[bytes, SeqTracker], kid: bytes, piv: int,
     return KNOWN_MOBILE if mobile else PLAUSIBLE
 
 
+def _bucket(*spec):
+    return field(default_factory=lambda: BucketSpec(*spec))
+
+
 @dataclass
 class GuardConfig:
-    mode: str = "exemptions"  # "exemptions" | "fullguard"
+    """Policy settings of the exemptions guard; the `guard` config section."""
+
     jump_threshold: int = DEFAULT_JUMP_THRESHOLD
     seq_memory: int = DEFAULT_SEQ_MEMORY
-    echo_max_age_ms: int = DEFAULT_ECHO_MAX_AGE_MS
-    allowlist_idle_expiry_ms: int = DEFAULT_ALLOWLIST_IDLE_EXPIRY_MS
-    buckets: dict = field(default_factory=lambda: dict(DEFAULT_BUCKETS))
+    echo_max_age_ms: int = 40_000
+    allowlist_idle_expiry_ms: int = 600_000
+    unknown_bucket: BucketSpec = _bucket(0.2, 2, 1.0, 2)
+    non_proxy_bucket: BucketSpec = _bucket(0.05, 1, 0.1, 2)
+    verified_bucket: BucketSpec = _bucket(1.0, 2, 5.0, 8)
 
 
 class GuardState:
@@ -193,7 +189,11 @@ class GuardState:
         self.rng = rng
         self.flows: dict[str, FlowRecord] = {}
         self.trackers: dict[bytes, SeqTracker] = {}
-        self.policy = ThrottlePolicy(config.buckets)
+        self.policy = ThrottlePolicy({
+            UNKNOWN_VIA_PROXY: config.unknown_bucket,
+            NON_PROXY: config.non_proxy_bucket,
+            REACHABILITY_VERIFIED: config.verified_bucket,
+        })
         # Challenges issued on implausible jumps, kept off the flow record.
         self.jump_challenges: dict[str, tuple[bytes, int]] = {}
         self.class_changes: list[tuple[int, str, str, str]] = []
@@ -221,8 +221,6 @@ class GuardState:
 
     def classify(self, msg: SimMessage, now_ms: int) -> str:
         """Priority class of a message arriving from outside the network."""
-        if self.config.mode == "fullguard":
-            return BLOCKED  # tunnel traffic is unwrapped before classification
         if msg.dst != self.proxy_address:
             return NON_PROXY
         rec = self.flow(msg.src, now_ms)
@@ -295,11 +293,9 @@ class GuardState:
         """Decide the fate of one message arriving from the outside.
 
         Returns (action, detail): action is one of "forward", "drop",
-        "challenge", "reject" or "block"; "challenge" carries the prepared
-        challenge message in detail.
+        "challenge" or "reject"; "challenge" carries the prepared challenge
+        message in detail.
         """
-        if self.config.mode == "fullguard":
-            return ("block", {})
         cls = self.classify(msg, now_ms)
         if cls == NON_PROXY:
             verdict = throttle_admit(self.policy, NON_PROXY, msg.src, now_ms)

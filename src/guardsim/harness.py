@@ -15,17 +15,14 @@ import csv
 import io
 import json
 import statistics
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 
 from .actors import (AsNode, AttackerModel, AttackerNode, ClientNode,
-                     GuardNode, RendezvousNode, RouterNode, ServerNode,
-                     ThrottleRouter)
+                     ClientTunnelGuard, ExemptionsGuard, RendezvousNode,
+                     RouterNode, ServerNode, ServerTunnelGuard, ThrottleRouter)
 from .ace import AsRegistry
 from .coap_lite import DEFAULT_BASE_TIMEOUT_MS, DEFAULT_RETRANSMIT_LIMIT
-from .guard import (DEFAULT_ALLOWLIST_IDLE_EXPIRY_MS, DEFAULT_BUCKETS,
-                    DEFAULT_ECHO_MAX_AGE_MS, DEFAULT_JUMP_THRESHOLD,
-                    DEFAULT_SEQ_MEMORY, NON_PROXY, REACHABILITY_VERIFIED,
-                    UNKNOWN_VIA_PROXY, BucketSpec, GuardConfig)
+from .guard import GuardConfig
 from .netsim import EnergyBudget, Link, World
 from .seclayer import fnv1a64
 
@@ -90,34 +87,6 @@ class CoapConfig:
     retransmit_limit: int = DEFAULT_RETRANSMIT_LIMIT
 
 
-def _default_bucket(cls: str):
-    return field(default_factory=lambda: replace(DEFAULT_BUCKETS[cls]))
-
-
-@dataclass
-class GuardSettings:
-    jump_threshold: int = DEFAULT_JUMP_THRESHOLD
-    seq_memory: int = DEFAULT_SEQ_MEMORY
-    echo_max_age_ms: int = DEFAULT_ECHO_MAX_AGE_MS
-    allowlist_idle_expiry_ms: int = DEFAULT_ALLOWLIST_IDLE_EXPIRY_MS
-    unknown_bucket: BucketSpec = _default_bucket(UNKNOWN_VIA_PROXY)
-    non_proxy_bucket: BucketSpec = _default_bucket(NON_PROXY)
-    verified_bucket: BucketSpec = _default_bucket(REACHABILITY_VERIFIED)
-
-    def guard_config(self, mode: str) -> GuardConfig:
-        return GuardConfig(
-            mode=mode,
-            jump_threshold=self.jump_threshold,
-            seq_memory=self.seq_memory,
-            echo_max_age_ms=self.echo_max_age_ms,
-            allowlist_idle_expiry_ms=self.allowlist_idle_expiry_ms,
-            buckets={
-                UNKNOWN_VIA_PROXY: self.unknown_bucket,
-                NON_PROXY: self.non_proxy_bucket,
-                REACHABILITY_VERIFIED: self.verified_bucket,
-            })
-
-
 @dataclass
 class BaselineThrottleConfig:
     rate_per_s: float = 0.1
@@ -168,7 +137,7 @@ class SimConfig:
     links: LinksConfig = field(default_factory=LinksConfig)
     energy: EnergyConfig = field(default_factory=EnergyConfig)
     coap: CoapConfig = field(default_factory=CoapConfig)
-    guard: GuardSettings = field(default_factory=GuardSettings)
+    guard: GuardConfig = field(default_factory=GuardConfig)
     baseline_throttle: BaselineThrottleConfig = field(
         default_factory=BaselineThrottleConfig)
     client: ClientConfig = field(default_factory=ClientConfig)
@@ -210,9 +179,10 @@ def _fill_dataclass(cls, doc: dict, path: str, base=None):
 
 
 # Fields the simulation divides by or paces itself with: zero raises
-# ZeroDivisionError or schedules without end. Every other number except
-# `seed` (durations, counts, capacities, costs, bucket rates, fractions)
-# must not be negative.
+# ZeroDivisionError or schedules without end. Token-bucket bursts (fields
+# named `*burst`) must be at least 1, because a bucket admits only whole
+# tokens. Every other number except `seed` (durations, counts, capacities,
+# costs, bucket rates, fractions) must not be negative.
 POSITIVE_FIELDS = frozenset({
     "links.constrained.bandwidth_bps",
     "links.internet.bandwidth_bps",
@@ -234,6 +204,9 @@ def _check_ranges(obj, path: str) -> None:
         elif where in POSITIVE_FIELDS:
             if not value > 0:
                 raise ConfigError(f"{where}: must be > 0")
+        elif f.name.endswith("burst"):
+            if not value >= 1:
+                raise ConfigError(f"{where}: must be >= 1")
         elif (isinstance(value, (int, float)) and not isinstance(value, bool)
               and where != "seed" and not value >= 0):
             raise ConfigError(f"{where}: must be >= 0")
@@ -309,9 +282,8 @@ def build_world(config: SimConfig, scenario: str, attack_kind: str,
     guarded = scenario in ("exemptions", "fullguard")
 
     if scenario == "fullguard":
-        rtr_c = GuardNode(world, "rtrC", "fullguard_client", "cli*",
-                          config.guard.guard_config("fullguard"),
-                          key_id="key_cgp", key=keys["key_cgp"])
+        rtr_c = ClientTunnelGuard(world, "rtrC", "cli*", key_id="key_cgp",
+                                  key=keys["key_cgp"])
     else:
         rtr_c = RouterNode(world, "rtrC")
 
@@ -320,25 +292,21 @@ def build_world(config: SimConfig, scenario: str, attack_kind: str,
                                config.baseline_throttle.rate_per_s,
                                config.baseline_throttle.burst)
     elif scenario == "exemptions":
-        rtr_s = GuardNode(world, "rtrS", "exemptions", "srv",
-                          config.guard.guard_config("exemptions"),
-                          key_id="key_sgp", key=keys["key_sgp"])
+        rtr_s = ExemptionsGuard(world, "rtrS", "srv", config.guard,
+                                key_id="key_sgp")
     elif scenario == "fullguard":
-        rtr_s = GuardNode(world, "rtrS", "fullguard_server", "srv",
-                          config.guard.guard_config("fullguard"),
-                          key_id="key_sgp", key=keys["key_sgp"])
+        rtr_s = ServerTunnelGuard(world, "rtrS", "srv", key_id="key_sgp")
     else:
         rtr_s = RouterNode(world, "rtrS")
 
     server = ServerNode(world, "srv", energy=config.energy.make(),
                         guard_address="rtrS" if guarded else None,
-                        scenario=scenario, audience="aud_srv",
+                        behind_tunnel=scenario == "fullguard",
+                        audience="aud_srv",
                         as_key_id="key_as", audience_key=keys["aud_srv"])
     client = None
     if client_enabled:
         client = ClientNode(world, "cli", energy=config.energy.make(),
-                            scenario=("fullguard" if scenario == "fullguard"
-                                      else "direct"),
                             guard_address="rtrC" if scenario == "fullguard" else None,
                             request_interval_ms=config.client.request_interval_ms,
                             base_timeout_ms=config.coap.base_timeout_ms,
@@ -395,11 +363,7 @@ def build_world(config: SimConfig, scenario: str, attack_kind: str,
         attacker.routes = [("*", "rtrS")]
 
     for i, node in enumerate(world.nodes.values()):
-        rng = world.rng.fork(i + 1)
-        if isinstance(node, GuardNode):
-            node.attach_rng(rng)
-        else:
-            node.rng = rng
+        node.rng = world.rng.fork(i + 1)
 
     if attacker is not None and attack_kind == "on_path":
         rtr_s.links["rtrC"].interceptor = attacker.make_interceptor()

@@ -1,11 +1,13 @@
 """Node behavior: rendezvous, onboarding, bootstrap addressing, tunnels,
 attacker models."""
 
+import pytest
+
 from guardsim.actors import (AttackerModel, AttackerNode, Node,
                              RendezvousEntry, RendezvousNode,
                              deserialize_full, serialize_full)
 from guardsim.coap_lite import SimMessage, message_size
-from guardsim.guard import CLASS_PRIORITY, REACHABILITY_VERIFIED
+from guardsim.guard import ALLOW_LISTED, CLASS_PRIORITY, REACHABILITY_VERIFIED
 from guardsim.harness import SimConfig, build_world, derive_seed
 from guardsim.netsim import Frame, Rng, World
 
@@ -114,13 +116,30 @@ def test_onboarding_is_idempotent():
     first = (guard.accepted_as, guard.guard_key_issued, guard.origin_server)
     onboard = SimMessage(src="srv", dst="rtrS", mid=999, token=b"\x99",
                          code="POST", payload_kind="onboard_request",
-                         payload={"audience": "aud_srv", "mode": "fullguard",
+                         payload={"audience": "aud_srv",
                                   "as_key_id": "key_as",
                                   "audience_key": guard.audience_key},
                          payload_len=30)
     guard._onboard(make_frame(onboard))
     assert (guard.accepted_as, guard.guard_key_issued,
             guard.origin_server) == first
+
+
+def test_upstream_giveup_leaves_no_proxy_table_entry():
+    handles = run_quiet("exemptions")
+    world, guard = handles.world, handles.server_router
+    assert guard.origin_server == "srv"
+    handles.server.handle = lambda frame, from_addr: None  # silent server
+    guard.gstate.flow("cli", world.clock.now).cls = ALLOW_LISTED
+    req = SimMessage(src="cli", dst="rtrS", mtype="CON", mid=5,
+                     token=b"\x05", code="POST", payload_kind="edhoc_m1",
+                     payload_len=40)
+    guard.receive(make_frame(req), "rtrC")
+    assert len(guard.table.out) == 1
+    world.run_until(world.clock.now + 70_000)
+    assert world.trace.by_kind("upstream_giveup")
+    assert guard.table.out == {}
+    assert guard.pending_up == {}
 
 
 def test_baseline_throttled_router_keeps_no_flow_state():
@@ -135,7 +154,7 @@ def test_baseline_throttled_router_keeps_no_flow_state():
 def test_exemptions_client_unchanged_from_baseline():
     base = build_world(SimConfig(), "baseline-open", "none", 0, 1000, 1)
     exem = build_world(SimConfig(), "exemptions", "none", 0, 1000, 2)
-    assert base.client.scenario == exem.client.scenario == "direct"
+    assert base.client.guard_address is exem.client.guard_address is None
     exem.client.entry = RendezvousEntry(name="srv", address="rtrS")
     msg = exem.client._request(exem.client._server_dst(), "edhoc_m1", {}, 40)
     assert msg.dst == "rtrS"  # only the destination differs
@@ -237,6 +256,54 @@ def test_non_tunnel_traffic_blocked_in_fullguard():
     assert len([e for e in srv_link_frames(world.trace)
                 if e["detail"]["origin"] == "attacker"]) == 0
     assert len(srv_link_frames(world.trace)) >= before
+
+
+def test_server_tunnel_end_giveup_leaves_no_proxy_table_entry():
+    until = 60_000
+    handles = build_world(SimConfig(), "fullguard", "none", 0, until,
+                          derive_seed(7, "fullguard", "none", "t"))
+    world, client, server = handles.world, handles.client, handles.server
+    server.start()
+    world.schedule(200, lambda: client.start_steady_loop(0, until))
+    world.schedule(40_000, lambda: setattr(
+        server, "handle", lambda frame, from_addr: None))
+    world.run_until(until + 70_000)
+    guard = handles.server_router
+    assert [e for e in world.trace.by_kind("giveup") if e["node"] == "rtrS"]
+    assert guard.table.out == {}
+    assert guard.tunnel_pending_in == {}
+
+
+def test_client_tunnel_end_blocks_requests_and_passes_responses_inward():
+    handles = build_world(SimConfig(), "fullguard", "none", 0, 1000, 3)
+    world, guard = handles.world, handles.client_router
+    request = SimMessage(src="x0", dst="cli1", mtype="CON", code="POST",
+                         payload_kind="edhoc_m1", payload_len=40)
+    response = SimMessage(src="srv", dst="cli", mtype="ACK", code="2.05",
+                          payload_kind="rd_entry", payload_len=20)
+    guard.receive(make_frame(request, "attacker"), "rtrS")
+    guard.receive(make_frame(response), "rtrS")
+    world.run_until(1000)
+    assert [(e["node"], e["detail"]["dst"])
+            for e in world.trace.by_kind("blocked")] == [("rtrC", "cli1")]
+    assert [e["detail"]["payload_kind"]
+            for e in world.trace.by_kind("link_frame")
+            if e["node"] == "rtrC->cli"] == ["rd_entry"]
+
+
+@pytest.mark.parametrize("kind, passes", [
+    ("rd_ack", True), ("rd_entry", True), ("as_response", True),
+    ("app_response", False)])
+def test_server_tunnel_end_passes_only_handshake_responses_inward(kind, passes):
+    handles = build_world(SimConfig(), "fullguard", "none", 0, 1000, 3)
+    world, guard = handles.world, handles.server_router
+    response = SimMessage(src="rd", dst="srv", mtype="ACK", code="2.01",
+                          payload_kind=kind, payload_len=2)
+    guard.receive(make_frame(response), "rd")
+    world.run_until(1000)
+    assert [e["detail"]["payload_kind"] for e in srv_link_frames(world.trace)
+            if e["node"] == "rtrS->srv"] == ([kind] if passes else [])
+    assert bool(world.trace.by_kind("blocked")) is not passes
 
 
 def test_tunnel_exchange_gives_up_and_leaves_no_state():

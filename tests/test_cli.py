@@ -74,6 +74,13 @@ def test_removed_client_enabled_field_is_config_error(tmp_path, capsys):
     assert "client.enabled: unknown field" in capsys.readouterr().err
 
 
+def test_removed_guard_mode_field_is_config_error(tmp_path, capsys):
+    path = tmp_path / "mode.json"
+    path.write_text('{"guard": {"mode": "fullguard"}}')
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    assert "guard.mode: unknown field" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"links": {"constrained": {"bandwidth_bps": 0}}},
      "links.constrained.bandwidth_bps: must be > 0"),
@@ -89,6 +96,21 @@ def test_removed_client_enabled_field_is_config_error(tmp_path, capsys):
     ({"energy": {"cost_per_msg": -0.5}}, "energy.cost_per_msg: must be >= 0"),
     ({"guard": {"unknown_bucket": {"aggregate_rate": -1}}},
      "guard.unknown_bucket.aggregate_rate: must be >= 0"),
+    # A token bucket admits only whole tokens: a burst below 1 refuses all.
+    ({"baseline_throttle": {"burst": 0.5}},
+     "baseline_throttle.burst: must be >= 1"),
+    ({"guard": {"unknown_bucket": {"per_source_burst": 0}}},
+     "guard.unknown_bucket.per_source_burst: must be >= 1"),
+    ({"guard": {"unknown_bucket": {"aggregate_burst": 0}}},
+     "guard.unknown_bucket.aggregate_burst: must be >= 1"),
+    ({"guard": {"non_proxy_bucket": {"per_source_burst": 0}}},
+     "guard.non_proxy_bucket.per_source_burst: must be >= 1"),
+    ({"guard": {"non_proxy_bucket": {"aggregate_burst": 0}}},
+     "guard.non_proxy_bucket.aggregate_burst: must be >= 1"),
+    ({"guard": {"verified_bucket": {"per_source_burst": 0}}},
+     "guard.verified_bucket.per_source_burst: must be >= 1"),
+    ({"guard": {"verified_bucket": {"aggregate_burst": 0}}},
+     "guard.verified_bucket.aggregate_burst: must be >= 1"),
 ])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, doc, message):
     path = tmp_path / "range.json"

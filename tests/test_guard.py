@@ -2,7 +2,7 @@
 allow-listing, sequence plausibility."""
 
 from guardsim.coap_lite import SimMessage
-from guardsim.guard import (ALLOW_LISTED, BLOCKED, BucketSpec, CLASS_PRIORITY,
+from guardsim.guard import (ALLOW_LISTED, BucketSpec, CLASS_PRIORITY,
                             CONFLICT, GuardConfig, GuardState,
                             IMPLAUSIBLE_JUMP, KNOWN_MOBILE, NON_PROXY,
                             PLAUSIBLE, REACHABILITY_VERIFIED, SeqTracker,
@@ -13,8 +13,8 @@ from guardsim.netsim import Rng
 PROXY = "rtrS"
 
 
-def make_guard(mode="exemptions", **cfg):
-    config = GuardConfig(mode=mode, **cfg)
+def make_guard(**cfg):
+    config = GuardConfig(**cfg)
     return GuardState(PROXY, config, Rng(7))
 
 
@@ -30,8 +30,7 @@ def proxied(src="cli", token=b"\x01", kid=None, piv=None, echo=None, mid=1):
 def test_class_priority_total_order():
     assert CLASS_PRIORITY[TUNNEL] == CLASS_PRIORITY[ALLOW_LISTED]
     assert (CLASS_PRIORITY[ALLOW_LISTED] > CLASS_PRIORITY[REACHABILITY_VERIFIED]
-            > CLASS_PRIORITY[UNKNOWN_VIA_PROXY] > CLASS_PRIORITY[NON_PROXY]
-            > CLASS_PRIORITY[BLOCKED])
+            > CLASS_PRIORITY[UNKNOWN_VIA_PROXY] > CLASS_PRIORITY[NON_PROXY])
 
 
 # --- classify --------------------------------------------------------------------
@@ -45,12 +44,6 @@ def test_direct_to_server_is_non_proxy():
     g = make_guard()
     msg = SimMessage(src="cli", dst="srv")
     assert g.classify(msg, 0) == NON_PROXY
-
-
-def test_fullguard_blocks_everything_unwrapped():
-    g = make_guard(mode="fullguard")
-    assert g.classify(proxied(), 0) == BLOCKED
-    assert g.decide(proxied(), 0)[0] == "block"
 
 
 # --- throttling ---------------------------------------------------------------------

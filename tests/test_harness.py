@@ -1,6 +1,8 @@
 """Configuration handling, classification rules, energy reporting, rendering."""
 
 import json
+import pathlib
+import re
 
 import pytest
 
@@ -36,6 +38,14 @@ def test_nested_overrides():
     assert cfg.links.constrained.bandwidth_bps == 1000
     assert cfg.links.internet.bandwidth_bps == 1_000_000  # untouched
     assert cfg.guard.unknown_bucket.per_source_rate == 0.5
+
+
+def test_readme_example_config_is_valid():
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    blocks = re.findall(r"```json\n(.*?)```", readme.read_text(), re.S)
+    assert len(blocks) == 1
+    cfg = config_from_dict(json.loads(blocks[0]))
+    assert cfg.links.constrained.delay_ms == 10
 
 
 def test_unknown_field_names_its_path():
