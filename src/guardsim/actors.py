@@ -210,6 +210,7 @@ class Node:
             return
         amount = self.energy.drain(self.energy.cost_of(event, nbytes) * fraction)
         if amount > 0:
+            self.world.ledger.add(amount, cause)
             self.world.emit("energy", self.address, amount=amount,
                             cause=cause, event=event)
 

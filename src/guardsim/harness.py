@@ -23,7 +23,7 @@ from .actors import (AsNode, AttackerModel, AttackerNode, ClientNode,
 from .ace import AsRegistry
 from .coap_lite import DEFAULT_BASE_TIMEOUT_MS, DEFAULT_RETRANSMIT_LIMIT
 from .guard import GuardConfig
-from .netsim import EnergyBudget, Link, World
+from .netsim import EnergyBudget, EnergyLedger, Link, World
 from .seclayer import fnv1a64
 
 SCENARIOS = ("baseline-open", "baseline-throttled", "exemptions", "fullguard")
@@ -150,28 +150,32 @@ class SimConfig:
 def _fill_dataclass(cls, doc: dict, path: str, base=None):
     if not isinstance(doc, dict):
         raise ConfigError(f"{path or 'config'}: expected an object")
-    known = {f.name: f for f in fields(cls)}
+    # A scalar field is typed by the name of its annotation, not by its
+    # default's type: a float field may default to an int. The annotation
+    # is a string under `from __future__ import annotations`.
+    kinds = {f.name: getattr(f.type, "__name__", f.type) for f in fields(cls)}
     obj = base if base is not None else cls()
     for key, value in doc.items():
         where = f"{path}.{key}" if path else key
-        if key not in known:
+        if key not in kinds:
             raise ConfigError(f"{where}: unknown field")
         current = getattr(obj, key)
         if is_dataclass(current):
             setattr(obj, key, _fill_dataclass(type(current), value, where,
                                               base=copy.deepcopy(current)))
         else:
-            if isinstance(current, bool):
+            kind = kinds[key]
+            if kind == "bool":
                 if not isinstance(value, bool):
                     raise ConfigError(f"{where}: expected a boolean")
-            elif isinstance(current, int) and not isinstance(current, bool):
+            elif kind == "int":
                 if not isinstance(value, int) or isinstance(value, bool):
                     raise ConfigError(f"{where}: expected an integer")
-            elif isinstance(current, float):
+            elif kind == "float":
                 if not isinstance(value, (int, float)) or isinstance(value, bool):
                     raise ConfigError(f"{where}: expected a number")
                 value = float(value)
-            elif isinstance(current, str):
+            elif kind == "str":
                 if not isinstance(value, str):
                     raise ConfigError(f"{where}: expected a string")
             setattr(obj, key, value)
@@ -265,8 +269,9 @@ def _connect(world: World, a, b, spec: LinkSpec, tag: str) -> None:
 
 def build_world(config: SimConfig, scenario: str, attack_kind: str,
                 attack_start_ms: int, attack_stop_ms: int, seed: int,
-                client_enabled: bool = True) -> Handles:
-    world = World(seed)
+                client_enabled: bool = True,
+                collect_trace: bool = False) -> Handles:
+    world = World(seed, collect_trace)
 
     keys = {
         "key_cli": b"client-key-0001!",
@@ -386,7 +391,7 @@ class SubrunResult:
 
 
 def run_subrun(config: SimConfig, scenario: str, attack_kind: str,
-               subrun: str) -> SubrunResult:
+               subrun: str, collect_trace: bool = False) -> SubrunResult:
     seed = derive_seed(config.seed, scenario, attack_kind, subrun)
     if subrun == "setup":
         attack_start = 0
@@ -395,7 +400,7 @@ def run_subrun(config: SimConfig, scenario: str, attack_kind: str,
         attack_start = config.durations.warmup_ms
         until = attack_start + config.durations.steady_ms
     handles = build_world(config, scenario, attack_kind, attack_start, until,
-                          seed)
+                          seed, collect_trace=collect_trace)
     handles.server.start()
     client = handles.client
     if client is not None:
@@ -464,26 +469,13 @@ def phase_stats(interactions, kinds, config: SimConfig) -> dict:
 
 # --- energy accounting --------------------------------------------------------
 
-ATTACK_CAUSES = ("attacker", "attacker_induced")
-
-
-def energy_report(trace, cost_edhoc: float = 1.0) -> dict:
-    """Aggregate constrained-device energy events from a trace."""
-    total = 0.0
-    attributable = 0.0
-    by_cause: dict[str, float] = {}
-    for event in trace.by_kind("energy"):
-        amount = event["detail"]["amount"]
-        cause = event["detail"]["cause"]
-        total += amount
-        by_cause[cause] = by_cause.get(cause, 0.0) + amount
-        if cause in ATTACK_CAUSES:
-            attributable += amount
+def energy_report(ledger: EnergyLedger, cost_edhoc: float = 1.0) -> dict:
+    """Round a world's energy ledger (`World.ledger`) into report figures."""
     return {
-        "total_drained": round(total, 6),
-        "attack_attributable": round(attributable, 6),
-        "by_cause": {k: round(v, 6) for k, v in sorted(by_cause.items())},
-        "projected_exchanges_lost": round(attributable / cost_edhoc, 6),
+        "total_drained": round(ledger.total, 6),
+        "attack_attributable": round(ledger.attributable, 6),
+        "by_cause": {k: round(v, 6) for k, v in sorted(ledger.by_cause.items())},
+        "projected_exchanges_lost": round(ledger.attributable / cost_edhoc, 6),
     }
 
 
@@ -502,9 +494,13 @@ def resource_label(attributable: float, exposure_ms: int, budget: float,
 
 def run_cell(config: SimConfig, scenario: str, attack_kind: str,
              collect_traces: bool = False) -> dict:
-    """Run one (scenario, attack) cell: a setup sub-run and a steady sub-run."""
-    sub_a = run_subrun(config, scenario, attack_kind, "setup")
-    sub_b = run_subrun(config, scenario, attack_kind, "steady")
+    """Run one (scenario, attack) cell: a setup sub-run and a steady sub-run.
+
+    With `collect_traces`, both sub-runs keep their event traces, returned
+    under the cell's `_traces` key; otherwise no event is kept.
+    """
+    sub_a = run_subrun(config, scenario, attack_kind, "setup", collect_traces)
+    sub_b = run_subrun(config, scenario, attack_kind, "steady", collect_traces)
 
     setup = phase_stats(sub_a.handles.client.interactions, ("key_exchange",),
                         config)
@@ -514,7 +510,7 @@ def run_cell(config: SimConfig, scenario: str, attack_kind: str,
     total = 0.0
     attributable = 0.0
     for sub in (sub_a, sub_b):
-        rep = energy_report(sub.handles.world.trace, config.energy.cost_edhoc)
+        rep = energy_report(sub.handles.world.ledger, config.energy.cost_edhoc)
         total += rep["total_drained"]
         attributable += rep["attack_attributable"]
     exposure = 0

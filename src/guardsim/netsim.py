@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from collections import deque
 from dataclasses import dataclass, field
 
 MASK64 = (1 << 64) - 1
@@ -116,6 +117,49 @@ class Trace:
         return [e for e in self.events if e["kind"] in kinds]
 
 
+class NullTrace:
+    """Trace sink that discards every event; the default for a world.
+
+    `events` stays empty. Reading the trace back raises, so that code
+    which needs events but built its world without `collect_trace=True`
+    fails instead of reading an empty trace.
+    """
+
+    events: tuple = ()
+
+    def emit(self, t: int, kind: str, node: str, **detail) -> None:
+        pass
+
+    def _not_collected(self, *kinds: str):
+        raise RuntimeError("trace not collected: build the world with "
+                           "collect_trace=True")
+
+    to_jsonl = by_kind = _not_collected
+
+
+# Causes whose drain counts as attack-attributable.
+ATTACK_CAUSES = ("attacker", "attacker_induced")
+
+
+class EnergyLedger:
+    """Running sums of the energy drained from a world's devices.
+
+    `add` is called once per drain, in drain order, so each sum is the
+    same float as the sum, in order, of the trace's "energy" events.
+    """
+
+    def __init__(self):
+        self.total = 0.0
+        self.attributable = 0.0
+        self.by_cause: dict[str, float] = {}
+
+    def add(self, amount: float, cause: str) -> None:
+        self.total += amount
+        self.by_cause[cause] = self.by_cause.get(cause, 0.0) + amount
+        if cause in ATTACK_CAUSES:
+            self.attributable += amount
+
+
 @dataclass
 class EnergyBudget:
     """Abstract per-device energy accounting.
@@ -190,7 +234,9 @@ class Link:
         self.delay_ms = delay_ms
         self.queue_capacity = queue_capacity
         self._busy_until = 0
-        self._pending: list[int] = []  # serialization-end times
+        # Serialization-end times, non-decreasing: each is
+        # max(now, _busy_until) + serialization time.
+        self._pending: deque[int] = deque()
         self.interceptor = None
         self.n_sent = 0
         self.n_delivered = 0
@@ -198,8 +244,10 @@ class Link:
         self.bytes_delivered = 0
 
     def queue_len(self, now: int) -> int:
-        self._pending = [t for t in self._pending if t > now]
-        return len(self._pending)
+        pending = self._pending
+        while pending and pending[0] <= now:
+            pending.popleft()
+        return len(pending)
 
     def serialization_ms(self, size: int) -> int:
         bits = size * 8
@@ -240,13 +288,19 @@ class Link:
 
 
 class World:
-    """Owns the clock, queue, RNG and trace for one simulation run."""
+    """Owns the clock, queue, RNG, energy ledger and trace for one run.
 
-    def __init__(self, seed: int):
+    The trace keeps events only with `collect_trace=True`; otherwise it is
+    a `NullTrace`. Energy figures come from `ledger`, which does not
+    depend on the trace.
+    """
+
+    def __init__(self, seed: int, collect_trace: bool = False):
         self.clock = SimClock()
         self.queue = EventQueue(self.clock)
         self.rng = Rng(seed)
-        self.trace = Trace()
+        self.trace = Trace() if collect_trace else NullTrace()
+        self.ledger = EnergyLedger()
         self.nodes: dict[str, object] = {}
 
     def schedule(self, at: int, fn) -> int:
@@ -261,7 +315,7 @@ class World:
     def add_node(self, node) -> None:
         self.nodes[node.address] = node
 
-    def run_until(self, t_end: int) -> Trace:
+    def run_until(self, t_end: int) -> Trace | NullTrace:
         if t_end < self.clock.now:
             raise SchedulingInPast(f"t_end {t_end} < now {self.clock.now}")
         while self.queue and self.queue.peek_time() <= t_end:

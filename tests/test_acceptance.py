@@ -103,7 +103,7 @@ def test_flood_drain_matches_bandwidth_bound_hand_computation():
     handles.attacker.start()
     handles.world.run_until(hour_ms)
 
-    measured = energy_report(handles.world.trace)["attack_attributable"]
+    measured = energy_report(handles.world.ledger)["attack_attributable"]
 
     # Hand computation from the link budget: each handshake-triggering frame
     # is 48 bytes (4 header + 4 token + 40 payload), serializing for
@@ -281,7 +281,8 @@ SETUP_ALLOWED_KINDS = {"onboard_request", "onboard_ack", "rd_register",
 
 
 def test_fullguard_setup_flow_conformance():
-    sub = run_subrun(SimConfig(), "fullguard", "none", "steady")
+    sub = run_subrun(SimConfig(), "fullguard", "none", "steady",
+                     collect_trace=True)
     trace = sub.handles.world.trace
 
     # All eight setup steps appear, first occurrences in order.

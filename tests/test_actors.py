@@ -77,7 +77,8 @@ def test_route_prefix_matching():
 def run_quiet(scenario, until_ms=30_000, mutate=None):
     cfg = SimConfig()
     handles = build_world(cfg, scenario, "none", 0, until_ms,
-                          derive_seed(1, scenario, "none", "t"))
+                          derive_seed(1, scenario, "none", "t"),
+                          collect_trace=True)
     if mutate:
         mutate(handles)
     handles.server.start()
@@ -186,7 +187,8 @@ def test_fresh_identity_changes_source():
 def run_fullguard_steady(until_ms=60_000, mutate=None):
     cfg = SimConfig()
     handles = build_world(cfg, "fullguard", "none", 0, until_ms,
-                          derive_seed(7, "fullguard", "none", "t"))
+                          derive_seed(7, "fullguard", "none", "t"),
+                          collect_trace=True)
     if mutate:
         mutate(handles)
     handles.server.start()
@@ -261,7 +263,8 @@ def test_non_tunnel_traffic_blocked_in_fullguard():
 def test_server_tunnel_end_giveup_leaves_no_proxy_table_entry():
     until = 60_000
     handles = build_world(SimConfig(), "fullguard", "none", 0, until,
-                          derive_seed(7, "fullguard", "none", "t"))
+                          derive_seed(7, "fullguard", "none", "t"),
+                          collect_trace=True)
     world, client, server = handles.world, handles.client, handles.server
     server.start()
     world.schedule(200, lambda: client.start_steady_loop(0, until))
@@ -275,7 +278,8 @@ def test_server_tunnel_end_giveup_leaves_no_proxy_table_entry():
 
 
 def test_client_tunnel_end_blocks_requests_and_passes_responses_inward():
-    handles = build_world(SimConfig(), "fullguard", "none", 0, 1000, 3)
+    handles = build_world(SimConfig(), "fullguard", "none", 0, 1000, 3,
+                          collect_trace=True)
     world, guard = handles.world, handles.client_router
     request = SimMessage(src="x0", dst="cli1", mtype="CON", code="POST",
                          payload_kind="edhoc_m1", payload_len=40)
@@ -295,7 +299,8 @@ def test_client_tunnel_end_blocks_requests_and_passes_responses_inward():
     ("rd_ack", True), ("rd_entry", True), ("as_response", True),
     ("app_response", False)])
 def test_server_tunnel_end_passes_only_handshake_responses_inward(kind, passes):
-    handles = build_world(SimConfig(), "fullguard", "none", 0, 1000, 3)
+    handles = build_world(SimConfig(), "fullguard", "none", 0, 1000, 3,
+                          collect_trace=True)
     world, guard = handles.world, handles.server_router
     response = SimMessage(src="rd", dst="srv", mtype="ACK", code="2.01",
                           payload_kind=kind, payload_len=2)

@@ -119,6 +119,36 @@ def test_out_of_range_value_is_config_error(tmp_path, capsys, doc, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [
+    {"guard": {"unknown_bucket": {"per_source_burst": 2.5}}},
+    {"baseline_throttle": {"burst": 2.5}},
+])
+def test_fractional_burst_is_accepted(tmp_path, capsys, doc):
+    # A burst is a number of tokens: any value >= 1, whole or not.
+    path = tmp_path / "burst.json"
+    path.write_text(json.dumps({
+        **doc, "durations": {"setup_ms": 5_000, "warmup_ms": 1_000,
+                             "steady_ms": 5_000, "grace_ms": 1_000}}))
+    assert main(["run", "--config", str(path)]) == EXIT_OK
+    capsys.readouterr()
+
+
+def test_fractional_seed_is_config_error(tmp_path, capsys):
+    path = tmp_path / "seed.json"
+    path.write_text('{"seed": 1.5}')
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    assert "seed: expected an integer" in capsys.readouterr().err
+
+
+def test_report_is_the_same_with_and_without_trace_file(quick_config,
+                                                         tmp_path, capsys):
+    assert main(["run", "--config", quick_config]) == EXIT_OK
+    plain = capsys.readouterr().out
+    assert main(["run", "--config", quick_config,
+                 "--trace", str(tmp_path / "t.jsonl")]) == EXIT_OK
+    assert capsys.readouterr().out == plain
+
+
 def test_command_required():
     with pytest.raises(SystemExit):
         main([])

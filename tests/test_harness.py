@@ -3,16 +3,19 @@
 import json
 import pathlib
 import re
+from dataclasses import fields, is_dataclass
 
 import pytest
 
 from guardsim.harness import (ATTACKS, ConfigError, MATRIX_CELLS, SCENARIOS,
-                              SimConfig, cell_to_csv, cell_to_markdown,
-                              classify_behavior, config_from_dict, derive_seed,
-                              energy_report, load_config, matrix_to_csv,
-                              matrix_to_markdown, report_to_json,
-                              resource_label)
-from guardsim.netsim import Trace
+                              SimConfig, build_world, cell_to_csv,
+                              cell_to_markdown, classify_behavior,
+                              config_from_dict, derive_seed, energy_report,
+                              load_config, matrix_to_csv, matrix_to_markdown,
+                              report_to_json, resource_label, run_cell,
+                              run_subrun)
+from guardsim.netsim import (ATTACK_CAUSES, EnergyLedger, NullTrace, Trace,
+                             World)
 
 
 # --- configuration ------------------------------------------------------------
@@ -99,6 +102,20 @@ def test_matrix_covers_all_scenarios():
     assert ("fullguard", "impersonator") in MATRIX_CELLS
 
 
+def test_every_scalar_config_field_has_a_checked_type():
+    # `config_from_dict` checks a value by its field's annotation name; a
+    # field annotated otherwise would take any JSON value unchecked.
+    def scalar_types(obj):
+        for f in fields(obj):
+            value = getattr(obj, f.name)
+            if is_dataclass(value):
+                yield from scalar_types(value)
+            else:
+                yield f.type
+
+    assert set(scalar_types(SimConfig())) == {"bool", "int", "float", "str"}
+
+
 # --- classification -----------------------------------------------------------------
 
 def test_first_attempt_fast_is_good():
@@ -135,18 +152,16 @@ def test_no_interactions():
 
 # --- energy report --------------------------------------------------------------------
 
-def synthetic_trace():
-    tr = Trace()
-    tr.emit(1, "energy", "srv", amount=0.5, cause="attacker", event="edhoc")
-    tr.emit(2, "energy", "srv", amount=0.002, cause="legit", event="msg")
-    tr.emit(3, "energy", "srv", amount=1.0, cause="attacker_induced",
-            event="edhoc")
-    tr.emit(4, "send", "srv")
-    return tr
+def synthetic_ledger():
+    ledger = EnergyLedger()
+    ledger.add(0.5, "attacker")
+    ledger.add(0.002, "legit")
+    ledger.add(1.0, "attacker_induced")
+    return ledger
 
 
 def test_energy_report_attribution():
-    rep = energy_report(synthetic_trace(), cost_edhoc=1.0)
+    rep = energy_report(synthetic_ledger(), cost_edhoc=1.0)
     assert rep["total_drained"] == pytest.approx(1.502)
     assert rep["attack_attributable"] == pytest.approx(1.5)
     assert rep["projected_exchanges_lost"] == pytest.approx(1.5)
@@ -154,9 +169,9 @@ def test_energy_report_attribution():
 
 
 def test_energy_report_no_attack_is_zero():
-    tr = Trace()
-    tr.emit(1, "energy", "srv", amount=0.1, cause="legit", event="msg")
-    assert energy_report(tr)["attack_attributable"] == 0.0
+    ledger = EnergyLedger()
+    ledger.add(0.1, "legit")
+    assert energy_report(ledger)["attack_attributable"] == 0.0
 
 
 def test_resource_labels():
@@ -165,6 +180,68 @@ def test_resource_labels():
     assert resource_label(40.0, 600_000, 50_000, 0.10) == "high"
     # 20 units over 600 s projects to 2880/day: below the threshold.
     assert resource_label(20.0, 600_000, 50_000, 0.10) == "low"
+
+
+# --- the trace is off unless asked for -------------------------------------------------
+
+def short_config():
+    return config_from_dict({
+        "seed": 42,
+        "client": {"request_interval_ms": 2000, "setup_pause_ms": 2000},
+        "durations": {"setup_ms": 30_000, "warmup_ms": 5_000,
+                      "steady_ms": 30_000, "grace_ms": 10_000}})
+
+
+def test_trace_is_off_by_default_at_every_layer():
+    cfg = short_config()
+    worlds = [World(1),
+              build_world(cfg, "exemptions", "none", 0, 1000, 1).world,
+              run_subrun(cfg, "baseline-open", "blind_flood", "setup")
+              .handles.world]
+    for world in worlds:
+        assert isinstance(world.trace, NullTrace)
+        assert world.trace.events == ()
+    assert "_traces" not in run_cell(cfg, "baseline-open", "none")
+    assert worlds[2].ledger.attributable > 0  # energy is counted anyway
+
+
+def test_discarded_trace_refuses_to_be_read():
+    trace = World(1).trace
+    trace.emit(0, "send", "a", size=1)
+    assert trace.events == ()
+    with pytest.raises(RuntimeError, match="collect_trace=True"):
+        trace.by_kind("send")
+    with pytest.raises(RuntimeError, match="collect_trace=True"):
+        trace.to_jsonl()
+
+
+@pytest.mark.parametrize("scenario, attack", MATRIX_CELLS)
+def test_report_is_the_same_with_and_without_the_trace(scenario, attack):
+    cfg = short_config()
+    traced = run_cell(cfg, scenario, attack, collect_traces=True)
+    assert all(isinstance(t, Trace) for t in traced.pop("_traces"))
+    assert report_to_json(traced) == \
+        report_to_json(run_cell(cfg, scenario, attack))
+
+
+@pytest.mark.parametrize("scenario, attack", MATRIX_CELLS)
+def test_ledger_equals_running_sums_over_the_trace(scenario, attack):
+    cfg = short_config()
+    for subrun in ("setup", "steady"):
+        world = run_subrun(cfg, scenario, attack, subrun,
+                           collect_trace=True).handles.world
+        total = attributable = 0.0
+        by_cause = {}
+        for event in world.trace.by_kind("energy"):
+            amount, cause = event["detail"]["amount"], event["detail"]["cause"]
+            total += amount
+            by_cause[cause] = by_cause.get(cause, 0.0) + amount
+            if cause in ATTACK_CAUSES:
+                attributable += amount
+        assert total > 0
+        assert world.ledger.total == total
+        assert world.ledger.by_cause == by_cause
+        assert world.ledger.attributable == attributable
 
 
 # --- rendering -------------------------------------------------------------------------

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from guardsim.coap_lite import SimMessage
-from guardsim.netsim import (EnergyBudget, EventQueue, Frame, Link, Rng,
-                             SchedulingInPast, SimClock, Trace, World,
-                             drain_energy, s_to_ms)
+from guardsim.netsim import (EnergyBudget, EnergyLedger, EventQueue, Frame,
+                             Link, Rng, SchedulingInPast, SimClock, Trace,
+                             World, drain_energy, s_to_ms)
 
 
 # --- SplitMix64 -------------------------------------------------------------
@@ -80,7 +80,7 @@ def test_schedule_in_past_rejected():
 
 
 def test_run_until_empty_queue():
-    world = World(seed=1)
+    world = World(seed=1, collect_trace=True)
     trace = world.run_until(5000)
     assert trace.events == []
     assert world.clock.now == 5000
@@ -139,7 +139,7 @@ def test_link_delivery_callback_and_conservation():
 
 def test_one_message_over_one_second_link():
     # Hand simulation: send at t=0 over a 1 s link -> receive at t=1000 ms.
-    world = World(seed=1)
+    world = World(seed=1, collect_trace=True)
     link = Link(world, "a->b", 1000, 0, 8)
     world.schedule(0, lambda: (
         world.emit("send", "a"),
@@ -164,6 +164,26 @@ def test_link_bandwidth_bound(sends):
     if end_times:
         window = max(end_times)
         assert link.bytes_delivered <= 2000 * window / 8000.0 + 200
+
+
+@given(st.lists(st.tuples(st.integers(1, 20), st.integers(0, 25)),
+                min_size=1, max_size=60))
+def test_queue_len_matches_brute_force_count(sends):
+    # Irregular send times, bursts at one timestamp included; the queue is
+    # every accepted frame whose serialization has not ended yet. At 8 kbit/s
+    # a byte takes 1 ms, so sends often land exactly on a serialization end.
+    world = World(seed=1)
+    link = Link(world, "a->b", 8000, 5, 4)
+    ends = []
+    now = 0
+    for size, gap in sends:
+        now += gap
+        world.clock.now = now
+        assert link.queue_len(now) == sum(1 for e in ends if e > now)
+        status, at = link.transmit(_frame(size), lambda fr: None)
+        if status == "delivered":
+            ends.append(at - link.delay_ms)
+        assert link.queue_len(now) == sum(1 for e in ends if e > now)
 
 
 # --- energy --------------------------------------------------------------------
@@ -202,6 +222,17 @@ def test_energy_monotone_nonincreasing():
         assert budget.remaining <= last
         last = budget.remaining
     assert budget.remaining >= 0.0
+
+
+def test_energy_ledger_sums_in_drain_order():
+    ledger = EnergyLedger()
+    for amount, cause in [(0.1, "legit"), (0.2, "attacker"),
+                          (0.3, "attacker_induced"), (0.7, "legit")]:
+        ledger.add(amount, cause)
+    assert ledger.total == ((0.1 + 0.2) + 0.3) + 0.7
+    assert ledger.attributable == 0.2 + 0.3
+    assert ledger.by_cause == {"legit": 0.1 + 0.7, "attacker": 0.2,
+                               "attacker_induced": 0.3}
 
 
 def test_energy_negative_drain_rejected():
