@@ -25,6 +25,10 @@ class UnknownOrigin(Exception):
     pass
 
 
+class TokensExhausted(Exception):
+    """Every 16-bit proxy token is held by an outstanding exchange."""
+
+
 FIXED_HEADER = 4
 OPTION_OVERHEAD = 2
 
@@ -201,9 +205,17 @@ class ProxyTable:
         self.out: dict[bytes, tuple[str, bytes, int]] = {}
 
     def new_token(self) -> bytes:
-        t = self._next_token.to_bytes(2, "big")
-        self._next_token = (self._next_token + 1) & 0xFFFF
-        return t
+        """The next 2-byte token not held by an entry of `out`.
+
+        The counter wraps at 16 bits and skips tokens still outstanding, so
+        a wrap never overwrites a live exchange.
+        """
+        for _ in range(0x10000):
+            t = self._next_token.to_bytes(2, "big")
+            self._next_token = (self._next_token + 1) & 0xFFFF
+            if t not in self.out:
+                return t
+        raise TokensExhausted("all 65536 proxy tokens are outstanding")
 
     def new_mid(self) -> int:
         m = self._next_mid

@@ -291,14 +291,15 @@ class World:
     """Owns the clock, queue, RNG, energy ledger and trace for one run.
 
     The trace keeps events only with `collect_trace=True`; otherwise it is
-    a `NullTrace`. Energy figures come from `ledger`, which does not
-    depend on the trace.
+    a `NullTrace`, and `emit` returns without forwarding to it. Energy
+    figures come from `ledger`, which does not depend on the trace.
     """
 
     def __init__(self, seed: int, collect_trace: bool = False):
         self.clock = SimClock()
         self.queue = EventQueue(self.clock)
         self.rng = Rng(seed)
+        self.collect_trace = collect_trace
         self.trace = Trace() if collect_trace else NullTrace()
         self.ledger = EnergyLedger()
         self.nodes: dict[str, object] = {}
@@ -310,6 +311,8 @@ class World:
         return self.queue.schedule(self.clock.now + delay, fn)
 
     def emit(self, kind: str, node: str, **detail) -> None:
+        if not self.collect_trace:
+            return
         self.trace.emit(self.clock.now, kind, node, **detail)
 
     def add_node(self, node) -> None:

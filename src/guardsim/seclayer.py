@@ -1,34 +1,30 @@
 """Simulation-grade security layer.
 
-A deterministic FNV-1a-based authenticated cipher stands in for AES-CCM;
-it is explicitly insecure and exists only so that protection, tampering and
-replay behave faithfully inside the simulator. The interface is small
-enough that a real AEAD could be dropped in.
+A deterministic authenticated cipher built on SHAKE128 (FIPS 202) stands in
+for AES-CCM; it is explicitly insecure and exists only so that protection,
+tampering and replay behave faithfully inside the simulator. The interface
+is small enough that a real AEAD could be dropped in.
 
-Every AEAD output is defined by per-byte FNV-1a over `key + nonce + ...`:
-keystream block `i` is `fnv1a64(key + nonce + i.to_bytes(8, "big"))` and the
-tag is `fnv1a64(key + nonce + aad + plaintext)`. FNV-1a is a left fold, so
-each call hashes `key + nonce` once into a prefix state and continues from
-it (`fnv1a64(data, h)`); the counter's leading zero bytes fold into one
-multiply by `FNV_PRIME**7` (see `_keystream`). Outputs equal the per-byte
-definition above.
+The keystream is `shake_128(b"k" + key + nonce)`, XORed over the plaintext,
+and the 8-byte tag is `shake_128(b"t" + key + nonce + aad + plaintext)`.
+`shake_128` comes from CPython's built-in `_sha3` module rather than
+`hashlib`, whose import loads OpenSSL. Key derivation, key ids and key
+confirmation keep FNV-1a (`fnv1a64`), because their outputs reach kids,
+tokens and seeds.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from functools import cached_property
+
+from _sha3 import shake_128
 
 from .coap_lite import SimMessage, deserialize_inner, serialize_inner
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 MASK64 = (1 << 64) - 1
-FNV_PRIME_7 = pow(FNV_PRIME, 7, 1 << 64)
-# Block counters below this differ from zero only in their last byte; see
-# `_keystream`.
-SHORT_BLOCKS = 256
 
 TAG_LEN = 8
 DEFAULT_REPLAY_WINDOW = 32
@@ -59,43 +55,27 @@ def fnv1a64(data: bytes, h: int = FNV_OFFSET) -> int:
     return h
 
 
-def _keystream(prefix: int, length: int) -> int:
-    """The first `length` keystream bytes, as a big-endian integer.
-
-    Block `i` hashes the 8-byte big-endian counter on from `prefix`, the
-    state after `key + nonce`. Below SHORT_BLOCKS the counter is seven zero
-    bytes and then `i`; XOR with zero is the identity, so the zero bytes
-    are seven multiplies by FNV_PRIME, one multiply by FNV_PRIME_7 shared by
-    every block, and each block costs one xor-multiply.
-    """
-    nblocks = -(-length // 8)
-    z = (prefix * FNV_PRIME_7) & MASK64
-    blocks = [((z ^ i) * FNV_PRIME) & MASK64 if i < SHORT_BLOCKS
-              else fnv1a64(i.to_bytes(8, "big"), prefix)
-              for i in range(nblocks)]
-    return int.from_bytes(struct.pack(f">{nblocks}Q", *blocks)[:length], "big")
+def _xor_keystream(key: bytes, nonce: bytes, data: bytes) -> bytes:
+    """`data` XORed with the keystream, as one integer XOR."""
+    ks = shake_128(b"k" + key + nonce).digest(len(data))
+    return (int.from_bytes(data, "big") ^ int.from_bytes(ks, "big")).to_bytes(
+        len(data), "big")
 
 
-def _xor(data: bytes, ks: int) -> bytes:
-    return (int.from_bytes(data, "big") ^ ks).to_bytes(len(data), "big")
+def _tag(key: bytes, nonce: bytes, aad: bytes, plaintext: bytes) -> bytes:
+    return shake_128(b"t" + key + nonce + aad + plaintext).digest(TAG_LEN)
 
 
 def aead_seal(key: bytes, nonce: bytes, aad: bytes, plaintext: bytes) -> bytes:
     """XOR-keystream encryption plus a 64-bit keyed tag over the plaintext."""
-    prefix = fnv1a64(key + nonce)
-    ct = _xor(plaintext, _keystream(prefix, len(plaintext)))
-    tag = fnv1a64(aad + plaintext, prefix).to_bytes(TAG_LEN, "big")
-    return ct + tag
+    return _xor_keystream(key, nonce, plaintext) + _tag(key, nonce, aad, plaintext)
 
 
 def aead_open(key: bytes, nonce: bytes, aad: bytes, sealed: bytes) -> bytes:
     if len(sealed) < TAG_LEN:
         raise AuthError("sealed input shorter than tag")
-    ct, tag = sealed[:-TAG_LEN], sealed[-TAG_LEN:]
-    prefix = fnv1a64(key + nonce)
-    pt = _xor(ct, _keystream(prefix, len(ct)))
-    expect = fnv1a64(aad + pt, prefix).to_bytes(TAG_LEN, "big")
-    if expect != tag:
+    pt = _xor_keystream(key, nonce, sealed[:-TAG_LEN])
+    if _tag(key, nonce, aad, pt) != sealed[-TAG_LEN:]:
         raise AuthError("tag mismatch")
     return pt
 

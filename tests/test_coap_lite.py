@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from guardsim.coap_lite import (EventAfterFinal, MissingProxyUri, ProxyTable,
-                                SimMessage, TxState, UnknownOrigin,
+                                SimMessage, TokensExhausted, TxState,
+                                UnknownOrigin,
                                 deserialize_inner, give_up_time_ms,
                                 message_size, serialize_inner, tx_step)
 
@@ -170,6 +171,29 @@ def test_token_remap_injective():
         up = table.rewrite_request(req, "reverse", "srv")
         tokens.add(up.token)
     assert len(tokens) == 200
+
+
+def test_new_token_skips_live_tokens_after_wrap():
+    table = ProxyTable("proxy")
+    live = [table.rewrite_request(SimMessage(src="cli", dst="proxy", mid=i),
+                                  "reverse", "srv").token for i in range(2)]
+    assert live == [b"\x00\x01", b"\x00\x02"]
+    issued = [table.new_token() for _ in range(3, 0x10000)]
+    assert issued[-1] == b"\xff\xff"
+    # The counter wraps to 0, then skips 1 and 2, which are still in `out`.
+    assert [table.new_token() for _ in range(2)] == [b"\x00\x00", b"\x00\x03"]
+
+
+def test_new_token_raises_once_every_token_is_live():
+    table = ProxyTable("proxy")
+    for mid in range(0x10000):
+        token = table.new_token()
+        assert token not in table.out
+        table.out[token] = ("cli", b"", mid)
+    with pytest.raises(TokensExhausted):
+        table.new_token()
+    del table.out[b"\x12\x34"]
+    assert table.new_token() == b"\x12\x34"
 
 
 def test_unknown_response_token_unmapped():

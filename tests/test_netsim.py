@@ -251,6 +251,20 @@ def test_trace_jsonl_is_deterministic_text():
     assert t1.to_jsonl().count("\n") == 1
 
 
+def test_world_emit_skips_the_sink_without_a_trace():
+    world = World(seed=1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("emit reached the discarding sink")
+
+    world.trace.emit = refuse
+    world.emit("drop", "n", reason="x")
+    traced = World(seed=1, collect_trace=True)
+    traced.emit("drop", "n", reason="x")
+    assert traced.trace.events == [
+        {"t": 0, "kind": "drop", "node": "n", "detail": {"reason": "x"}}]
+
+
 def test_trace_by_kind():
     tr = Trace()
     tr.emit(1, "send", "a")

@@ -1,10 +1,15 @@
 """Toy AEAD, anti-replay window, protected messaging, key exchange."""
 
+import hashlib
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+import guardsim
 from guardsim.coap_lite import SimMessage
 from guardsim.seclayer import (AuthError, EdhocSession, ReplayError,
                                ReplayWindow, SecurityContext, SeqExhausted,
@@ -33,26 +38,19 @@ def test_fnv1a64_continues_from_a_prefix_state(a, b):
 
 # --- AEAD -------------------------------------------------------------------
 
-def _reference_keystream(key, nonce, length):
-    out = bytearray()
-    block = 0
-    while len(out) < length:
-        out += fnv1a64(key + nonce + block.to_bytes(8, "big")).to_bytes(8, "big")
-        block += 1
-    return bytes(out[:length])
-
-
 def _reference_seal(key, nonce, aad, plaintext):
-    """The AEAD by its definition: every block and the tag hash the whole
-    `key + nonce + ...` input from the FNV offset basis."""
-    ks = _reference_keystream(key, nonce, len(plaintext))
+    """The AEAD by its definition, on hashlib's SHAKE128 (OpenSSL's where
+    the build links it) rather than the `_sha3` module guardsim imports,
+    with the keystream XORed one byte at a time."""
+    ks = hashlib.shake_128(b"k" + key + nonce).digest(len(plaintext))
     ct = bytes(p ^ k for p, k in zip(plaintext, ks))
-    return ct + fnv1a64(key + nonce + aad + plaintext).to_bytes(8, "big")
+    return ct + hashlib.shake_128(b"t" + key + nonce + aad + plaintext).digest(8)
 
 
-# 2048 bytes is the last length whose keystream blocks all have counters
-# below 256; the second range crosses into the per-byte counter path.
-@pytest.mark.parametrize("length", [*range(71), *range(2040, 2057)])
+# Short frames, lengths around the first SHAKE128 rate-block boundaries
+# (168 and 336 bytes), and frames longer than any the tunnel carries.
+@pytest.mark.parametrize("length", [*range(71), 167, 168, 169, 335, 336, 337,
+                                    *range(2040, 2057)])
 def test_aead_matches_per_byte_reference(length):
     rng = random.Random(length)
     for aad in (b"", rng.randbytes(rng.randint(1, 12))):
@@ -69,10 +67,19 @@ def test_seal_empty_plaintext_is_tag_only():
     assert len(out) == 8
 
 
+# Frozen outputs of `_reference_seal`.
+SEAL_VECTORS = [
+    ((bytes(16), b"\x00", b"", b""), "c3759639c93d447f"),
+    ((bytes(16), b"\x00", b"", b"A"), "d9cd028fd7b0ba4d74"),
+    ((b"k" * 16, b"n", b"aad", b"hello world"),
+     "c63c03d8061891eda2a93151a4b180dbac2d4e"),
+]
+
+
 def test_seal_fixed_vector():
-    # Computed from the reference FNV-1a implementation before the build.
-    out = aead_seal(bytes(16), b"\x00", b"", b"A")
-    assert out.hex() == "9577e8b4b1c7b70e3a"
+    for args, expected in SEAL_VECTORS:
+        assert aead_seal(*args).hex() == expected
+        assert aead_open(*args[:3], bytes.fromhex(expected)) == args[3]
 
 
 @given(st.binary(max_size=64), st.binary(min_size=16, max_size=16),
@@ -82,28 +89,53 @@ def test_seal_open_round_trip(plaintext, key, nonce, aad):
         == plaintext
 
 
-def test_open_detects_single_bit_flip():
-    key, nonce, aad = b"k" * 16, b"n", b"aad"
-    sealed = aead_seal(key, nonce, aad, b"hello world")
-    for i in range(len(sealed)):
-        tampered = bytearray(sealed)
-        tampered[i] ^= 0x01
+keys = st.binary(min_size=16, max_size=16)
+nonces = st.binary(min_size=1, max_size=13)
+aads = st.binary(max_size=16)
+
+
+@given(keys, nonces, aads, st.binary(max_size=64), st.data())
+def test_open_detects_single_bit_flip(key, nonce, aad, plaintext, data):
+    """Any one bit flipped, in the ciphertext or in the tag, fails auth."""
+    sealed = aead_seal(key, nonce, aad, plaintext)
+    bit = data.draw(st.integers(0, 8 * len(sealed) - 1), label="bit")
+    tampered = bytearray(sealed)
+    tampered[bit // 8] ^= 1 << (bit % 8)
+    with pytest.raises(AuthError):
+        aead_open(key, nonce, aad, bytes(tampered))
+
+
+@given(keys, nonces, aads, st.binary(max_size=64), st.data())
+def test_open_wrong_key_or_aad_fails(key, nonce, aad, plaintext, data):
+    """A different key, nonce or aad fails auth; the right ones open."""
+    sealed = aead_seal(key, nonce, aad, plaintext)
+    other_key = data.draw(keys.filter(lambda k: k != key), label="key")
+    other_nonce = data.draw(nonces.filter(lambda n: n != nonce), label="nonce")
+    other_aad = data.draw(aads.filter(lambda a: a != aad), label="aad")
+    for args in ((other_key, nonce, aad), (key, other_nonce, aad),
+                 (key, nonce, other_aad)):
         with pytest.raises(AuthError):
-            aead_open(key, nonce, aad, bytes(tampered))
-
-
-def test_open_wrong_key_or_aad_fails():
-    sealed = aead_seal(b"k" * 16, b"n", b"aad", b"secret")
-    with pytest.raises(AuthError):
-        aead_open(b"x" * 16, b"n", b"aad", sealed)
-    with pytest.raises(AuthError):
-        aead_open(b"k" * 16, b"n", b"other", sealed)
-    assert aead_open(b"k" * 16, b"n", b"aad", sealed) == b"secret"
+            aead_open(*args, sealed)
+    assert aead_open(key, nonce, aad, sealed) == plaintext
 
 
 def test_open_short_input_rejected():
     with pytest.raises(AuthError):
         aead_open(b"k" * 16, b"n", b"", b"\x01\x02")
+
+
+def test_importing_guardsim_loads_no_openssl_hashlib():
+    """The AEAD's SHAKE128 comes from the built-in `_sha3`: importing
+    `hashlib` would load OpenSSL's libcrypto, several MB of resident
+    memory, for every run."""
+    src = os.path.dirname(os.path.dirname(guardsim.__file__))
+    code = ("import sys, guardsim.harness; "
+            "print(' '.join(m for m in ('hashlib', '_hashlib', '_sha3') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.split() == ["_sha3"]
 
 
 # --- replay window -----------------------------------------------------------
