@@ -1,5 +1,6 @@
 """Behavioral node models: client, server, routers/guards, AS, rendezvous,
-and the four attacker models.
+and the attackers: `FloodAttacker` (blind and distributed floods),
+`Impersonator` and `OnPathAttacker`, each an `AttackerNode`.
 
 Addresses are plain strings; routing is a static table of
 `coap_lite.matches` patterns per node. Every frame leaves a node through
@@ -51,17 +52,6 @@ class RendezvousEntry:
     @property
     def published_address(self) -> str:
         return self.proxy_address or self.address
-
-
-@dataclass
-class AttackerModel:
-    kind: str  # blind_flood | distributed_flood | impersonator | on_path
-    rate: float = 20.0  # msgs/s (per source for distributed_flood)
-    n_sources: int = 50
-    start_ms: int = 0
-    stop_ms: int = 10**12
-    knows_kid: bool = False
-    corrupt_budget: int = 4
 
 
 @dataclass
@@ -1327,18 +1317,18 @@ class ClientTunnelGuard(TunnelGuard):
 
 
 class AttackerNode(Node):
-    """Source of hostile traffic; also swallows anything routed back to it
-    or to its spoofed addresses, so it never answers reachability checks."""
+    """Base of the attacker models, active in [start_ms, stop_ms) and blind
+    to replies, so it never answers reachability checks. A sending model
+    defines `_build_message`; `_tick` sends `rate` of them per second."""
 
-    def __init__(self, world, model: AttackerModel, address="atk",
-                 targets=("srv",), kid_source=None, piv_source=None):
+    def __init__(self, world, address="atk", targets=("srv",), rate=1.0,
+                 start_ms=0, stop_ms=10**12):
         super().__init__(world, address)
-        self.model = model
         self.targets = list(targets)
-        self.kid_source = kid_source
-        self.piv_source = piv_source
+        self.start_ms = start_ms
+        self.stop_ms = stop_ms
+        self.period_ms = max(1, int(round(1000.0 / rate)))
         self.sent = 0
-        self.corrupted = 0
 
     def owns(self, addr: str) -> bool:
         return addr == self.address or addr.startswith("x")
@@ -1347,80 +1337,99 @@ class AttackerNode(Node):
         pass  # blind to replies by design
 
     def start(self) -> None:
-        if self.model.kind in ("blind_flood", "distributed_flood",
-                               "impersonator"):
-            self.world.schedule(self.model.start_ms, self._tick)
-
-    def _period_ms(self) -> int:
-        rate = self.model.rate
-        if self.model.kind == "distributed_flood":
-            rate *= self.model.n_sources
-        return max(1, int(round(1000.0 / rate)))
+        self.world.schedule(self.start_ms, self._tick)
 
     def _tick(self) -> None:
-        now = self.world.clock.now
-        if now >= self.model.stop_ms:
+        if self.world.clock.now >= self.stop_ms:
             return
-        msg = self._build_message()
-        self.send_frame(msg, "attacker")
+        self.send_frame(self._build_message(), "attacker")
         self.sent += 1
         # Jittered cadence (same mean rate): real flood sources are not
         # phase-locked, and a deterministic comb would let periodic legit
         # traffic slip through the rate limiters between bursts.
-        period = self._period_ms()
-        delay = max(1, int(period * (0.5 + self.rng.random())))
+        delay = max(1, int(self.period_ms * (0.5 + self.rng.random())))
         self.world.schedule_in(delay, self._tick)
+
+
+class FloodAttacker(AttackerNode):
+    """Handshake-triggering frames, the cheapest way to drain a responder,
+    from `n_sources` spoofed sources in turn at `rate` frames/s each. The
+    blind flood is the one-source case."""
+
+    def __init__(self, world, rate, n_sources=1, address="atk",
+                 targets=("srv",), start_ms=0, stop_ms=10**12):
+        super().__init__(world, address, targets, rate * n_sources,
+                         start_ms, stop_ms)
+        self.sources = [f"x{i}" for i in range(n_sources)]
 
     def _build_message(self) -> SimMessage:
         # Split between the published address and the raw server address;
         # only a guard in front makes the two differ.
         dst = self.targets[self.rng.randrange(len(self.targets))]
-        if self.model.kind in ("blind_flood", "distributed_flood"):
-            if self.model.kind == "blind_flood":
-                src = "x0"
-            else:
-                src = f"x{self.sent % self.model.n_sources}"
-            # Handshake-triggering frames: cheapest way to drain a responder.
-            return SimMessage(src=src, dst=dst, mtype="CON",
-                              mid=self.new_mid(), token=self.new_token(),
-                              code="POST", payload_kind="edhoc_m1",
-                              payload={"eph": self.rng.bytes(8),
-                                       "session": self.sent},
-                              payload_len=EDHOC_MSG_SIZES[0])
-        # Impersonator: OSCORE-shaped junk under a (possibly known) kid.
-        kid = None
-        if self.model.knows_kid and self.kid_source is not None:
-            kid = self.kid_source()
-        if kid is None:
-            kid = self.rng.bytes(1)
-        src = "x0"
-        if self.sent % 2 == 0:
-            piv = 10_000_000 + self.sent  # far beyond any plausible window
+        return SimMessage(src=self.sources[self.sent % len(self.sources)],
+                          dst=dst, mtype="CON", mid=self.new_mid(),
+                          token=self.new_token(), code="POST",
+                          payload_kind="edhoc_m1",
+                          payload={"eph": self.rng.bytes(8),
+                                   "session": self.sent},
+                          payload_len=EDHOC_MSG_SIZES[0])
+
+
+class Impersonator(AttackerNode):
+    """OSCORE-shaped junk from x0: every other frame jumps the piv far past
+    any window, the rest replay pivs the victim sent. The kid is a random
+    byte unless `knows_kid` and the victim has a context."""
+
+    def __init__(self, world, rate, victim=None, knows_kid=False,
+                 address="atk", targets=("srv",), start_ms=0,
+                 stop_ms=10**12):
+        super().__init__(world, address, targets, rate, start_ms, stop_ms)
+        self.victim = victim
+        self.knows_kid = knows_kid
+
+    def _build_message(self) -> SimMessage:
+        dst = self.targets[self.rng.randrange(len(self.targets))]
+        victim = self.victim
+        if self.knows_kid and victim is not None and victim.ctx is not None:
+            kid = victim.ctx.sender_id
         else:
-            pivs = self.piv_source() if self.piv_source else []
+            kid = self.rng.bytes(1)
+        if self.sent % 2 == 0:
+            piv = 10_000_000 + self.sent
+        else:
+            pivs = victim.sent_pivs[:4] if victim is not None else []
             piv = pivs[(self.sent // 2) % len(pivs)] if pivs else 0
-        return SimMessage(src=src, dst=dst, mtype="CON", mid=self.new_mid(),
+        return SimMessage(src="x0", dst=dst, mtype="CON", mid=self.new_mid(),
                           token=self.new_token(), code="POST",
                           payload_kind="oscore", oscore_kid=kid,
                           oscore_piv=piv, payload_len=38,
                           sealed=self.rng.bytes(30))
 
-    def make_interceptor(self):
-        """On-path tampering: garble a bounded number of protected frames
-        inside the active window; everything else passes untouched."""
 
-        def intercept(link, frame: Frame):
-            now = self.world.clock.now
-            if frame.msg.sealed is None:
-                return frame
-            if not (self.model.start_ms <= now < self.model.stop_ms):
-                return frame
-            if self.corrupted >= self.model.corrupt_budget:
-                return frame
-            self.corrupted += 1
-            self.world.emit("onpath_corrupt", self.address,
-                            dst=frame.msg.dst, kind2=frame.msg.payload_kind)
-            garbled = frame.msg.copy(sealed=self.rng.bytes(len(frame.msg.sealed)))
-            return Frame(garbled, "attacker", frame.size)
+class OnPathAttacker(AttackerNode):
+    """On-path tampering: sends nothing; `intercept`, installed on a link,
+    garbles up to `budget` protected frames inside the active window."""
 
-        return intercept
+    def __init__(self, world, budget, address="atk", start_ms=0,
+                 stop_ms=10**12):
+        super().__init__(world, address, (), start_ms=start_ms,
+                         stop_ms=stop_ms)
+        self.budget = budget
+        self.corrupted = 0
+
+    def start(self) -> None:
+        pass  # acts only through `intercept`
+
+    def intercept(self, frame: Frame) -> Frame:
+        """Return `frame`, or an equal-size garbled copy of it."""
+        if frame.msg.sealed is None:
+            return frame
+        if not (self.start_ms <= self.world.clock.now < self.stop_ms):
+            return frame
+        if self.corrupted >= self.budget:
+            return frame
+        self.corrupted += 1
+        self.world.emit("onpath_corrupt", self.address,
+                        dst=frame.msg.dst, kind2=frame.msg.payload_kind)
+        garbled = frame.msg.copy(sealed=self.rng.bytes(len(frame.msg.sealed)))
+        return Frame(garbled, "attacker", frame.size)

@@ -17,9 +17,10 @@ import json
 import statistics
 from dataclasses import dataclass, field, fields, is_dataclass
 
-from .actors import (AsNode, AttackerModel, AttackerNode, ClientNode,
-                     ClientTunnelGuard, ExemptionsGuard, RendezvousNode,
-                     RouterNode, ServerNode, ServerTunnelGuard, ThrottleRouter)
+from .actors import (AsNode, AttackerNode, ClientNode, ClientTunnelGuard,
+                     ExemptionsGuard, FloodAttacker, Impersonator,
+                     OnPathAttacker, RendezvousNode, RouterNode, ServerNode,
+                     ServerTunnelGuard, ThrottleRouter)
 from .ace import AsRegistry
 from .coap_lite import DEFAULT_BASE_TIMEOUT_MS, DEFAULT_RETRANSMIT_LIMIT
 from .guard import GuardConfig
@@ -271,6 +272,10 @@ def build_world(config: SimConfig, scenario: str, attack_kind: str,
                 attack_start_ms: int, attack_stop_ms: int, seed: int,
                 client_enabled: bool = True,
                 collect_trace: bool = False) -> Handles:
+    if scenario not in SCENARIOS:
+        raise ValueError(f"unknown scenario {scenario!r}")
+    if attack_kind not in ATTACKS:
+        raise ValueError(f"unknown attack {attack_kind!r}")
     world = World(seed, collect_trace)
 
     keys = {
@@ -320,27 +325,22 @@ def build_world(config: SimConfig, scenario: str, attack_kind: str,
     authorization = AsNode(world, registry, "as")
 
     attacker = None
-    if attack_kind != "none":
-        published = "rtrS" if guarded else "srv"
-        model = AttackerModel(kind=attack_kind, start_ms=attack_start_ms,
-                              stop_ms=attack_stop_ms)
-        if attack_kind == "blind_flood":
-            model.rate = config.attacks.blind_rate
-        elif attack_kind == "distributed_flood":
-            model.rate = config.attacks.distributed_rate
-            model.n_sources = config.attacks.distributed_sources
-        elif attack_kind == "impersonator":
-            model.rate = config.attacks.impersonator_rate
-            model.knows_kid = config.attacks.impersonator_knows_kid
-        elif attack_kind == "on_path":
-            model.stop_ms = attack_start_ms + config.attacks.onpath_window_ms
-            model.corrupt_budget = config.attacks.onpath_budget
-        kid_source = piv_source = None
-        if client is not None:
-            kid_source = lambda: (client.ctx.sender_id if client.ctx else None)
-            piv_source = lambda: list(client.sent_pivs[:4])
-        attacker = AttackerNode(world, model, "atk", targets=[published, "srv"],
-                                kid_source=kid_source, piv_source=piv_source)
+    attacks, start, stop = config.attacks, attack_start_ms, attack_stop_ms
+    targets = ["rtrS" if guarded else "srv", "srv"]  # published, raw
+    if attack_kind == "blind_flood":
+        attacker = FloodAttacker(world, attacks.blind_rate, 1, "atk", targets,
+                                 start, stop)
+    elif attack_kind == "distributed_flood":
+        attacker = FloodAttacker(world, attacks.distributed_rate,
+                                 attacks.distributed_sources, "atk", targets,
+                                 start, stop)
+    elif attack_kind == "impersonator":
+        attacker = Impersonator(world, attacks.impersonator_rate, client,
+                                attacks.impersonator_knows_kid, "atk", targets,
+                                start, stop)
+    elif attack_kind == "on_path":
+        attacker = OnPathAttacker(world, attacks.onpath_budget, "atk", start,
+                                  start + attacks.onpath_window_ms)
 
     # Wiring: constrained device links at the edges, fast internet inside.
     cl, il = config.links.constrained, config.links.internet
@@ -370,8 +370,8 @@ def build_world(config: SimConfig, scenario: str, attack_kind: str,
     for i, node in enumerate(world.nodes.values()):
         node.rng = world.rng.fork(i + 1)
 
-    if attacker is not None and attack_kind == "on_path":
-        rtr_s.links["rtrC"].interceptor = attacker.make_interceptor()
+    if isinstance(attacker, OnPathAttacker):
+        rtr_s.links["rtrC"].interceptor = attacker.intercept
 
     return Handles(world=world, client=client, server=server,
                    client_router=rtr_c, server_router=rtr_s,

@@ -222,8 +222,8 @@ class Link:
 
     Serialization time is size*8/bandwidth; frames that arrive while
     `queue_capacity` frames are still serializing are dropped. An optional
-    interceptor models an on-path attacker: it may pass, replace, or drop
-    frames at delivery time.
+    interceptor, a `frame -> frame` callable, models an on-path attacker:
+    it may pass or replace frames at delivery time.
     """
 
     def __init__(self, world, name: str, bandwidth_bps: int, delay_ms: int,
@@ -259,9 +259,9 @@ class Link:
         self.n_sent += 1
         if self.queue_len(now) >= self.queue_capacity:
             self.n_dropped += 1
-            self.world.trace.emit(now, "drop", self.name,
-                                  reason="queue_full", dst=frame.msg.dst,
-                                  origin=frame.origin, size=frame.size)
+            self.world.emit("drop", self.name, reason="queue_full",
+                            dst=frame.msg.dst, origin=frame.origin,
+                            size=frame.size)
             return ("dropped", None)
         start = max(now, self._busy_until)
         end = start + self.serialization_ms(frame.size)
@@ -272,13 +272,7 @@ class Link:
         def deliver():
             out = frame
             if self.interceptor is not None:
-                out = self.interceptor(self, frame)
-                if out is None:
-                    self.n_dropped += 1
-                    self.world.trace.emit(self.world.clock.now, "drop", self.name,
-                                          reason="intercepted", dst=frame.msg.dst,
-                                          origin=frame.origin, size=frame.size)
-                    return
+                out = self.interceptor(frame)
             self.n_delivered += 1
             self.bytes_delivered += out.size
             deliver_fn(out)

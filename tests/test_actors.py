@@ -1,10 +1,12 @@
 """Node behavior: rendezvous, onboarding, bootstrap addressing, tunnels,
 attacker models."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from guardsim.actors import (AttackerModel, AttackerNode, Node,
-                             RendezvousEntry, RendezvousNode,
+from guardsim.actors import (FloodAttacker, Impersonator, Node,
+                             OnPathAttacker, RendezvousEntry, RendezvousNode,
                              deserialize_full, serialize_full)
 from guardsim.coap_lite import SimMessage, message_size
 from guardsim.guard import ALLOW_LISTED, CLASS_PRIORITY, REACHABILITY_VERIFIED
@@ -327,7 +329,7 @@ def test_tunnel_exchange_gives_up_and_leaves_no_state():
 def test_replayed_tunnel_frame_is_dropped_before_the_server():
     captured = []
 
-    def capture(link, frame):
+    def capture(frame):
         if frame.msg.payload_kind == "tunnel_data" and not captured:
             captured.append(frame)
         return frame
@@ -364,7 +366,7 @@ def test_spoofed_sources_never_reach_verified():
 
 def test_attacker_blackholes_replies():
     world = World(seed=1)
-    atk = AttackerNode(world, AttackerModel(kind="blind_flood"), targets=["srv"])
+    atk = FloodAttacker(world, 20.0, targets=["srv"])
     atk.rng = Rng(1)
     challenge = SimMessage(src="rtrS", dst="x0", mtype="ACK", code="4.01",
                            echo=b"\x01" * 8)
@@ -374,43 +376,39 @@ def test_attacker_blackholes_replies():
 
 def test_interceptor_garbles_only_sealed_frames_within_budget():
     world = World(seed=1)
-    model = AttackerModel(kind="on_path", start_ms=0, stop_ms=10_000,
-                          corrupt_budget=2)
-    atk = AttackerNode(world, model, targets=["srv"])
+    atk = OnPathAttacker(world, 2, start_ms=0, stop_ms=10_000)
     atk.rng = Rng(2)
-    intercept = atk.make_interceptor()
+    intercept = atk.intercept
     clear = make_frame(SimMessage(src="a", dst="b", payload_len=10))
-    assert intercept(None, clear) is clear  # unprotected frames untouched
+    assert intercept(clear) is clear  # unprotected frames untouched
     sealed_msg = SimMessage(src="a", dst="b", oscore_kid=b"\x01",
                             oscore_piv=0, sealed=b"\xaa" * 16, payload_len=24)
-    out1 = intercept(None, make_frame(sealed_msg))
-    out2 = intercept(None, make_frame(sealed_msg))
+    out1 = intercept(make_frame(sealed_msg))
+    out2 = intercept(make_frame(sealed_msg))
     assert out1.msg.sealed != sealed_msg.sealed
     assert out1.origin == "attacker"
     assert out1.size == message_size(sealed_msg)  # equal-size garbage
     # Budget exhausted: further frames pass unmodified.
-    out3 = intercept(None, make_frame(sealed_msg))
+    out3 = intercept(make_frame(sealed_msg))
     assert out3.msg.sealed == sealed_msg.sealed
     assert atk.corrupted == 2
 
 
 def test_interceptor_idle_outside_window():
     world = World(seed=1)
-    model = AttackerModel(kind="on_path", start_ms=5000, stop_ms=6000)
-    atk = AttackerNode(world, model, targets=["srv"])
+    atk = OnPathAttacker(world, 4, start_ms=5000, stop_ms=6000)
     atk.rng = Rng(3)
-    intercept = atk.make_interceptor()
+    intercept = atk.intercept
     sealed_msg = SimMessage(src="a", dst="b", oscore_kid=b"\x01",
                             oscore_piv=0, sealed=b"\xaa" * 16)
     frame = make_frame(sealed_msg)
-    assert intercept(None, frame) is frame  # t=0 is before the window
+    assert intercept(frame) is frame  # t=0 is before the window
     assert atk.corrupted == 0
 
 
 def test_distributed_flood_uses_distinct_sources():
     world = World(seed=1)
-    model = AttackerModel(kind="distributed_flood", n_sources=5)
-    atk = AttackerNode(world, model, targets=["srv"])
+    atk = FloodAttacker(world, 20.0, n_sources=5, targets=["srv"])
     atk.rng = Rng(4)
     sources = set()
     for _ in range(20):
@@ -421,20 +419,30 @@ def test_distributed_flood_uses_distinct_sources():
 
 def test_blind_flood_single_spoofed_source():
     world = World(seed=1)
-    atk = AttackerNode(world, AttackerModel(kind="blind_flood"),
-                       targets=["srv"])
+    atk = FloodAttacker(world, 20.0, targets=["srv"])
     atk.rng = Rng(5)
     for _ in range(10):
         assert atk._build_message().src == "x0"
         atk.sent += 1
 
 
+def victim_with(kid, pivs):
+    """Stand-in for a client: its context's kid and the pivs it sent."""
+    return SimpleNamespace(ctx=SimpleNamespace(sender_id=kid), sent_pivs=pivs)
+
+
+def build_messages(atk, n):
+    msgs = []
+    for _ in range(n):
+        msgs.append(atk._build_message())
+        atk.sent += 1
+    return msgs
+
+
 def test_impersonator_mixes_jumps_and_replays():
     world = World(seed=1)
-    model = AttackerModel(kind="impersonator", knows_kid=True)
-    atk = AttackerNode(world, model, targets=["srv"],
-                       kid_source=lambda: b"\x42",
-                       piv_source=lambda: [3, 4])
+    atk = Impersonator(world, 2.0, victim_with(b"\x42", [3, 4]),
+                       knows_kid=True, targets=["srv"])
     atk.rng = Rng(6)
     pivs, kids = [], set()
     for _ in range(8):
@@ -445,3 +453,60 @@ def test_impersonator_mixes_jumps_and_replays():
     assert kids == {b"\x42"}
     assert any(p >= 10_000_000 for p in pivs)  # implausible jumps
     assert any(p in (3, 4) for p in pivs)  # replayed observed values
+
+
+def test_impersonator_without_the_kid_still_replays_the_victims_pivs():
+    world = World(seed=1)
+    atk = Impersonator(world, 2.0, victim_with(b"\x42", [3, 4]),
+                       knows_kid=False, targets=["srv"])
+    atk.rng = Rng(6)
+    msgs = build_messages(atk, 8)
+    # Draw order per frame: target, kid byte, sealed bytes.
+    mirror = Rng(6)
+    kids = []
+    for _ in msgs:
+        mirror.randrange(1)
+        kids.append(mirror.bytes(1))
+        mirror.bytes(30)
+    assert [m.oscore_kid for m in msgs] == kids
+    assert len(set(kids)) > 1
+    assert [m.oscore_piv for m in msgs] == [
+        10_000_000, 3, 10_000_002, 4, 10_000_004, 3, 10_000_006, 4]
+
+
+def test_impersonator_without_a_victim_sends_piv_zero():
+    world = World(seed=1)
+    atk = Impersonator(world, 2.0, knows_kid=True, targets=["srv"])
+    atk.rng = Rng(7)
+    msgs = build_messages(atk, 6)
+    assert [m.oscore_piv for m in msgs[1::2]] == [0, 0, 0]
+    assert all(len(m.oscore_kid) == 1 for m in msgs)
+
+
+@pytest.mark.parametrize("rate, n_sources, period_ms", [
+    (20.0, 1, 50), (1.0, 50, 20), (3.0, 7, 48), (2000.0, 3, 1)])
+def test_flood_period_covers_every_source(rate, n_sources, period_ms):
+    atk = FloodAttacker(World(seed=1), rate, n_sources)
+    assert atk.period_ms == period_ms == \
+        max(1, round(1000 / (rate * n_sources)))
+
+
+def test_flood_sends_nothing_at_or_after_stop():
+    world = World(seed=1, collect_trace=True)
+    atk = FloodAttacker(world, 10.0, 4, start_ms=1000, stop_ms=3000)
+    atk.rng = Rng(8)
+    atk.start()
+    world.run_until(10_000)
+    # No routes: every frame the attacker sends is dropped where it starts.
+    sends = [e["t"] for e in world.trace.by_kind("drop")
+             if e["node"] == "atk"]
+    assert len(sends) == atk.sent > 20
+    assert sends[0] == 1000
+    assert max(sends) < 3000
+    assert len(world.queue) == 0  # the tick loop has ended
+
+
+def test_on_path_attacker_start_schedules_nothing():
+    world = World(seed=1)
+    OnPathAttacker(world, 4).start()
+    assert len(world.queue) == 0

@@ -70,6 +70,16 @@ def test_unknown_scenario_rejected():
         config_from_dict({"attack": "zerg-rush"})
 
 
+def test_build_world_rejects_an_unknown_scenario():
+    with pytest.raises(ValueError, match="scenario 'bogus'"):
+        build_world(SimConfig(), "bogus", "none", 0, 1000, 1)
+
+
+def test_build_world_rejects_an_unknown_attack():
+    with pytest.raises(ValueError, match="attack 'bogus'"):
+        run_cell(SimConfig(), "exemptions", "bogus")
+
+
 def test_load_config_bad_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("{not json")

@@ -126,6 +126,30 @@ def test_link_tail_drop_overflow():
     assert link.n_sent == 6
 
 
+def test_link_tail_drop_event_is_unchanged():
+    world = World(seed=1, collect_trace=True)
+    link = Link(world, "a->b", 1000, 0, 1)
+    link.transmit(_frame(100), lambda fr: None)
+    assert link.transmit(_frame(100, dst="c"), lambda fr: None)[0] == "dropped"
+    assert world.trace.events == [
+        {"t": 0, "kind": "drop", "node": "a->b",
+         "detail": {"reason": "queue_full", "dst": "c", "origin": "legit",
+                    "size": 100}}]
+
+
+def test_link_tail_drop_skips_the_sink_without_a_trace():
+    world = World(seed=1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("tail drop reached the discarding sink")
+
+    world.trace.emit = refuse
+    link = Link(world, "a->b", 1000, 0, 1)
+    results = [link.transmit(_frame(100), lambda fr: None)[0]
+               for _ in range(3)]
+    assert results == ["delivered", "dropped", "dropped"]
+
+
 def test_link_delivery_callback_and_conservation():
     world = World(seed=1)
     link = Link(world, "a->b", 1000, 50, 2)
