@@ -5,7 +5,9 @@ and the attackers: `FloodAttacker` (blind and distributed floods),
 Addresses are plain strings; routing is a static table of
 `coap_lite.matches` patterns per node. Every frame leaves a node through
 `Node.send_via`, every confirmable request (plain or tunneled) is one
-`Exchange`, and every ACK is built by `coap_lite.ack`.
+`Exchange`, every ACK is built by `coap_lite.ack`, and every request a
+server-side guard passes to the constrained server goes through
+`GuardNode.relay`.
 Topology (built by the harness):
 
     cli* -- rtrC -- (internet) -- rtrS -- srv
@@ -26,7 +28,7 @@ from .netsim import EnergyBudget, Frame, World
 from . import seclayer
 from .seclayer import (AuthError, ReplayError, SecurityContext, UnknownKid,
                        aead_nonce, aead_seal, open_sealed, EDHOC_MSG_SIZES)
-from .guard import GuardConfig, GuardState, TUNNEL
+from .guard import GuardConfig, GuardState, NON_PROXY, TUNNEL
 
 REKEY_THRESHOLD = 3
 
@@ -869,6 +871,9 @@ class GuardNode(RouterNode):
                          responses) may enter; unwraps and forwards
       ClientTunnelGuard  client side: forward proxy for its clients; wraps
                          traffic into the tunnel, renegotiates on auth failures
+
+    The two server-side roles pass requests to the origin server through
+    `relay`.
     """
 
     def __init__(self, world, address, constrained_prefix, key_id=""):
@@ -876,6 +881,8 @@ class GuardNode(RouterNode):
         self.constrained_prefix = constrained_prefix
         self.key_id = key_id
         self.table = ProxyTable(address)
+        self.relaying: set[tuple] = set()  # keys awaiting the server
+        self.answered: dict[tuple, tuple] = {}  # key -> (deliver, answer)
         self.origin_server: str | None = None
         self.audience: str | None = None
         self.audience_key: bytes = b""
@@ -915,6 +922,43 @@ class GuardNode(RouterNode):
         self.world.emit("blocked", self.address, origin=frame.origin,
                         kind2=frame.msg.payload_kind, **detail)
 
+    # --- relaying to the origin server -----------------------------------------
+
+    def relay(self, key, req: SimMessage, origin: str, deliver) -> None:
+        """Relay `req` to the origin server once per `key` (RFC 7252 §5.7)
+        and pass the answer to `deliver(answer, origin)`. A retransmission
+        of an answered request gets the cached answer through the first
+        request's `deliver`; one still in flight gets nothing."""
+        if key in self.answered:
+            first_deliver, answer = self.answered[key]
+            first_deliver(answer, origin)
+            return
+        if key in self.relaying:
+            return
+        up = self.table.rewrite_request(req, self.origin_server)
+        self.relaying.add(key)
+
+        def on_response(resp: SimMessage, frame: Frame) -> None:
+            self.relaying.discard(key)
+            self.observe_upstream(req, resp)
+            answer = self.table.rewrite_response(resp)
+            if answer is None:
+                return
+            self.answered[key] = (deliver, answer)
+            if len(self.answered) > 64:
+                self.answered.pop(next(iter(self.answered)))
+            deliver(answer, frame.origin)
+
+        def on_giveup() -> None:
+            self.relaying.discard(key)
+            self.table.out.pop(up.token, None)
+            self.world.emit("upstream_giveup", self.address, src=req.src)
+
+        self.send_con(up, origin, on_response, on_giveup)
+
+    def observe_upstream(self, req: SimMessage, resp: SimMessage) -> None:
+        """Hook: the origin server answered the relayed `req` with `resp`."""
+
     # --- onboarding -------------------------------------------------------------
 
     def _onboard(self, frame: Frame) -> None:
@@ -942,8 +986,6 @@ class ExemptionsGuard(GuardNode):
         # stream, so it must exist before `Node.__init__` sets `rng`.
         self.gstate = GuardState(address, config, None)
         super().__init__(world, address, constrained_prefix, key_id)
-        self.pending_up: dict[tuple, bool] = {}
-        self.done_cache: dict[tuple, SimMessage] = {}
 
     @property
     def rng(self):
@@ -963,14 +1005,12 @@ class ExemptionsGuard(GuardNode):
             return
         action, detail = self.gstate.decide(msg, now)
         if action == "forward":
-            if detail.get("cls") == "non_proxy":
-                self.world.emit("guard_forward", self.address, cls="non_proxy",
-                                src=msg.src, origin=frame.origin)
+            cls = detail.get("cls")
+            self.world.emit("guard_forward", self.address, cls=cls,
+                            src=msg.src, origin=frame.origin)
+            if cls == NON_PROXY:
                 self.forward(frame, from_addr)
             else:
-                self.world.emit("guard_forward", self.address,
-                                cls=detail.get("cls"), src=msg.src,
-                                origin=frame.origin)
                 self._proxy_upstream(frame)
         elif action == "challenge":
             self.world.emit("challenge_issued", self.address, src=msg.src,
@@ -990,41 +1030,17 @@ class ExemptionsGuard(GuardNode):
     def _proxy_upstream(self, frame: Frame) -> None:
         msg = frame.msg
         key = (msg.src, msg.token.hex())
-        if key in self.done_cache:
-            self.send_frame(self.done_cache[key], "legit")
-            return
-        if msg.mtype == "CON":
+        if msg.mtype == "CON" and key not in self.answered:
             self.reply(msg, "legit", "EMPTY", token=b"")
-        if key in self.pending_up:
-            return
-        up = self.table.rewrite_request(msg, "reverse", self.origin_server)
-        meta = {"key": key, "src": msg.src, "kid": msg.oscore_kid,
-                "request_kind": msg.payload_kind, "token": up.token}
-        self.pending_up[key] = True
-        self.send_con(up, frame.origin,
-                      lambda r, f, m=meta: self._upstream_response(r, f, m),
-                      on_giveup=lambda m=meta: self._upstream_giveup(m))
+        self.relay(key, msg, frame.origin, self.send_frame)
 
-    def _upstream_response(self, resp: SimMessage, frame: Frame, meta) -> None:
-        self.pending_up.pop(meta["key"], None)
-        kind = ("ace_token_post" if meta["request_kind"] == "tunnel_token_post"
-                else meta["request_kind"])
-        self.gstate.observe_exchange(meta["src"], meta["kid"], kind, resp,
+    def observe_upstream(self, req: SimMessage, resp: SimMessage) -> None:
+        kind = ("ace_token_post" if req.payload_kind == "tunnel_token_post"
+                else req.payload_kind)
+        self.gstate.observe_exchange(req.src, req.oscore_kid, kind, resp,
                                      self.world.clock.now)
         if resp.is_protected:
-            self.world.emit("allow_listed", self.address, src=meta["src"])
-        down = self.table.rewrite_response(resp)
-        if down is None:
-            return
-        self.done_cache[meta["key"]] = down
-        if len(self.done_cache) > 64:
-            self.done_cache.pop(next(iter(self.done_cache)))
-        self.send_frame(down, frame.origin)
-
-    def _upstream_giveup(self, meta) -> None:
-        self.pending_up.pop(meta["key"], None)
-        self.table.out.pop(meta["token"], None)
-        self.world.emit("upstream_giveup", self.address, src=meta["src"])
+            self.world.emit("allow_listed", self.address, src=req.src)
 
 
 class TunnelGuard(GuardNode):
@@ -1081,8 +1097,6 @@ class ServerTunnelGuard(TunnelGuard):
     def __init__(self, world, address, constrained_prefix, key_id=""):
         super().__init__(world, address, constrained_prefix, key_id)
         self.tunnel_ctxs: dict[bytes, SecurityContext] = {}
-        self.tunnel_pending_in: dict[tuple, bool] = {}
-        self.tunnel_done_in: dict[tuple, tuple] = {}
 
     def passes_inward(self, msg: SimMessage) -> bool:
         # Registration/authorization handshakes initiated from inside may
@@ -1135,38 +1149,15 @@ class ServerTunnelGuard(TunnelGuard):
             return
         self.world.emit("guard_forward", self.address, cls=TUNNEL,
                         src=msg.src, origin=frame.origin)
+        # `deliver` outlives the frame in the answered cache; it keeps only
+        # the peer's address, not the sealed frame.
+        peer = msg.src
+
+        def deliver(answer: SimMessage, origin: str) -> None:
+            self.send_tunnel_data(ctx, answer, peer, origin)
+
         key = (inner.src, inner.token.hex(), inner.oscore_piv)
-        if key in self.tunnel_pending_in:
-            return
-        if key in self.tunnel_done_in:
-            reply_ctx, reply_inner, reply_dst = self.tunnel_done_in[key]
-            self.send_tunnel_data(reply_ctx, reply_inner, reply_dst,
-                                  frame.origin)
-            return
-        up = inner.copy(src=self.address, dst=self.origin_server,
-                        token=self.table.new_token(), mid=self.table.new_mid(),
-                        proxy_uri=None)
-        self.table.out[up.token] = (inner.src, inner.token, inner.mid)
-        self.tunnel_pending_in[key] = True
-        meta = {"key": key, "ctx": ctx, "reply_dst": msg.src,
-                "token": up.token}
-        self.send_con(up, frame.origin,
-                      lambda r, f, m=meta: self._tunnel_upstream_response(r, f, m),
-                      on_giveup=lambda m=meta: self._tunnel_upstream_giveup(m))
-
-    def _tunnel_upstream_response(self, resp: SimMessage, frame: Frame, meta) -> None:
-        self.tunnel_pending_in.pop(meta["key"], None)
-        down = self.table.rewrite_response(resp)
-        if down is None:
-            return
-        self.tunnel_done_in[meta["key"]] = (meta["ctx"], down, meta["reply_dst"])
-        if len(self.tunnel_done_in) > 64:
-            self.tunnel_done_in.pop(next(iter(self.tunnel_done_in)))
-        self.send_tunnel_data(meta["ctx"], down, meta["reply_dst"], frame.origin)
-
-    def _tunnel_upstream_giveup(self, meta) -> None:
-        self.tunnel_pending_in.pop(meta["key"], None)
-        self.table.out.pop(meta["token"], None)
+        self.relay(key, inner, frame.origin, deliver)
 
 
 class ClientTunnelGuard(TunnelGuard):
@@ -1213,7 +1204,7 @@ class ClientTunnelGuard(TunnelGuard):
         if msg.mtype == "CON":
             self.reply(msg, "legit", "EMPTY", token=b"")
         origin_server = msg.proxy_uri.split("://", 1)[-1]
-        up = self.table.rewrite_request(msg, "forward", origin_server)
+        up = self.table.rewrite_request(msg, origin_server)
         Exchange(self, up, frame.origin, self._send_tunneled,
                  self.tunnel_pending,
                  on_giveup=lambda: self.tunnel_queue.pop(up.token, None),

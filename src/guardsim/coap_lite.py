@@ -17,10 +17,6 @@ class EventAfterFinal(Exception):
     """A transmission event arrived after the exchange already concluded."""
 
 
-class MissingProxyUri(Exception):
-    pass
-
-
 class UnknownOrigin(Exception):
     pass
 
@@ -222,28 +218,18 @@ class ProxyTable:
         self._next_mid = (self._next_mid + 1) & 0xFFFF
         return m
 
-    def rewrite_request(self, msg: SimMessage, mode: str, origin: str) -> SimMessage:
-        """Rewrite a client request for forwarding to `origin` (the server).
+    def rewrite_request(self, msg: SimMessage, origin: str | None) -> SimMessage:
+        """Rewrite a client request for relaying to `origin` (the server).
 
-        Forward mode consumes the Proxy-Uri option; reverse mode requires the
-        request to be addressed to the proxy itself. The OSCORE header and
-        payload pass through untouched.
+        Any Proxy-Uri option is consumed; the OSCORE header and payload pass
+        through untouched.
         """
-        if mode == "forward":
-            if msg.proxy_uri is None:
-                raise MissingProxyUri("forward proxying requires Proxy-Uri")
-        elif mode == "reverse":
-            if msg.dst != self.proxy_address:
-                raise UnknownOrigin(f"reverse proxy got dst {msg.dst!r}")
-            if origin is None:
-                raise UnknownOrigin("no origin server registered")
-        else:
-            raise ValueError(f"unknown proxy mode {mode!r}")
+        if origin is None:
+            raise UnknownOrigin("no origin server registered")
         token = self.new_token()
         self.out[token] = (msg.src, msg.token, msg.mid)
-        out = msg.copy(src=self.proxy_address, dst=origin, token=token,
-                       mid=self.new_mid(), proxy_uri=None)
-        return out
+        return msg.copy(src=self.proxy_address, dst=origin, token=token,
+                        mid=self.new_mid(), proxy_uri=None)
 
     def rewrite_response(self, msg: SimMessage) -> SimMessage | None:
         """Map a server response back to the original client exchange."""

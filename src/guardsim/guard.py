@@ -83,24 +83,12 @@ class ThrottlePolicy:
         if cls not in self._aggregate:
             self._aggregate[cls] = TokenBucket(spec.aggregate_rate,
                                                spec.aggregate_burst)
-        per = self._per_source[key]
-        agg = self._aggregate[cls]
-        # Evaluate both so refills stay in sync, then require both.
-        ok_per = per.admit(now_ms)
-        if not ok_per:
-            return False
-        if not agg.admit(now_ms):
-            # The per-source token is gone; that is intentional, a starved
-            # aggregate should not make per-source budgets refillable.
-            return False
-        return True
-
-
-def throttle_admit(policy: ThrottlePolicy, cls: str, source: str,
-                   now_ms: int) -> str:
-    if cls in (ALLOW_LISTED, TUNNEL):
-        raise ValueError(f"class {cls} is not subject to buckets")
-    return "admit" if policy.admit(cls, source, now_ms) else "drop"
+        # Per-source first: a refusal there returns before the aggregate
+        # bucket is touched. An aggregate refusal still spends the
+        # per-source token, so a starved aggregate does not make per-source
+        # budgets refillable.
+        return (self._per_source[key].admit(now_ms)
+                and self._aggregate[cls].admit(now_ms))
 
 
 @dataclass
@@ -298,9 +286,9 @@ class GuardState:
         """
         cls = self.classify(msg, now_ms)
         if cls == NON_PROXY:
-            verdict = throttle_admit(self.policy, NON_PROXY, msg.src, now_ms)
-            return (("forward", {"cls": NON_PROXY}) if verdict == "admit"
-                    else ("drop", {"cls": NON_PROXY, "reason": "throttled"}))
+            if self.policy.admit(NON_PROXY, msg.src, now_ms):
+                return ("forward", {"cls": NON_PROXY})
+            return ("drop", {"cls": NON_PROXY, "reason": "throttled"})
 
         rec = self.flow(msg.src, now_ms)
         verified_now = False
@@ -330,16 +318,13 @@ class GuardState:
             rec.last_update_ms = now_ms
             return ("forward", {"cls": cls})
         if cls == REACHABILITY_VERIFIED:
-            verdict = throttle_admit(self.policy, REACHABILITY_VERIFIED,
-                                     msg.src, now_ms)
-            if verdict != "admit":
+            if not self.policy.admit(REACHABILITY_VERIFIED, msg.src, now_ms):
                 return ("drop", {"cls": cls, "reason": "throttled"})
             return ("forward", {"cls": cls})
         # Unknown via proxy; mobile flows are prioritized through the
         # reachability-verified buckets but still challenged.
         bucket_cls = REACHABILITY_VERIFIED if rec.elevated else UNKNOWN_VIA_PROXY
-        verdict = throttle_admit(self.policy, bucket_cls, msg.src, now_ms)
-        if verdict != "admit":
+        if not self.policy.admit(bucket_cls, msg.src, now_ms):
             return ("drop", {"cls": cls, "reason": "throttled"})
         if verified_now:
             return ("forward", {"cls": rec.cls})

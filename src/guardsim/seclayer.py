@@ -6,7 +6,9 @@ tampering and replay behave faithfully inside the simulator. The interface
 is small enough that a real AEAD could be dropped in.
 
 The keystream is `shake_128(b"k" + key + nonce)`, XORed over the plaintext,
-and the 8-byte tag is `shake_128(b"t" + key + nonce + aad + plaintext)`.
+and the 8-byte tag is `shake_128(b"t" + key + nonce + aad + plaintext)` with
+a 4-byte big-endian length in front of each of key, nonce and aad, so that
+no two (nonce, aad) splits of the same bytes share a tag.
 `shake_128` comes from CPython's built-in `_sha3` module rather than
 `hashlib`, whose import loads OpenSSL. Key derivation, key ids and key
 confirmation keep FNV-1a (`fnv1a64`), because their outputs reach kids,
@@ -62,8 +64,13 @@ def _xor_keystream(key: bytes, nonce: bytes, data: bytes) -> bytes:
         len(data), "big")
 
 
+def _framed(field: bytes) -> bytes:
+    return len(field).to_bytes(4, "big") + field
+
+
 def _tag(key: bytes, nonce: bytes, aad: bytes, plaintext: bytes) -> bytes:
-    return shake_128(b"t" + key + nonce + aad + plaintext).digest(TAG_LEN)
+    return shake_128(b"t" + _framed(key) + _framed(nonce) + _framed(aad)
+                     + plaintext).digest(TAG_LEN)
 
 
 def aead_seal(key: bytes, nonce: bytes, aad: bytes, plaintext: bytes) -> bytes:

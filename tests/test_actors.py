@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from guardsim.actors import (FloodAttacker, Impersonator, Node,
+from guardsim.actors import (FloodAttacker, GuardNode, Impersonator, Node,
                              OnPathAttacker, RendezvousEntry, RendezvousNode,
                              deserialize_full, serialize_full)
 from guardsim.coap_lite import SimMessage, message_size
@@ -142,7 +142,87 @@ def test_upstream_giveup_leaves_no_proxy_table_entry():
     world.run_until(world.clock.now + 70_000)
     assert world.trace.by_kind("upstream_giveup")
     assert guard.table.out == {}
-    assert guard.pending_up == {}
+    assert guard.relaying == set()
+
+
+def relay_setup(silent_server=False):
+    """An exemptions world with `cli` allow-listed at the guard, and a log
+    of what the guard sends toward `cli` as (code, payload_kind, origin)."""
+    handles = run_quiet("exemptions")
+    world, guard = handles.world, handles.server_router
+    if silent_server:
+        handles.server.handle = lambda frame, from_addr: None
+    guard.gstate.flow("cli", world.clock.now).cls = ALLOW_LISTED
+    sent = []
+    send_frame = guard.send_frame
+
+    def logged(msg, origin):
+        if msg.dst == "cli":
+            sent.append((msg.code, msg.payload_kind, origin))
+        send_frame(msg, origin)
+
+    guard.send_frame = logged
+    req = SimMessage(src="cli", dst="rtrS", mtype="CON", mid=5,
+                     token=b"\x05", code="POST", payload_kind="edhoc_m1",
+                     payload={"eph": b"e", "session": 1}, payload_len=40)
+    return world, guard, req, sent
+
+
+def upstream_frames(trace):
+    return [e for e in trace.by_kind("link_frame")
+            if e["node"] == "rtrS->srv"
+            and e["detail"]["payload_kind"] == "edhoc_m1"]
+
+
+def test_exemptions_answers_retransmission_from_cache():
+    world, guard, req, sent = relay_setup()
+    guard.receive(make_frame(req), "rtrC")
+    world.run_until(world.clock.now + 1000)
+    assert sent == [("EMPTY", None, "legit"), ("2.04", "edhoc_m2", "legit")]
+    assert len(upstream_frames(world.trace)) == 1
+    guard.receive(make_frame(req, "attacker"), "rtrC")
+    world.run_until(world.clock.now + 1000)
+    # The same answer again, under the retransmission's origin; no second
+    # empty ACK and nothing more upstream.
+    assert sent[2:] == [("2.04", "edhoc_m2", "attacker")]
+    assert len(upstream_frames(world.trace)) == 1
+
+
+def test_exemptions_retransmission_in_flight_gets_only_an_empty_ack():
+    world, guard, req, sent = relay_setup(silent_server=True)
+    guard.receive(make_frame(req), "rtrC")
+    guard.receive(make_frame(req), "rtrC")
+    world.run_until(world.clock.now + 1000)
+    assert sent == [("EMPTY", None, "legit"), ("EMPTY", None, "legit")]
+    assert len(upstream_frames(world.trace)) == 1
+    assert len(guard.table.out) == 1
+    assert guard.relaying == {("cli", "05")}
+
+
+def test_relay_cache_keeps_the_newest_64_answers():
+    world = World(seed=1)
+    guard = GuardNode(world, "g", "srv")
+    guard.origin_server = "srv"
+    upstream = []
+    guard.send_con = lambda up, origin, on_response, on_giveup: \
+        upstream.append((up, on_response))
+    delivered = []
+    for i in range(65):
+        req = SimMessage(src="cli", dst="g", mid=i, token=bytes([i]))
+        guard.relay(i, req, "legit",
+                    lambda answer, origin: delivered.append(answer.mid))
+    for up, on_response in upstream:
+        on_response(SimMessage(src="srv", dst="g", mtype="ACK", mid=up.mid,
+                               token=up.token, code="2.05"),
+                    make_frame(up))
+    assert delivered == list(range(65))
+    assert list(guard.answered) == list(range(1, 65))
+    guard.relay(64, SimMessage(src="cli", dst="g", mid=64, token=b"\x40"),
+                "legit", None)  # a cached answer uses the first `deliver`
+    assert delivered[-1] == 64 and len(upstream) == 65
+    guard.relay(0, SimMessage(src="cli", dst="g", mid=0, token=b"\x00"),
+                "legit", None)  # evicted: relayed again
+    assert len(upstream) == 66
 
 
 def test_baseline_throttled_router_keeps_no_flow_state():
@@ -275,8 +355,30 @@ def test_server_tunnel_end_giveup_leaves_no_proxy_table_entry():
     world.run_until(until + 70_000)
     guard = handles.server_router
     assert [e for e in world.trace.by_kind("giveup") if e["node"] == "rtrS"]
+    assert [e for e in world.trace.by_kind("upstream_giveup")
+            if e["node"] == "rtrS"]
     assert guard.table.out == {}
-    assert guard.tunnel_pending_in == {}
+    assert guard.relaying == set()
+
+
+def test_server_tunnel_end_relays_retransmission_in_flight_once():
+    handles = run_fullguard_steady(until_ms=30_000)
+    world, server = handles.world, handles.server
+    tunnel_out, tunnel_in = handles.client_router, handles.server_router
+    server.handle = lambda frame, from_addr: None  # silent server
+    inner = SimMessage(src="rtrC", dst="srv", mtype="CON", mid=77,
+                       token=b"\x77\x77", code="POST", payload_kind="oscore",
+                       oscore_kid=b"\x01", oscore_piv=3, payload_len=20)
+    # Two tunnel frames (fresh outer pivs) carrying the same inner request.
+    for _ in range(2):
+        tunnel_out.send_tunnel_data(tunnel_out.tunnel_ctx, inner, "rtrS",
+                                    "legit")
+    world.run_until(world.clock.now + 1000)
+    assert len(world.trace.by_kind("tunnel_replay")) == 0
+    relayed = [v for v in tunnel_in.table.out.values()
+               if v == ("rtrC", b"\x77\x77", 77)]
+    assert len(relayed) == 1
+    assert ("rtrC", "7777", 3) in tunnel_in.relaying
 
 
 def test_client_tunnel_end_blocks_requests_and_passes_responses_inward():

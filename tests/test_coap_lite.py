@@ -3,9 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from guardsim.coap_lite import (EventAfterFinal, MissingProxyUri, ProxyTable,
-                                SimMessage, TokensExhausted, TxState,
-                                UnknownOrigin,
+from guardsim.coap_lite import (EventAfterFinal, ProxyTable, SimMessage,
+                                TokensExhausted, TxState, UnknownOrigin,
                                 deserialize_inner, give_up_time_ms,
                                 message_size, serialize_inner, tx_step)
 
@@ -120,30 +119,24 @@ def test_forward_rewrite_strips_proxy_uri():
     table = ProxyTable("proxy")
     msg = SimMessage(src="cli", dst="proxy", token=b"\xaa", mid=7,
                      proxy_uri="coap://srv/r")
-    out = table.rewrite_request(msg, "forward", "srv")
+    out = table.rewrite_request(msg, "srv")
     assert out.dst == "srv"
     assert out.src == "proxy"
     assert out.proxy_uri is None
 
 
-def test_forward_without_proxy_uri_raises():
+def test_rewrite_without_origin_raises():
     table = ProxyTable("proxy")
-    msg = SimMessage(src="cli", dst="proxy")
-    with pytest.raises(MissingProxyUri):
-        table.rewrite_request(msg, "forward", "srv")
-
-
-def test_reverse_requires_proxy_destination():
-    table = ProxyTable("proxy")
-    msg = SimMessage(src="cli", dst="elsewhere")
+    msg = SimMessage(src="cli", dst="proxy", token=b"\x01")
     with pytest.raises(UnknownOrigin):
-        table.rewrite_request(msg, "reverse", "srv")
+        table.rewrite_request(msg, None)
+    assert table.out == {}
 
 
 def test_reverse_round_trip_identity():
     table = ProxyTable("proxy")
     req = SimMessage(src="cli", dst="proxy", token=b"\x11\x22", mid=42)
-    up = table.rewrite_request(req, "reverse", "srv")
+    up = table.rewrite_request(req, "srv")
     resp = SimMessage(src="srv", dst="proxy", mtype="ACK", mid=up.mid,
                       token=up.token, code="2.05")
     down = table.rewrite_response(resp)
@@ -156,7 +149,7 @@ def test_rewrite_preserves_oscore_header_and_payload():
     req = SimMessage(src="cli", dst="proxy", token=b"\x01",
                      oscore_kid=b"\x07", oscore_piv=9, payload_len=33,
                      sealed=b"sealed-bytes")
-    up = table.rewrite_request(req, "reverse", "srv")
+    up = table.rewrite_request(req, "srv")
     assert up.oscore_kid == b"\x07"
     assert up.oscore_piv == 9
     assert up.payload_len == 33
@@ -168,7 +161,7 @@ def test_token_remap_injective():
     tokens = set()
     for i in range(200):
         req = SimMessage(src=f"cli{i}", dst="proxy", token=b"\x01", mid=i)
-        up = table.rewrite_request(req, "reverse", "srv")
+        up = table.rewrite_request(req, "srv")
         tokens.add(up.token)
     assert len(tokens) == 200
 
@@ -176,7 +169,7 @@ def test_token_remap_injective():
 def test_new_token_skips_live_tokens_after_wrap():
     table = ProxyTable("proxy")
     live = [table.rewrite_request(SimMessage(src="cli", dst="proxy", mid=i),
-                                  "reverse", "srv").token for i in range(2)]
+                                  "srv").token for i in range(2)]
     assert live == [b"\x00\x01", b"\x00\x02"]
     issued = [table.new_token() for _ in range(3, 0x10000)]
     assert issued[-1] == b"\xff\xff"

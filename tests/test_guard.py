@@ -7,7 +7,7 @@ from guardsim.guard import (ALLOW_LISTED, BucketSpec, CLASS_PRIORITY,
                             IMPLAUSIBLE_JUMP, KNOWN_MOBILE, NON_PROXY,
                             PLAUSIBLE, REACHABILITY_VERIFIED, SeqTracker,
                             ThrottlePolicy, TokenBucket, TUNNEL,
-                            UNKNOWN_VIA_PROXY, seq_check, throttle_admit)
+                            UNKNOWN_VIA_PROXY, seq_check)
 from guardsim.netsim import Rng
 
 PROXY = "rtrS"
@@ -51,22 +51,21 @@ def test_direct_to_server_is_non_proxy():
 def test_zero_rate_bucket_drops_everything():
     policy = ThrottlePolicy({UNKNOWN_VIA_PROXY: BucketSpec(0, 0, 0, 0)})
     for t in (0, 1000, 60_000):
-        assert throttle_admit(policy, UNKNOWN_VIA_PROXY, "a", t) == "drop"
+        assert policy.admit(UNKNOWN_VIA_PROXY, "a", t) is False
 
 
 def test_bucket_burst_arithmetic():
     # rate 1/s, burst 2: five messages at t=0 -> 2 admitted, 3 dropped.
     policy = ThrottlePolicy({UNKNOWN_VIA_PROXY: BucketSpec(1.0, 2, 100.0, 100)})
-    verdicts = [throttle_admit(policy, UNKNOWN_VIA_PROXY, "a", 0)
-                for _ in range(5)]
-    assert verdicts == ["admit", "admit", "drop", "drop", "drop"]
+    verdicts = [policy.admit(UNKNOWN_VIA_PROXY, "a", 0) for _ in range(5)]
+    assert verdicts == [True, True, False, False, False]
 
 
 def test_bucket_refills_over_time():
     policy = ThrottlePolicy({UNKNOWN_VIA_PROXY: BucketSpec(1.0, 1, 100.0, 100)})
-    assert throttle_admit(policy, UNKNOWN_VIA_PROXY, "a", 0) == "admit"
-    assert throttle_admit(policy, UNKNOWN_VIA_PROXY, "a", 500) == "drop"
-    assert throttle_admit(policy, UNKNOWN_VIA_PROXY, "a", 1500) == "admit"
+    assert policy.admit(UNKNOWN_VIA_PROXY, "a", 0) is True
+    assert policy.admit(UNKNOWN_VIA_PROXY, "a", 500) is False
+    assert policy.admit(UNKNOWN_VIA_PROXY, "a", 1500) is True
 
 
 def test_aggregate_bucket_caps_distributed_sources():
@@ -74,15 +73,14 @@ def test_aggregate_bucket_caps_distributed_sources():
     # message each at t=0 admit exactly 3 in total.
     policy = ThrottlePolicy({UNKNOWN_VIA_PROXY: BucketSpec(1.0, 1, 3.0, 3)})
     admitted = sum(
-        throttle_admit(policy, UNKNOWN_VIA_PROXY, f"s{i}", 0) == "admit"
-        for i in range(10))
+        policy.admit(UNKNOWN_VIA_PROXY, f"s{i}", 0) for i in range(10))
     assert admitted == 3
 
 
 def test_starved_aggregate_still_consumes_per_source():
     policy = ThrottlePolicy({UNKNOWN_VIA_PROXY: BucketSpec(1.0, 1, 1.0, 1)})
-    assert throttle_admit(policy, UNKNOWN_VIA_PROXY, "a", 0) == "admit"
-    assert throttle_admit(policy, UNKNOWN_VIA_PROXY, "b", 0) == "drop"
+    assert policy.admit(UNKNOWN_VIA_PROXY, "a", 0) is True
+    assert policy.admit(UNKNOWN_VIA_PROXY, "b", 0) is False
     # b's per-source token was consumed by the failed attempt.
     assert policy._per_source[(UNKNOWN_VIA_PROXY, "b")].tokens < 1.0
 

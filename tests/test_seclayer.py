@@ -3,6 +3,7 @@
 import hashlib
 import os
 import random
+import struct
 import subprocess
 import sys
 
@@ -41,10 +42,13 @@ def test_fnv1a64_continues_from_a_prefix_state(a, b):
 def _reference_seal(key, nonce, aad, plaintext):
     """The AEAD by its definition, on hashlib's SHAKE128 (OpenSSL's where
     the build links it) rather than the `_sha3` module guardsim imports,
-    with the keystream XORed one byte at a time."""
+    with the keystream XORed one byte at a time and each tag field
+    length-prefixed by `struct`."""
     ks = hashlib.shake_128(b"k" + key + nonce).digest(len(plaintext))
     ct = bytes(p ^ k for p, k in zip(plaintext, ks))
-    return ct + hashlib.shake_128(b"t" + key + nonce + aad + plaintext).digest(8)
+    tag_input = b"t" + b"".join(struct.pack(">I", len(f)) + f
+                                for f in (key, nonce, aad))
+    return ct + hashlib.shake_128(tag_input + plaintext).digest(8)
 
 
 # Short frames, lengths around the first SHAKE128 rate-block boundaries
@@ -69,10 +73,10 @@ def test_seal_empty_plaintext_is_tag_only():
 
 # Frozen outputs of `_reference_seal`.
 SEAL_VECTORS = [
-    ((bytes(16), b"\x00", b"", b""), "c3759639c93d447f"),
-    ((bytes(16), b"\x00", b"", b"A"), "d9cd028fd7b0ba4d74"),
+    ((bytes(16), b"\x00", b"", b""), "e4ae5905a08cefa8"),
+    ((bytes(16), b"\x00", b"", b"A"), "d953225f987af51d01"),
     ((b"k" * 16, b"n", b"aad", b"hello world"),
-     "c63c03d8061891eda2a93151a4b180dbac2d4e"),
+     "c63c03d8061891eda2a931fa9d5859d1599010"),
 ]
 
 
@@ -80,6 +84,15 @@ def test_seal_fixed_vector():
     for args, expected in SEAL_VECTORS:
         assert aead_seal(*args).hex() == expected
         assert aead_open(*args[:3], bytes.fromhex(expected)) == args[3]
+
+
+def test_tag_separates_nonce_from_aad():
+    """The same bytes split differently between nonce and aad are a
+    different tag input, even with nothing encrypted."""
+    key = bytes(16)
+    sealed = aead_seal(key, b"ab", b"c", b"")
+    with pytest.raises(AuthError):
+        aead_open(key, b"a", b"bc", sealed)
 
 
 @given(st.binary(max_size=64), st.binary(min_size=16, max_size=16),
