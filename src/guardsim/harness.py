@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import gc
 import io
 import json
 import statistics
@@ -264,8 +265,8 @@ def _connect(world: World, a, b, spec: LinkSpec, tag: str) -> None:
                spec.delay_ms, spec.queue_capacity)
     fwd.tag = tag
     rev.tag = tag
-    a.links[b.address] = fwd
-    b.links[a.address] = rev
+    a.attach(b, fwd)
+    b.attach(a, rev)
 
 
 def build_world(config: SimConfig, scenario: str, attack_kind: str,
@@ -559,6 +560,11 @@ def run_matrix(config: SimConfig) -> dict:
             errored = True
             cells.append({"scenario": scenario, "attack": attack,
                           "error": f"{type(e).__name__}: {e}"})
+        # A cell's two worlds are cyclic garbage (each node refers to its
+        # world and the world to its nodes). By the end of a cell they sit
+        # in the oldest generation, which no automatic collection reaches
+        # during a matrix, so free them before the next cell.
+        gc.collect()
     return {"seed": config.seed, "cells": cells, "errored": errored}
 
 

@@ -34,15 +34,14 @@ class Rng:
         self.state = seed & MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & MASK64
-        z = self.state
+        z = self.state = (self.state + 0x9E3779B97F4A7C15) & MASK64
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
         return z ^ (z >> 31)
 
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 bits of entropy."""
-        return (self.next_u64() >> 11) / float(1 << 53)
+        return (self.next_u64() >> 11) / 9007199254740992.0  # 2.0 ** 53
 
     def randrange(self, n: int) -> int:
         if n <= 0:
@@ -50,6 +49,8 @@ class Rng:
         return self.next_u64() % n
 
     def bytes(self, n: int) -> bytes:
+        if n == 8:  # nonces and ephemeral keys: one draw
+            return self.next_u64().to_bytes(8, "big")
         out = bytearray()
         while len(out) < n:
             out += self.next_u64().to_bytes(8, "big")
@@ -90,12 +91,12 @@ class EventQueue:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def peek_time(self) -> int | None:
-        return self._heap[0][0] if self._heap else None
-
     def pop(self):
+        """Remove the earliest event, advance the clock to it and return its
+        callable. `schedule` refuses past times, so the clock never goes
+        back here and needs no `advance` check."""
         at, _, fn = heapq.heappop(self._heap)
-        self.clock.advance(at)
+        self.clock.now = at
         return fn
 
 
@@ -223,7 +224,8 @@ class Link:
     Serialization time is size*8/bandwidth; frames that arrive while
     `queue_capacity` frames are still serializing are dropped. An optional
     interceptor, a `frame -> frame` callable, models an on-path attacker:
-    it may pass or replace frames at delivery time.
+    it may pass or replace frames at delivery time. `tag` marks the link's
+    segment; `Node.send_via` traces every frame on a "constrained" link.
     """
 
     def __init__(self, world, name: str, bandwidth_bps: int, delay_ms: int,
@@ -233,6 +235,7 @@ class Link:
         self.bandwidth_bps = bandwidth_bps
         self.delay_ms = delay_ms
         self.queue_capacity = queue_capacity
+        self.tag = None
         self._busy_until = 0
         # Serialization-end times, non-decreasing: each is
         # max(now, _busy_until) + serialization time.
@@ -254,19 +257,31 @@ class Link:
         return (bits * 1000 + self.bandwidth_bps - 1) // self.bandwidth_bps
 
     def transmit(self, frame: Frame, deliver_fn) -> tuple[str, int | None]:
-        """Enqueue a frame. Returns ("delivered", at_ms) or ("dropped", None)."""
-        now = self.world.clock.now
+        """Enqueue a frame for `deliver_fn(frame)` at the far end.
+
+        Returns ("delivered", at_ms) or ("dropped", None). The interceptor
+        and the delivered counters act at delivery time. The queue length
+        and serialization time are those of `queue_len` and
+        `serialization_ms`, computed inline: this runs once per hop.
+        """
+        world = self.world
+        now = world.clock.now
         self.n_sent += 1
-        if self.queue_len(now) >= self.queue_capacity:
+        pending = self._pending
+        while pending and pending[0] <= now:
+            pending.popleft()
+        if len(pending) >= self.queue_capacity:
             self.n_dropped += 1
-            self.world.emit("drop", self.name, reason="queue_full",
-                            dst=frame.msg.dst, origin=frame.origin,
-                            size=frame.size)
+            world.emit("drop", self.name, reason="queue_full",
+                       dst=frame.msg.dst, origin=frame.origin,
+                       size=frame.size)
             return ("dropped", None)
-        start = max(now, self._busy_until)
-        end = start + self.serialization_ms(frame.size)
+        busy = self._busy_until
+        bandwidth = self.bandwidth_bps
+        end = ((busy if busy > now else now)
+               + (frame.size * 8000 + bandwidth - 1) // bandwidth)
         self._busy_until = end
-        self._pending.append(end)
+        pending.append(end)
         deliver_at = end + self.delay_ms
 
         def deliver():
@@ -277,7 +292,7 @@ class Link:
             self.bytes_delivered += out.size
             deliver_fn(out)
 
-        self.world.schedule(deliver_at, deliver)
+        world.queue.schedule(deliver_at, deliver)
         return ("delivered", deliver_at)
 
 
@@ -315,8 +330,11 @@ class World:
     def run_until(self, t_end: int) -> Trace | NullTrace:
         if t_end < self.clock.now:
             raise SchedulingInPast(f"t_end {t_end} < now {self.clock.now}")
-        while self.queue and self.queue.peek_time() <= t_end:
-            fn = self.queue.pop()
-            fn()
+        # Every event goes through `EventQueue.pop`; the loop only peeks at
+        # the heap's earliest time itself.
+        heap = self.queue._heap
+        pop = self.queue.pop
+        while heap and heap[0][0] <= t_end:
+            pop()()
         self.clock.advance(t_end)
         return self.trace

@@ -528,6 +528,28 @@ def test_blind_flood_single_spoofed_source():
         atk.sent += 1
 
 
+def test_flood_frames_carry_the_message_size_and_draw_in_order():
+    # Each flood frame is sent with the constant FRAME_SIZE, which must be
+    # `message_size` of what it carries; draws: target, then the eph key.
+    world = World(seed=1)
+    atk = FloodAttacker(world, 20.0, n_sources=3,
+                        targets=["rtrS/srv", "srv"])
+    atk.rng = Rng(9)
+    sent = []
+    atk.forward = lambda frame, from_addr: sent.append(frame)
+    mirror = Rng(9)
+    for _ in range(40):
+        dst = ["rtrS/srv", "srv"][mirror.randrange(2)]
+        eph = mirror.bytes(8)
+        atk.send_frame(atk._build_message(), "attacker")
+        frame = sent[-1]
+        assert (frame.msg.dst, frame.msg.payload["eph"]) == (dst, eph)
+        assert frame.size == message_size(frame.msg) == FloodAttacker.FRAME_SIZE
+        atk.sent += 1
+    assert atk.rng.state == mirror.state
+    assert {f.msg.dst for f in sent} == {"rtrS/srv", "srv"}
+
+
 def victim_with(kid, pivs):
     """Stand-in for a client: its context's kid and the pivs it sent."""
     return SimpleNamespace(ctx=SimpleNamespace(sender_id=kid), sent_pivs=pivs)

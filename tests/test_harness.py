@@ -1,8 +1,10 @@
 """Configuration handling, classification rules, energy reporting, rendering."""
 
+import gc
 import json
 import pathlib
 import re
+import weakref
 from dataclasses import fields, is_dataclass
 
 import pytest
@@ -13,7 +15,8 @@ from guardsim.harness import (ATTACKS, ConfigError, MATRIX_CELLS, SCENARIOS,
                               config_from_dict, derive_seed, energy_report,
                               load_config, matrix_to_csv, matrix_to_markdown,
                               report_to_json, resource_label, run_cell,
-                              run_subrun)
+                              run_matrix, run_subrun)
+from guardsim import harness
 from guardsim.netsim import (ATTACK_CAUSES, EnergyLedger, NullTrace, Trace,
                              World)
 
@@ -252,6 +255,36 @@ def test_ledger_equals_running_sums_over_the_trace(scenario, attack):
         assert world.ledger.total == total
         assert world.ledger.by_cause == by_cause
         assert world.ledger.attributable == attributable
+
+
+# --- memory ------------------------------------------------------------------------------
+
+def test_run_matrix_frees_each_cells_worlds(monkeypatch):
+    # With automatic collection off, a world is freed only if something
+    # breaks or collects its cycles before `run_matrix` returns.
+    cfg = config_from_dict({
+        "seed": 42,
+        "durations": {"setup_ms": 10_000, "warmup_ms": 1_000,
+                      "steady_ms": 10_000, "grace_ms": 1_000}})
+    worlds = []
+
+    def tracked_world(*args, **kwargs):
+        world = World(*args, **kwargs)
+        worlds.append(weakref.ref(world))
+        return world
+
+    monkeypatch.setattr(harness, "World", tracked_world)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        report = run_matrix(cfg)
+        alive = [i for i, ref in enumerate(worlds) if ref() is not None]
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert not report["errored"]
+    assert len(worlds) == 2 * len(MATRIX_CELLS)
+    assert alive == []
 
 
 # --- rendering -------------------------------------------------------------------------

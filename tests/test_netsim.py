@@ -49,6 +49,21 @@ def test_rng_bytes_length():
         assert len(rng.bytes(n)) == n
 
 
+def _bytes_by_blocks(rng, n):
+    out = bytearray()
+    while len(out) < n:
+        out += rng.next_u64().to_bytes(8, "big")
+    return bytes(out[:n])
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(0, 64))
+def test_rng_bytes_is_the_block_loop(seed, n):
+    # Whole big-endian draws, the last one cut; the 8-byte fast path too.
+    fast, loop = Rng(seed), Rng(seed)
+    assert fast.bytes(n) == _bytes_by_blocks(loop, n)
+    assert fast.state == loop.state
+
+
 # --- clock and queue --------------------------------------------------------
 
 def test_queue_stable_tie_break():
@@ -159,6 +174,52 @@ def test_link_delivery_callback_and_conservation():
     world.run_until(10_000)
     assert len(got) == link.n_delivered
     assert link.n_delivered + link.n_dropped == link.n_sent
+
+
+def test_link_counts_deliveries_when_they_happen():
+    # 125 bytes take 1 s; the counters move at delivery, not at transmit.
+    world = World(seed=1)
+    link = Link(world, "a->b", 1000, 50, 8)
+    got = []
+    link.transmit(_frame(125), got.append)
+    link.transmit(_frame(50), got.append)
+    assert (link.n_sent, link.n_delivered, link.bytes_delivered) == (2, 0, 0)
+    world.run_until(1049)
+    assert (link.n_delivered, link.bytes_delivered, got) == (0, 0, [])
+    world.run_until(1050)
+    assert (link.n_delivered, link.bytes_delivered) == (1, 125)
+    world.run_until(1450)
+    assert (link.n_delivered, link.bytes_delivered) == (2, 175)
+    assert [fr.size for fr in got] == [125, 50]
+
+
+def test_link_counts_what_the_interceptor_delivers():
+    world = World(seed=1)
+    link = Link(world, "a->b", 1000, 0, 8)
+    seen = []
+
+    def swap(frame):
+        seen.append(world.clock.now)
+        return _frame(frame.size + 10, dst="c")
+
+    link.interceptor = swap
+    got = []
+    link.transmit(_frame(125), got.append)
+    assert seen == [] and link.n_delivered == 0
+    world.run_until(1000)
+    assert seen == [1000]
+    assert (link.n_delivered, link.bytes_delivered) == (1, 135)
+    assert [(fr.msg.dst, fr.size) for fr in got] == [("c", 135)]
+
+
+def test_frame_in_flight_at_the_end_is_not_delivered():
+    world = World(seed=1)
+    link = Link(world, "a->b", 1000, 10, 8)
+    got = []
+    link.transmit(_frame(125), got.append)  # arrives at 1010
+    world.run_until(1009)
+    assert (link.n_sent, link.n_delivered, link.bytes_delivered) == (1, 0, 0)
+    assert got == [] and len(world.queue) == 1
 
 
 def test_one_message_over_one_second_link():

@@ -1,6 +1,8 @@
 """Byte-level trace pins: short seed-42 runs of the cells that exercise the
 edge throttle, Echo challenges, empty ACKs, seq_conflict rejects, reverse
-proxying, tunnel retransmits, tunnel auth failures and renegotiation.
+proxying, tunnel retransmits, tunnel auth failures and renegotiation, and
+floods, unguarded (link tail drops) and behind fullguard. Call pins count
+the events and link transmissions of two flood cells.
 
 A refactor of the actor layer must leave every trace byte where it was; a
 digest that moves means behaviour moved. Re-record a digest only together
@@ -11,6 +13,7 @@ import hashlib
 
 import pytest
 
+from guardsim import netsim
 from guardsim.harness import SimConfig, run_cell
 
 PINS = {
@@ -29,6 +32,26 @@ PINS = {
     ("fullguard", "impersonator"): (
         "abb8ca3be993c8181dc9c11ef4d06c69715c8f9157ccca1fe4c30e4fafd15209",
         "39da41c12889e79be488a1ea233edb52743fdf485d129c6fa27a9a3e8461c229"),
+    # Floods: unguarded, they overrun the constrained links' queues
+    # (`queue_full` tail drops); behind fullguard, the server end drops
+    # them first.
+    ("baseline-open", "blind_flood"): (
+        "cb894357383814ecc3413f5701f91ae60becba214755113ef0b8c94e3ad4ef40",
+        "c6927f434ca28c20ce714f2c1461883063f036dc720117bb0a060779e7b95edc"),
+    ("baseline-open", "distributed_flood"): (
+        "664d33bb450b1af86ac130e3e9a31ecdfc076dc26fa9109a926feba7e3aaac3e",
+        "34043a6ad31c4715e18fa43eb72a18a3f27e065943eb140344f0660f1eec7a27"),
+    ("fullguard", "distributed_flood"): (
+        "bfde99f263a5f7eacd96a72c76d99880286ffdcdd713394102adcf82d173c951",
+        "a2bc8bc3329590a658f595d030a027bc304bd43ded07286b12773fdabe8131c2"),
+}
+
+# Events popped and `Link.transmit` calls over both sub-runs of a cell.
+# `perfbench` reports the same two counts as `netsim.events` and
+# `netsim.transmit_calls`.
+CALL_PINS = {
+    ("baseline-open", "blind_flood"): (5105, 4748),
+    ("exemptions", "distributed_flood"): (8565, 4393),
 }
 
 
@@ -51,3 +74,23 @@ def test_subrun_traces_match_pinned_digests(scenario, attack):
     digests = tuple(hashlib.sha256(tr.to_jsonl().encode()).hexdigest()
                     for tr in cell["_traces"])
     assert digests == PINS[(scenario, attack)]
+
+
+@pytest.mark.parametrize("scenario,attack", list(CALL_PINS),
+                         ids=[f"{s}-{a}" for s, a in CALL_PINS])
+def test_event_and_transmit_counts_match_pins(monkeypatch, scenario, attack):
+    counts = {"pop": 0, "transmit": 0}
+    pop, transmit = netsim.EventQueue.pop, netsim.Link.transmit
+
+    def counted_pop(self):
+        counts["pop"] += 1
+        return pop(self)
+
+    def counted_transmit(self, frame, deliver_fn):
+        counts["transmit"] += 1
+        return transmit(self, frame, deliver_fn)
+
+    monkeypatch.setattr(netsim.EventQueue, "pop", counted_pop)
+    monkeypatch.setattr(netsim.Link, "transmit", counted_transmit)
+    run_cell(short_config(), scenario, attack)
+    assert (counts["pop"], counts["transmit"]) == CALL_PINS[(scenario, attack)]
