@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 from . import ace as ace_mod
 from .coap_lite import (DEFAULT_BASE_TIMEOUT_MS, DEFAULT_RETRANSMIT_LIMIT,
-                        FIXED_HEADER, ProxyTable, SimMessage, TxState, ack,
-                        matches, message_size, tx_step)
+                        ProxyTable, SimMessage, TxState, ack, matches,
+                        message_size, tx_step)
 from .netsim import EnergyBudget, Frame, World
 from . import seclayer
 from .seclayer import (AuthError, ReplayError, SecurityContext, UnknownKid,
@@ -123,7 +123,6 @@ class Node:
         self.address = address
         self.energy = energy
         self.links = {}  # neighbor address -> outgoing Link
-        self.receivers = {}  # neighbor address -> its `receive` from us
         self.routes: list[tuple[str, str]] = []  # (prefix-or-exact, neighbor)
         self._mid = 0
         self._token = 0
@@ -182,23 +181,11 @@ class Node:
             return
         self.send_via(frame, neighbor)
 
-    def attach(self, neighbor: "Node", link) -> None:
-        """Make `link` this node's way out to `neighbor`.
-
-        Also builds, once per neighbour, the receiver that `send_via`
-        hands to `Link.transmit`: it calls `neighbor.receive(frame,
-        self.address)` when the frame arrives.
-        """
-        from_addr = self.address
-        self.links[neighbor.address] = link
-        self.receivers[neighbor.address] = (
-            lambda frame: neighbor.receive(frame, from_addr))
-
     def send_via(self, frame: Frame, neighbor: str) -> None:
         """Put `frame` on the link to `neighbor`; the only way out of a node.
 
         Frames on a "constrained" link are traced as `link_frame`. The link
-        delivers to the neighbour's receiver built by `attach`.
+        delivers to its `receiver`, the neighbour's `receive` from us.
         """
         link = self.links[neighbor]
         if link.tag == "constrained":
@@ -206,7 +193,7 @@ class Node:
             self.world.emit("link_frame", link.name, dst=msg.dst, src=msg.src,
                             payload_kind=msg.payload_kind, code=msg.code,
                             origin=frame.origin)
-        link.transmit(frame, self.receivers[neighbor])
+        link.transmit(frame, link.receiver)
 
     def handle(self, frame: Frame, from_addr: str) -> None:
         self.world.emit("drop", self.address, reason="unhandled",
@@ -1365,30 +1352,21 @@ class FloodAttacker(AttackerNode):
     from `n_sources` spoofed sources in turn at `rate` frames/s each. The
     blind flood is the one-source case."""
 
-    # `message_size` of every flood message: a 4-byte token and an EDHOC
-    # message 1, no options.
-    FRAME_SIZE = FIXED_HEADER + 4 + EDHOC_MSG_SIZES[0]
-
     def __init__(self, world, rate, n_sources=1, address="atk",
                  targets=("srv",), start_ms=0, stop_ms=10**12):
         super().__init__(world, address, targets, rate * n_sources,
                          start_ms, stop_ms)
         self.sources = [f"x{i}" for i in range(n_sources)]
 
-    def send_frame(self, msg: SimMessage, origin: str) -> None:
-        self.forward(Frame(msg, origin, self.FRAME_SIZE), self.address)
-
     def _build_message(self) -> SimMessage:
         # Split between the published address and the raw server address;
-        # only a guard in front makes the two differ. The draws are those
-        # of `rng.randrange(len(targets))` and `rng.bytes(8)`, in order.
-        rng = self.rng
-        dst = self.targets[rng.next_u64() % len(self.targets)]
+        # only a guard in front makes the two differ.
+        dst = self.targets[self.rng.randrange(len(self.targets))]
         return SimMessage(src=self.sources[self.sent % len(self.sources)],
                           dst=dst, mtype="CON", mid=self.new_mid(),
                           token=self.new_token(), code="POST",
                           payload_kind="edhoc_m1",
-                          payload={"eph": rng.next_u64().to_bytes(8, "big"),
+                          payload={"eph": self.rng.bytes(8),
                                    "session": self.sent},
                           payload_len=EDHOC_MSG_SIZES[0])
 

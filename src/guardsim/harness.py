@@ -265,8 +265,10 @@ def _connect(world: World, a, b, spec: LinkSpec, tag: str) -> None:
                spec.delay_ms, spec.queue_capacity)
     fwd.tag = tag
     rev.tag = tag
-    a.attach(b, fwd)
-    b.attach(a, rev)
+    fwd.receiver = lambda frame: b.receive(frame, a.address)
+    rev.receiver = lambda frame: a.receive(frame, b.address)
+    a.links[b.address] = fwd
+    b.links[a.address] = rev
 
 
 def build_world(config: SimConfig, scenario: str, attack_kind: str,

@@ -92,12 +92,16 @@ class EventQueue:
         return len(self._heap)
 
     def pop(self):
-        """Remove the earliest event, advance the clock to it and return its
-        callable. `schedule` refuses past times, so the clock never goes
-        back here and needs no `advance` check."""
         at, _, fn = heapq.heappop(self._heap)
-        self.clock.now = at
+        self.clock.advance(at)
         return fn
+
+    def run_until(self, t_end: int) -> None:
+        """Pop and run, in order, every event due at or before `t_end`."""
+        heap = self._heap
+        pop = self.pop
+        while heap and heap[0][0] <= t_end:
+            pop()()
 
 
 class Trace:
@@ -226,6 +230,8 @@ class Link:
     interceptor, a `frame -> frame` callable, models an on-path attacker:
     it may pass or replace frames at delivery time. `tag` marks the link's
     segment; `Node.send_via` traces every frame on a "constrained" link.
+    `receiver`, a `frame -> None` callable set when the link is wired, is
+    the far end's way in; `Node.send_via` passes it to `transmit`.
     """
 
     def __init__(self, world, name: str, bandwidth_bps: int, delay_ms: int,
@@ -236,6 +242,7 @@ class Link:
         self.delay_ms = delay_ms
         self.queue_capacity = queue_capacity
         self.tag = None
+        self.receiver = None
         self._busy_until = 0
         # Serialization-end times, non-decreasing: each is
         # max(now, _busy_until) + serialization time.
@@ -252,25 +259,16 @@ class Link:
             pending.popleft()
         return len(pending)
 
-    def serialization_ms(self, size: int) -> int:
-        bits = size * 8
-        return (bits * 1000 + self.bandwidth_bps - 1) // self.bandwidth_bps
-
     def transmit(self, frame: Frame, deliver_fn) -> tuple[str, int | None]:
         """Enqueue a frame for `deliver_fn(frame)` at the far end.
 
         Returns ("delivered", at_ms) or ("dropped", None). The interceptor
-        and the delivered counters act at delivery time. The queue length
-        and serialization time are those of `queue_len` and
-        `serialization_ms`, computed inline: this runs once per hop.
+        and the delivered counters act at delivery time.
         """
         world = self.world
         now = world.clock.now
         self.n_sent += 1
-        pending = self._pending
-        while pending and pending[0] <= now:
-            pending.popleft()
-        if len(pending) >= self.queue_capacity:
+        if self.queue_len(now) >= self.queue_capacity:
             self.n_dropped += 1
             world.emit("drop", self.name, reason="queue_full",
                        dst=frame.msg.dst, origin=frame.origin,
@@ -281,7 +279,7 @@ class Link:
         end = ((busy if busy > now else now)
                + (frame.size * 8000 + bandwidth - 1) // bandwidth)
         self._busy_until = end
-        pending.append(end)
+        self._pending.append(end)
         deliver_at = end + self.delay_ms
 
         def deliver():
@@ -330,11 +328,6 @@ class World:
     def run_until(self, t_end: int) -> Trace | NullTrace:
         if t_end < self.clock.now:
             raise SchedulingInPast(f"t_end {t_end} < now {self.clock.now}")
-        # Every event goes through `EventQueue.pop`; the loop only peeks at
-        # the heap's earliest time itself.
-        heap = self.queue._heap
-        pop = self.queue.pop
-        while heap and heap[0][0] <= t_end:
-            pop()()
+        self.queue.run_until(t_end)
         self.clock.advance(t_end)
         return self.trace

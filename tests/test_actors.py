@@ -528,9 +528,9 @@ def test_blind_flood_single_spoofed_source():
         atk.sent += 1
 
 
-def test_flood_frames_carry_the_message_size_and_draw_in_order():
-    # Each flood frame is sent with the constant FRAME_SIZE, which must be
-    # `message_size` of what it carries; draws: target, then the eph key.
+def test_flood_frames_draw_target_then_eph_key():
+    # Each flood frame draws its target, then its eph key, from the
+    # attacker's generator and nothing else; frames carry `message_size`.
     world = World(seed=1)
     atk = FloodAttacker(world, 20.0, n_sources=3,
                         targets=["rtrS/srv", "srv"])
@@ -544,7 +544,7 @@ def test_flood_frames_carry_the_message_size_and_draw_in_order():
         atk.send_frame(atk._build_message(), "attacker")
         frame = sent[-1]
         assert (frame.msg.dst, frame.msg.payload["eph"]) == (dst, eph)
-        assert frame.size == message_size(frame.msg) == FloodAttacker.FRAME_SIZE
+        assert frame.size == message_size(frame.msg)
         atk.sent += 1
     assert atk.rng.state == mirror.state
     assert {f.msg.dst for f in sent} == {"rtrS/srv", "srv"}

@@ -255,8 +255,10 @@ def test_link_bandwidth_bound(sends):
                 min_size=1, max_size=60))
 def test_queue_len_matches_brute_force_count(sends):
     # Irregular send times, bursts at one timestamp included; the queue is
-    # every accepted frame whose serialization has not ended yet. At 8 kbit/s
-    # a byte takes 1 ms, so sends often land exactly on a serialization end.
+    # every accepted frame whose serialization has not ended yet, and
+    # `transmit` drops exactly when it is full. Each accepted frame ends
+    # serializing `size` ms after the later of now and the previous end: at
+    # 8 kbit/s a byte takes 1 ms, so sends often land exactly on an end.
     world = World(seed=1)
     link = Link(world, "a->b", 8000, 5, 4)
     ends = []
@@ -264,11 +266,17 @@ def test_queue_len_matches_brute_force_count(sends):
     for size, gap in sends:
         now += gap
         world.clock.now = now
-        assert link.queue_len(now) == sum(1 for e in ends if e > now)
+        queued = sum(1 for e in ends if e > now)
+        assert link.queue_len(now) == queued
         status, at = link.transmit(_frame(size), lambda fr: None)
-        if status == "delivered":
-            ends.append(at - link.delay_ms)
+        if queued >= link.queue_capacity:
+            assert (status, at) == ("dropped", None)
+        else:
+            end = max([now] + ends) + size
+            assert (status, at) == ("delivered", end + link.delay_ms)
+            ends.append(end)
         assert link.queue_len(now) == sum(1 for e in ends if e > now)
+    assert link.n_dropped == len(sends) - len(ends)
 
 
 # --- energy --------------------------------------------------------------------
