@@ -34,20 +34,25 @@ DEFAULT_RETRANSMIT_LIMIT = 4
 
 @dataclass
 class SimMessage:
+    # The first nine fields are the ones a flood frame sets, in the order
+    # `FloodAttacker._build_message` passes them by position: CPython
+    # takes about twice as long over a class call with keywords, and flood
+    # frames are most of the messages a matrix builds. Other callers pass
+    # keywords.
     src: str
     dst: str
     mtype: str = "CON"  # CON | NON | ACK | RST
     mid: int = 0
     token: bytes = b""
     code: str = "GET"  # request method, response class like "2.05", or "EMPTY"
+    # Simulation-level content; not part of the size formula beyond payload_len.
+    payload_kind: str | None = None
+    payload: dict = field(default_factory=dict)
+    payload_len: int = 0
     proxy_uri: str | None = None
     echo: bytes | None = None
     oscore_kid: bytes | None = None
     oscore_piv: int | None = None
-    payload_len: int = 0
-    # Simulation-level content; not part of the size formula beyond payload_len.
-    payload_kind: str | None = None
-    payload: dict = field(default_factory=dict)
     sealed: bytes | None = None
 
     def copy(self, **changes) -> "SimMessage":
@@ -157,7 +162,7 @@ def tx_step(state: TxState, now: int, event: str) -> str:
 
     Returns the action to take: "retransmit", "give_up", "done" or "none".
     Timeouts double per attempt; with base b and limit n the k-th
-    transmission happens at b*(2^(k-1)-1) and give-up at b*(2^(n+1)-2).
+    transmission happens at b*(2^(k-1)-1) and give-up at b*(2^(n+1)-1).
     """
     if state.outcome != PENDING:
         raise EventAfterFinal(f"event {event!r} after outcome {state.outcome!r}")
@@ -177,14 +182,6 @@ def tx_step(state: TxState, now: int, event: str) -> str:
         state.final_at = now
         return "give_up"
     raise ValueError(f"unknown tx event {event!r}")
-
-
-def give_up_time_ms(base_timeout_ms: int, retransmit_limit: int) -> int:
-    """Total time until give-up: base * (2^(limit+1) - 1).
-
-    Sum of the doubling timeout series b + 2b + ... + 2^limit * b.
-    """
-    return base_timeout_ms * ((1 << (retransmit_limit + 1)) - 1)
 
 
 # --- Proxy rewriting -----------------------------------------------------

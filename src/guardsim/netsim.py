@@ -2,42 +2,76 @@
 
 Time is kept as integer milliseconds throughout so that traces are
 bit-reproducible across platforms. All randomness flows through a seeded
-SplitMix64 generator owned by the world.
+SplitMix64 generator owned by the world. SplitMix64's n-th output is a
+function of the seed and n alone, so `Rng` computes its outputs in blocks,
+one big-integer pass per block of up to `BLOCK_CAP` draws, and hands out
+exactly the numbers a draw-by-draw loop would.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
+import struct
 from collections import deque
 from dataclasses import dataclass, field
 
 MASK64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's state increment
 
 
 class SchedulingInPast(Exception):
     """Raised when an event is scheduled before the current clock time."""
 
 
-def s_to_ms(seconds: float) -> int:
-    return int(round(seconds * 1000))
-
-
 class Rng:
-    """SplitMix64 pseudo-random generator.
+    """SplitMix64 pseudo-random generator, drawn in blocks.
 
     Identical seeds produce identical streams in any implementation
     language, which is what keeps event traces reproducible.
+
+    SplitMix64 is counter-based: the k-th output after state s is
+    mix((s + k*GAMMA) mod 2**64), independent of the outputs before it.
+    So one pass of `mix` over a packed integer whose 128-bit lanes hold
+    consecutive states yields a whole block of outputs, the same ones a
+    draw-by-draw loop would give. A lane holds a 64-bit value and the
+    product of two of them, so no step carries into the next lane; a mask
+    after each step clears the bits a right shift brings down from it.
+    The first block is one draw, so a generator that `fork` makes and
+    draws from once computes one; each refill doubles the block up to
+    `BLOCK_CAP` draws, buffered as a list of ints: up to ~10 KB per
+    generator. `state` is the state a draw-by-draw generator would have.
     """
 
     def __init__(self, seed: int):
-        self.state = seed & MASK64
+        self._end = seed & MASK64  # state after the last buffered draw
+        self._buf: list[int] = []  # buffered outputs, next one last
+        self._block = 1  # draws in the next refill
+
+    @property
+    def state(self) -> int:
+        return (self._end - len(self._buf) * GAMMA) & MASK64
 
     def next_u64(self) -> int:
-        z = self.state = (self.state + 0x9E3779B97F4A7C15) & MASK64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-        return z ^ (z >> 31)
+        buf = self._buf
+        if buf:
+            return buf.pop()
+        return self._refill()
+
+    def _refill(self) -> int:
+        k = self._block
+        if k < BLOCK_CAP:
+            self._block = 2 * k
+        ones, steps, mask, unpack = _block_plan(k)
+        end = self._end
+        self._end = (end + k * GAMMA) & MASK64
+        z = (end * ones + steps) & mask
+        z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+        z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
+        z ^= z >> 31  # the unpack reads only each lane's low 64 bits
+        buf = self._buf = list(unpack(z.to_bytes(16 * k, "little")))
+        return buf.pop()
 
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 bits of entropy."""
@@ -58,9 +92,30 @@ class Rng:
 
     def fork(self, salt: int) -> "Rng":
         """Derive an independent generator; used for per-subrun seeding."""
-        child = Rng(self.state ^ (salt * 0x9E3779B97F4A7C15 & MASK64))
+        child = Rng(self.state ^ (salt * GAMMA & MASK64))
         child.next_u64()
         return child
+
+
+# Past 256 draws per block the time per draw stops falling (timeit, Python
+# 3.11: ~0.21 us at 256 and at 1024 draws, ~0.28 us at 64), while each
+# busy generator's buffer grows by ~40 bytes a draw: a cap of 1024 took
+# 0.27 MB more peak memory than 256 on the 2000-source flood.
+BLOCK_CAP = 256
+
+
+@functools.cache
+def _block_plan(k: int):
+    """Constants of one refill of `k` draws: lane j, at bit 128*j, holds
+    the state of draw k - j, so the little-endian unpack lists the draws
+    last first and `list.pop` hands them out in order."""
+    layout = struct.Struct("<" + "Q8x" * k)
+
+    def packed(lanes):
+        return int.from_bytes(layout.pack(*lanes), "little")
+
+    ones = packed([1] * k)
+    return ones, GAMMA * packed(range(k, 0, -1)), MASK64 * ones, layout.unpack
 
 
 class SimClock:
@@ -232,6 +287,12 @@ class Link:
     segment; `Node.send_via` traces every frame on a "constrained" link.
     `receiver`, a `frame -> None` callable set when the link is wired, is
     the far end's way in; `Node.send_via` passes it to `transmit`.
+
+    A link delivers its frames in the order it sent them: each delivery
+    time is a serialization end, which never decreases, plus the fixed
+    `delay_ms`, and the event queue breaks equal times by insertion order.
+    So `transmit` keeps the frames in flight in a FIFO, and every frame's
+    delivery event is the same bound method, which takes the oldest.
     """
 
     def __init__(self, world, name: str, bandwidth_bps: int, delay_ms: int,
@@ -247,6 +308,9 @@ class Link:
         # Serialization-end times, non-decreasing: each is
         # max(now, _busy_until) + serialization time.
         self._pending: deque[int] = deque()
+        # (frame, deliver_fn) of each frame sent and not yet delivered.
+        self._in_flight: deque[tuple[Frame, object]] = deque()
+        self._deliver = self._deliver_oldest  # bound once, not per frame
         self.interceptor = None
         self.n_sent = 0
         self.n_delivered = 0
@@ -281,17 +345,17 @@ class Link:
         self._busy_until = end
         self._pending.append(end)
         deliver_at = end + self.delay_ms
-
-        def deliver():
-            out = frame
-            if self.interceptor is not None:
-                out = self.interceptor(frame)
-            self.n_delivered += 1
-            self.bytes_delivered += out.size
-            deliver_fn(out)
-
-        world.queue.schedule(deliver_at, deliver)
+        world.queue.schedule(deliver_at, self._deliver)
+        self._in_flight.append((frame, deliver_fn))
         return ("delivered", deliver_at)
+
+    def _deliver_oldest(self) -> None:
+        frame, deliver_fn = self._in_flight.popleft()
+        if self.interceptor is not None:
+            frame = self.interceptor(frame)
+        self.n_delivered += 1
+        self.bytes_delivered += frame.size
+        deliver_fn(frame)
 
 
 class World:

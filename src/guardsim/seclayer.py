@@ -132,11 +132,6 @@ class ReplayWindow:
         return True
 
 
-def replay_window_check(window: ReplayWindow, seq: int) -> str:
-    """Accept (and mark) or Reject a sequence number."""
-    return "accept" if window.accept(seq) else "reject"
-
-
 # --- OSCORE-lite context ---------------------------------------------------
 
 

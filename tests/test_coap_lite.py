@@ -5,8 +5,8 @@ from hypothesis import given, strategies as st
 
 from guardsim.coap_lite import (EventAfterFinal, ProxyTable, SimMessage,
                                 TokensExhausted, TxState, UnknownOrigin,
-                                deserialize_inner, give_up_time_ms,
-                                message_size, serialize_inner, tx_step)
+                                deserialize_inner, message_size,
+                                serialize_inner, tx_step)
 
 
 # --- message size -------------------------------------------------------------
@@ -52,6 +52,12 @@ def brute_force_schedule(base_ms, limit):
         timeout *= 2
         times.append(t)
     return times, t + timeout
+
+
+def give_up_time_ms(base_ms, limit):
+    """Closed form of the give-up time: the doubling timeouts
+    b + 2b + ... + 2^limit * b sum to b * (2^(limit+1) - 1)."""
+    return base_ms * ((1 << (limit + 1)) - 1)
 
 
 def drive_tx(base_ms, limit):

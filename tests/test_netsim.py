@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from guardsim.coap_lite import SimMessage
-from guardsim.netsim import (EnergyBudget, EnergyLedger, EventQueue, Frame,
-                             Link, Rng, SchedulingInPast, SimClock, Trace,
-                             World, drain_energy, s_to_ms)
+from guardsim.netsim import (MASK64, EnergyBudget, EnergyLedger, EventQueue,
+                             Frame, Link, Rng, SchedulingInPast, SimClock,
+                             Trace, World, drain_energy)
 
 
 # --- SplitMix64 -------------------------------------------------------------
@@ -16,6 +16,9 @@ SPLITMIX_VECTORS = {
     0: [16294208416658607535, 7960286522194355700, 487617019471545679],
     1234567: [6457827717110365317, 3203168211198807973, 9817491932198370423],
 }
+
+# Multiplying a state difference by this counts the draws between them.
+GAMMA_INVERSE = pow(0x9E3779B97F4A7C15, -1, 2**64)
 
 
 def test_splitmix64_reference_vectors():
@@ -47,6 +50,66 @@ def test_rng_bytes_length():
     rng = Rng(3)
     for n in (0, 1, 7, 8, 9, 33):
         assert len(rng.bytes(n)) == n
+
+
+class ScalarSplitMix64:
+    """Oracle: the draw-by-draw SplitMix64 loop, one state step per draw,
+    with `Rng`'s derived draws written on top of it."""
+
+    def __init__(self, seed):
+        self.state = seed & MASK64
+
+    def next_u64(self):
+        z = self.state = (self.state + 0x9E3779B97F4A7C15) & MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        return z ^ (z >> 31)
+
+    def random(self):
+        return (self.next_u64() >> 11) / 2.0 ** 53
+
+    def randrange(self, n):
+        return self.next_u64() % n
+
+    def bytes(self, n):
+        out = b"".join(self.next_u64().to_bytes(8, "big")
+                       for _ in range((n + 7) // 8))
+        return out[:n]
+
+    def fork(self, salt):
+        child = ScalarSplitMix64(self.state ^ (salt * 0x9E3779B97F4A7C15
+                                               & MASK64))
+        child.next_u64()
+        return child
+
+
+RNG_CALLS = st.one_of(
+    st.tuples(st.just("next_u64")),
+    st.tuples(st.just("random")),
+    st.tuples(st.just("randrange"), st.integers(1, 2**70)),
+    st.tuples(st.just("bytes"), st.integers(0, 40)),
+    st.tuples(st.just("fork"), st.integers(0, 2**64 - 1)),
+)
+
+
+@given(st.integers(0, 2**64 - 1), st.lists(RNG_CALLS, min_size=1, max_size=40))
+def test_block_rng_matches_the_scalar_loop(seed, calls):
+    # The calls, and one draw after them, repeat until 600 draws: past
+    # the refills of 1, 2, ... 256 draws.
+    rng, oracle = Rng(seed), ScalarSplitMix64(seed)
+    draws = 0
+    while draws < 600:
+        for name, *args in calls + [("next_u64",)]:
+            before = oracle.state
+            got = getattr(rng, name)(*args)
+            want = getattr(oracle, name)(*args)
+            draws += ((oracle.state - before) * GAMMA_INVERSE) & MASK64
+            if name == "fork":
+                assert got.state == want.state
+                got, want = ([r.next_u64() for _ in range(3)]
+                             for r in (got, want))
+            assert got == want
+            assert rng.state == oracle.state
 
 
 def _bytes_by_blocks(rng, n):
@@ -212,6 +275,21 @@ def test_link_counts_what_the_interceptor_delivers():
     assert [(fr.msg.dst, fr.size) for fr in got] == [("c", 135)]
 
 
+def test_link_interceptor_set_in_flight_acts_at_delivery():
+    # Both frames were sent before the interceptor was set; the one still
+    # in flight when it is set passes through it.
+    world = World(seed=1)
+    link = Link(world, "a->b", 1000, 0, 8)
+    got = []
+    link.transmit(_frame(125), got.append)  # arrives at 1000
+    link.transmit(_frame(50), got.append)  # arrives at 1400
+    world.run_until(1000)
+    link.interceptor = lambda frame: _frame(frame.size + 10, dst="c")
+    world.run_until(2000)
+    assert [(fr.msg.dst, fr.size) for fr in got] == [("b", 125), ("c", 60)]
+    assert (link.n_delivered, link.bytes_delivered) == (2, 185)
+
+
 def test_frame_in_flight_at_the_end_is_not_delivered():
     world = World(seed=1)
     link = Link(world, "a->b", 1000, 10, 8)
@@ -220,6 +298,38 @@ def test_frame_in_flight_at_the_end_is_not_delivered():
     world.run_until(1009)
     assert (link.n_sent, link.n_delivered, link.bytes_delivered) == (1, 0, 0)
     assert got == [] and len(world.queue) == 1
+    # A later run delivers it, and a frame sent after it follows it.
+    link.transmit(_frame(50), got.append)  # arrives at 1410
+    world.run_until(1010)
+    assert (link.n_delivered, link.bytes_delivered) == (1, 125)
+    world.run_until(5000)
+    assert (link.n_sent, link.n_delivered, link.bytes_delivered) == (2, 2, 175)
+    assert [fr.size for fr in got] == [125, 50]
+
+
+@given(st.lists(st.tuples(st.integers(1, 60), st.integers(0, 3000)),
+                min_size=1, max_size=40), st.integers(0, 30))
+def test_link_delivers_in_send_order_to_each_senders_fn(sends, delay_ms):
+    # Senders at irregular times, bursts included, each with its own
+    # `deliver_fn`: every accepted frame reaches its own sender's function
+    # at the time `transmit` returned, and the link as a whole delivers in
+    # send order.
+    world = World(seed=1)
+    link = Link(world, "a->b", 8000, delay_ms, 6)
+    sent, got = [], []
+
+    def send(i, size):
+        frame = _frame(size + 4)
+        status, at = link.transmit(
+            frame, lambda fr: got.append((i, fr, world.clock.now)))
+        if status == "delivered":
+            sent.append((i, frame, at))
+
+    for i, (size, t) in enumerate(sorted(sends, key=lambda p: p[1])):
+        world.schedule(t, lambda i=i, size=size: send(i, size))
+    world.run_until(10_000_000)
+    assert got == sent
+    assert link.n_delivered == len(sent) == link.n_sent - link.n_dropped
 
 
 def test_one_message_over_one_second_link():
@@ -365,8 +475,3 @@ def test_trace_by_kind():
     tr.emit(3, "send", "a")
     assert len(tr.by_kind("send")) == 2
     assert len(tr.by_kind("send", "recv")) == 3
-
-
-def test_s_to_ms():
-    assert s_to_ms(2.5) == 2500
-    assert s_to_ms(0.0015) == 2

@@ -2,7 +2,8 @@
 edge throttle, Echo challenges, empty ACKs, seq_conflict rejects, reverse
 proxying, tunnel retransmits, tunnel auth failures and renegotiation, and
 floods, unguarded (link tail drops) and behind fullguard. Call pins count
-the events and link transmissions of two flood cells.
+the events and link transmissions of two flood cells, and state pins fix
+how many RNG draws each node makes in one flood sub-run.
 
 A refactor of the actor layer must leave every trace byte where it was; a
 digest that moves means behaviour moved. Re-record a digest only together
@@ -14,7 +15,7 @@ import hashlib
 import pytest
 
 from guardsim import netsim
-from guardsim.harness import SimConfig, run_cell
+from guardsim.harness import SimConfig, run_cell, run_subrun
 
 PINS = {
     ("baseline-throttled", "blind_flood"): (
@@ -52,6 +53,16 @@ PINS = {
 CALL_PINS = {
     ("baseline-open", "blind_flood"): (5105, 4748),
     ("exemptions", "distributed_flood"): (8565, 4393),
+}
+
+# Each node's `rng.state` at the end of the steady sub-run of
+# baseline-open x distributed_flood. A state is the seed's plus one step
+# per draw, so equal states mean the same number of draws.
+RNG_STATE_PINS = {
+    "rtrC": 0x09a23bdd21d50861, "rtrS": 0x676ac2a1a29e8488,
+    "srv": 0xff6e7e7e74e80f04, "cli": 0xc9ef50f21f7df837,
+    "rd": 0x808054bf20ff1845, "as": 0xde48db7ba5c8943c,
+    "atk": 0x2dc7a78a1d74f15d,
 }
 
 
@@ -94,3 +105,11 @@ def test_event_and_transmit_counts_match_pins(monkeypatch, scenario, attack):
     monkeypatch.setattr(netsim.Link, "transmit", counted_transmit)
     run_cell(short_config(), scenario, attack)
     assert (counts["pop"], counts["transmit"]) == CALL_PINS[(scenario, attack)]
+
+
+def test_node_rng_states_match_pins():
+    sub = run_subrun(short_config(), "baseline-open", "distributed_flood",
+                     "steady")
+    states = {addr: node.rng.state
+              for addr, node in sub.handles.world.nodes.items()}
+    assert states == RNG_STATE_PINS
