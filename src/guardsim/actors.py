@@ -2,12 +2,14 @@
 and the attackers: `FloodAttacker` (blind and distributed floods),
 `Impersonator` and `OnPathAttacker`, each an `AttackerNode`.
 
-Addresses are plain strings; routing is a static table of
-`coap_lite.matches` patterns per node. Every frame leaves a node through
-`Node.send_via`, every confirmable request (plain or tunneled) is one
-`Exchange`, every ACK is built by `coap_lite.ack`, and every request a
-server-side guard passes to the constrained server goes through
-`GuardNode.relay`.
+Addresses are plain strings; routing is a static table of patterns per
+node, compiled into a `coap_lite.AddressTable` when `Node.routes` is
+assigned. Every frame leaves a node through `Node.send_via`, every
+confirmable request (plain or tunneled) is one `Exchange`, every ACK is
+built by `coap_lite.ack`, and every request a server-side guard passes to
+the constrained server goes through `GuardNode.relay`. With no trace kept,
+the per-frame events (link frames, energy drains, blocks and drops) are
+not built at all.
 Topology (built by the harness):
 
     cli* -- rtrC -- (internet) -- rtrS -- srv
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 
 from . import ace as ace_mod
 from .coap_lite import (DEFAULT_BASE_TIMEOUT_MS, DEFAULT_RETRANSMIT_LIMIT,
-                        ProxyTable, SimMessage, TxState, ack, matches,
+                        AddressTable, ProxyTable, SimMessage, TxState, ack,
                         message_size, tx_step)
 from .netsim import EnergyBudget, Frame, World
 from . import seclayer
@@ -123,7 +125,7 @@ class Node:
         self.address = address
         self.energy = energy
         self.links = {}  # neighbor address -> outgoing Link
-        self.routes: list[tuple[str, str]] = []  # (prefix-or-exact, neighbor)
+        self.routes = ()  # compiled by the property below
         self._mid = 0
         self._token = 0
         self.outstanding: dict[bytes, "Exchange"] = {}
@@ -135,11 +137,18 @@ class Node:
     def owns(self, addr: str) -> bool:
         return addr == self.address
 
+    @property
+    def routes(self) -> tuple[tuple[str, str], ...]:
+        """`(pattern, neighbor)` entries, the first match wins. Assigning
+        compiles them into the `AddressTable` that `route_to` reads."""
+        return self._routes.entries
+
+    @routes.setter
+    def routes(self, entries) -> None:
+        self._routes = AddressTable(entries)
+
     def route_to(self, dst: str) -> str | None:
-        for pattern, neighbor in self.routes:
-            if matches(dst, pattern):
-                return neighbor
-        return None
+        return self._routes.get(dst)
 
     def new_mid(self) -> int:
         self._mid = (self._mid + 1) & 0xFFFF
@@ -188,7 +197,7 @@ class Node:
         delivers to its `receiver`, the neighbour's `receive` from us.
         """
         link = self.links[neighbor]
-        if link.tag == "constrained":
+        if link.tag == "constrained" and self.world.collect_trace:
             msg = frame.msg
             self.world.emit("link_frame", link.name, dst=msg.dst, src=msg.src,
                             payload_kind=msg.payload_kind, code=msg.code,
@@ -205,9 +214,11 @@ class Node:
             return
         amount = self.energy.drain(self.energy.cost_of(event, nbytes) * fraction)
         if amount > 0:
-            self.world.ledger.add(amount, cause)
-            self.world.emit("energy", self.address, amount=amount,
-                            cause=cause, event=event)
+            world = self.world
+            world.ledger.add(amount, cause)
+            if world.collect_trace:
+                world.emit("energy", self.address, amount=amount,
+                           cause=cause, event=event)
 
     # --- confirmable exchanges --------------------------------------------
 
@@ -330,20 +341,22 @@ class ThrottleRouter(RouterNode):
                  rate_per_s: float, burst: float):
         super().__init__(world, address)
         from .guard import TokenBucket
-        self.protected_prefixes = protected_prefixes
+        # True for an address inside, None outside.
+        self._protected = AddressTable(
+            (p, True) for p in protected_prefixes).get
         self.bucket = TokenBucket(rate_per_s, burst)
 
     def _inbound(self, msg: SimMessage, from_addr: str) -> bool:
-        going_in = any(matches(msg.dst, p) for p in self.protected_prefixes)
-        coming_in = not any(matches(from_addr, p)
-                            for p in self.protected_prefixes)
-        return going_in and coming_in
+        protected = self._protected
+        return protected(msg.dst) is not None and protected(from_addr) is None
 
     def forward(self, frame: Frame, from_addr: str) -> None:
         if self._inbound(frame.msg, from_addr):
-            if not self.bucket.admit(self.world.clock.now):
-                self.world.emit("drop", self.address, reason="throttled",
-                                origin=frame.origin, dst=frame.msg.dst)
+            world = self.world
+            if not self.bucket.admit(world.clock.now):
+                if world.collect_trace:
+                    world.emit("drop", self.address, reason="throttled",
+                               origin=frame.origin, dst=frame.msg.dst)
                 return
         super().forward(frame, from_addr)
 
@@ -881,7 +894,8 @@ class GuardNode(RouterNode):
 
     def __init__(self, world, address, constrained_prefix, key_id=""):
         super().__init__(world, address)
-        self.constrained_prefix = constrained_prefix
+        # True for an address inside the guarded network, None outside.
+        self._inside = AddressTable([(constrained_prefix, True)]).get
         self.key_id = key_id
         self.table = ProxyTable(address)
         self.relaying: set[tuple] = set()  # keys awaiting the server
@@ -891,9 +905,6 @@ class GuardNode(RouterNode):
         self.audience_key: bytes = b""
         self.accepted_as: tuple | None = None
         self.guard_key_issued: str | None = None
-
-    def _inside(self, addr: str) -> bool:
-        return matches(addr, self.constrained_prefix)
 
     # --- dispatch -------------------------------------------------------------
 
@@ -922,8 +933,10 @@ class GuardNode(RouterNode):
         self.world.emit("drop", self.address, reason="unhandled_inside")
 
     def _block(self, frame: Frame, **detail) -> None:
-        self.world.emit("blocked", self.address, origin=frame.origin,
-                        kind2=frame.msg.payload_kind, **detail)
+        world = self.world
+        if world.collect_trace:
+            world.emit("blocked", self.address, origin=frame.origin,
+                       kind2=frame.msg.payload_kind, **detail)
 
     # --- relaying to the origin server -----------------------------------------
 
@@ -1023,7 +1036,7 @@ class ExemptionsGuard(GuardNode):
             self.world.emit("seq_conflict", self.address, src=msg.src,
                             origin=frame.origin)
             self.reply(msg, "legit", "4.01", payload_len=2)
-        else:  # drop
+        elif self.world.collect_trace:  # a drop, traced
             self.world.emit("guard_drop", self.address, src=msg.src,
                             reason=detail.get("reason", action),
                             origin=frame.origin)

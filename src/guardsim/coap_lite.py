@@ -3,8 +3,9 @@ retransmission, proxying.
 
 Message sizes are synthetic (fixed header + token + per-option overhead +
 payload length), good enough for bandwidth and energy modeling but not
-wire-accurate. Addresses are plain strings; a pattern ending in `*` matches
-every address with that prefix.
+wire-accurate. Addresses are plain strings; an `AddressTable` maps address
+patterns, where one ending in `*` matches every address with that prefix,
+to values such as next hops.
 """
 
 from __future__ import annotations
@@ -69,11 +70,38 @@ class SimMessage:
         return self.oscore_kid is not None
 
 
-def matches(addr: str, pattern: str) -> bool:
-    """Exact match, or prefix match when `pattern` ends in `*`."""
-    if pattern.endswith("*"):
-        return addr.startswith(pattern[:-1])
-    return addr == pattern
+class AddressTable:
+    """An ordered list of `(pattern, value)` entries, compiled once.
+
+    A pattern ending in `*` matches every address with that prefix; any
+    other pattern matches only itself. `get(addr)` returns the value of the
+    first entry that matches `addr`, or None, so values must not be None.
+    Exact patterns go in a dict and prefixes in a list kept in order; an
+    exact entry that an earlier prefix covers, or that repeats an earlier
+    one, can never be first to match and is left out.
+    """
+
+    def __init__(self, entries):
+        self.entries = tuple(entries)
+        self._exact: dict[str, object] = {}
+        self._prefixes: list[tuple[str, object]] = []
+        for pattern, value in self.entries:
+            if value is None:
+                raise ValueError(f"address pattern {pattern!r} maps to None")
+            if pattern.endswith("*"):
+                self._prefixes.append((pattern[:-1], value))
+            elif pattern not in self._exact and not any(
+                    pattern.startswith(p) for p, _ in self._prefixes):
+                self._exact[pattern] = value
+
+    def get(self, addr: str):
+        value = self._exact.get(addr)
+        if value is not None:
+            return value
+        for prefix, value in self._prefixes:
+            if addr.startswith(prefix):
+                return value
+        return None
 
 
 def ack(req: SimMessage, src: str, code: str, **fields) -> SimMessage:

@@ -360,10 +360,10 @@ def build_world(config: SimConfig, scenario: str, attack_kind: str,
         client.routes = [("*", "rtrC")]
     rtr_c.routes = ([("cli*", "cli")] if client is not None else []) + \
         [("*", "rtrS")]
-    rtr_s.routes = [("srv", "srv"), ("rd", "rd"), ("as", "as")]
-    if attacker is not None:
-        rtr_s.routes += [("x*", "atk"), ("atk", "atk")]
-    rtr_s.routes += [("*", "rtrC")]
+    rtr_s.routes = ([("srv", "srv"), ("rd", "rd"), ("as", "as")]
+                    + ([("x*", "atk"), ("atk", "atk")]
+                       if attacker is not None else [])
+                    + [("*", "rtrC")])
     server.routes = [("*", "rtrS")]
     rendezvous.routes = [("*", "rtrS")]
     authorization.routes = [("*", "rtrS")]
@@ -549,6 +549,13 @@ def run_cell(config: SimConfig, scenario: str, attack_kind: str,
     }
     if collect_traces:
         cell["_traces"] = (sub_a.handles.world.trace, sub_b.handles.world.trace)
+    # Each sub-run's world is cyclic garbage (each node refers to its world
+    # and the world to its nodes). By now both sit in the oldest
+    # generation, which automatic collection seldom reaches, so free them
+    # here, once no local name (the loops' `sub` and `node` included)
+    # refers to them.
+    del sub_a, sub_b, sub, node
+    gc.collect()
     return cell
 
 
@@ -562,11 +569,6 @@ def run_matrix(config: SimConfig) -> dict:
             errored = True
             cells.append({"scenario": scenario, "attack": attack,
                           "error": f"{type(e).__name__}: {e}"})
-        # A cell's two worlds are cyclic garbage (each node refers to its
-        # world and the world to its nodes). By the end of a cell they sit
-        # in the oldest generation, which no automatic collection reaches
-        # during a matrix, so free them before the next cell.
-        gc.collect()
     return {"seed": config.seed, "cells": cells, "errored": errored}
 
 

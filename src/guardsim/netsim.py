@@ -73,18 +73,25 @@ class Rng:
         buf = self._buf = list(unpack(z.to_bytes(16 * k, "little")))
         return buf.pop()
 
+    # `random`, `randrange` and `bytes(8)` pop the buffer themselves, as
+    # `next_u64` does, rather than call it: one Python frame less a draw.
+
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 bits of entropy."""
-        return (self.next_u64() >> 11) / 9007199254740992.0  # 2.0 ** 53
+        buf = self._buf
+        u = buf.pop() if buf else self._refill()
+        return (u >> 11) / 9007199254740992.0  # 2.0 ** 53
 
     def randrange(self, n: int) -> int:
         if n <= 0:
             raise ValueError("randrange needs n > 0")
-        return self.next_u64() % n
+        buf = self._buf
+        return (buf.pop() if buf else self._refill()) % n
 
     def bytes(self, n: int) -> bytes:
         if n == 8:  # nonces and ephemeral keys: one draw
-            return self.next_u64().to_bytes(8, "big")
+            buf = self._buf
+            return (buf.pop() if buf else self._refill()).to_bytes(8, "big")
         out = bytearray()
         while len(out) < n:
             out += self.next_u64().to_bytes(8, "big")
@@ -119,13 +126,16 @@ def _block_plan(k: int):
 
 
 class SimClock:
+    """Simulated time in integer milliseconds.
+
+    Only `EventQueue.pop` and `World.run_until` move `now`, and they write
+    it directly: `EventQueue.schedule` refuses a time before `now` and
+    `World.run_until` an end before it, so no event or end lies in the
+    past and `now` never decreases.
+    """
+
     def __init__(self):
         self.now = 0  # milliseconds
-
-    def advance(self, t: int) -> None:
-        if t < self.now:
-            raise SchedulingInPast(f"clock cannot go back: {t} < {self.now}")
-        self.now = t
 
 
 class EventQueue:
@@ -148,7 +158,7 @@ class EventQueue:
 
     def pop(self):
         at, _, fn = heapq.heappop(self._heap)
-        self.clock.advance(at)
+        self.clock.now = at
         return fn
 
     def run_until(self, t_end: int) -> None:
@@ -334,9 +344,10 @@ class Link:
         self.n_sent += 1
         if self.queue_len(now) >= self.queue_capacity:
             self.n_dropped += 1
-            world.emit("drop", self.name, reason="queue_full",
-                       dst=frame.msg.dst, origin=frame.origin,
-                       size=frame.size)
+            if world.collect_trace:
+                world.emit("drop", self.name, reason="queue_full",
+                           dst=frame.msg.dst, origin=frame.origin,
+                           size=frame.size)
             return ("dropped", None)
         busy = self._busy_until
         bandwidth = self.bandwidth_bps
@@ -362,7 +373,10 @@ class World:
     """Owns the clock, queue, RNG, energy ledger and trace for one run.
 
     The trace keeps events only with `collect_trace=True`; otherwise it is
-    a `NullTrace`, and `emit` returns without forwarding to it. Energy
+    a `NullTrace`, and `emit` returns without forwarding to it. The
+    per-frame call sites (`Link.transmit`'s tail drop, and in `actors`
+    link frames, energy drains, guard blocks and drops, throttled drops)
+    test `collect_trace` themselves and skip building the event. Energy
     figures come from `ledger`, which does not depend on the trace.
     """
 
@@ -393,5 +407,5 @@ class World:
         if t_end < self.clock.now:
             raise SchedulingInPast(f"t_end {t_end} < now {self.clock.now}")
         self.queue.run_until(t_end)
-        self.clock.advance(t_end)
+        self.clock.now = t_end
         return self.trace

@@ -74,6 +74,31 @@ def test_route_prefix_matching():
     assert node.route_to("anything") == "c"
 
 
+def test_reassigning_routes_recompiles_them():
+    node = Node(World(seed=1), "r")
+    assert node.routes == () and node.route_to("srv") is None
+    node.routes = [("srv", "a"), ("*", "c")]
+    assert node.routes == (("srv", "a"), ("*", "c"))
+    node.routes = [("x*", "b"), ("*", "d")]
+    assert node.route_to("srv") == "d"
+    assert node.route_to("x3") == "b"
+    node.routes = (("srv", "a"),) + node.routes
+    assert node.route_to("srv") == "a"
+
+
+def test_routes_cannot_grow_in_place():
+    # An in-place append would bypass the compiled table; only assignment
+    # may change the routes.
+    node = Node(World(seed=1), "r")
+    node.routes = [("*", "c")]
+    with pytest.raises(AttributeError):
+        node.routes.append(("srv", "a"))
+    with pytest.raises(TypeError):
+        node.routes += [("srv", "a")]
+    assert node.routes == (("*", "c"),)
+    assert node.route_to("srv") == "c"
+
+
 # --- scenario wiring and published entries -------------------------------------------
 
 def run_quiet(scenario, until_ms=30_000, mutate=None):

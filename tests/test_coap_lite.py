@@ -1,12 +1,12 @@
 """Message sizing, confirmable retransmission schedule, proxy rewriting."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from guardsim.coap_lite import (EventAfterFinal, ProxyTable, SimMessage,
-                                TokensExhausted, TxState, UnknownOrigin,
-                                deserialize_inner, message_size,
-                                serialize_inner, tx_step)
+from guardsim.coap_lite import (AddressTable, EventAfterFinal, ProxyTable,
+                                SimMessage, TokensExhausted, TxState,
+                                UnknownOrigin, deserialize_inner,
+                                message_size, serialize_inner, tx_step)
 
 
 # --- message size -------------------------------------------------------------
@@ -39,6 +39,43 @@ def test_size_grows_with_payload_and_token(payload, token_len):
     msg = SimMessage(src="a", dst="b", token=bytes(token_len),
                      payload_len=payload)
     assert message_size(msg) == 4 + token_len + payload
+
+
+# --- address tables ---------------------------------------------------------------
+
+def first_match(entries, addr):
+    """Oracle: the entry-by-entry matcher that `AddressTable` replaced."""
+    for pattern, value in entries:
+        if pattern.endswith("*"):
+            if addr.startswith(pattern[:-1]):
+                return value
+        elif addr == pattern:
+            return value
+    return None
+
+
+# Over a three-letter alphabet, drawn entry lists hold `*`, prefixes, exact
+# patterns, duplicates and exact patterns that an earlier prefix covers.
+PATTERNS = st.builds(lambda body, star: body + "*" * star,
+                     st.text("abx", max_size=3), st.booleans())
+
+
+@given(st.lists(PATTERNS, max_size=8),
+       st.lists(st.text("abx", max_size=4), max_size=8))
+@example(["x*", "x1", "a", "a", "srv", "*"], ["x1", "a", "srv1", "zz"])
+def test_address_table_returns_the_first_matching_entry(patterns, addrs):
+    # Each value is its entry's index (0 included), so the test sees which
+    # of several matching entries answered.
+    entries = [(pattern, i) for i, pattern in enumerate(patterns)]
+    table = AddressTable(entries)
+    assert table.entries == tuple(entries)
+    for addr in addrs + [p.rstrip("*") for p in patterns] + ["", "abxa"]:
+        assert table.get(addr) == first_match(entries, addr)
+
+
+def test_address_table_refuses_none_values():
+    with pytest.raises(ValueError):
+        AddressTable([("a", None)])
 
 
 # --- retransmission schedule ----------------------------------------------------

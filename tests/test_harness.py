@@ -259,13 +259,17 @@ def test_ledger_equals_running_sums_over_the_trace(scenario, attack):
 
 # --- memory ------------------------------------------------------------------------------
 
-def test_run_matrix_frees_each_cells_worlds(monkeypatch):
-    # With automatic collection off, a world is freed only if something
-    # breaks or collects its cycles before `run_matrix` returns.
-    cfg = config_from_dict({
-        "seed": 42,
-        "durations": {"setup_ms": 10_000, "warmup_ms": 1_000,
-                      "steady_ms": 10_000, "grace_ms": 1_000}})
+SHORT = config_from_dict({
+    "seed": 42,
+    "durations": {"setup_ms": 10_000, "warmup_ms": 1_000,
+                  "steady_ms": 10_000, "grace_ms": 1_000}})
+
+
+def worlds_left_alive(monkeypatch, run):
+    """`run()` with automatic collection off, so that a world is freed only
+    if something breaks or collects its cycles before `run` returns.
+    Returns its result, the number of worlds it built and the indices of
+    those still alive."""
     worlds = []
 
     def tracked_world(*args, **kwargs):
@@ -277,14 +281,69 @@ def test_run_matrix_frees_each_cells_worlds(monkeypatch):
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        report = run_matrix(cfg)
+        result = run()
         alive = [i for i, ref in enumerate(worlds) if ref() is not None]
     finally:
         if was_enabled:
             gc.enable()
+    return result, len(worlds), alive
+
+
+def test_run_matrix_frees_each_cells_worlds(monkeypatch):
+    report, built, alive = worlds_left_alive(monkeypatch,
+                                             lambda: run_matrix(SHORT))
     assert not report["errored"]
-    assert len(worlds) == 2 * len(MATRIX_CELLS)
+    assert built == 2 * len(MATRIX_CELLS)
     assert alive == []
+
+
+def test_run_cell_frees_its_own_worlds(monkeypatch):
+    # Callers other than `run_matrix` (perfbench's tunnel workload runs
+    # three cells in a row) must not keep finished worlds either.
+    def three_cells():
+        for attack in ("none", "impersonator", "on_path"):
+            run_cell(SHORT, "fullguard", attack)
+
+    _, built, alive = worlds_left_alive(monkeypatch, three_cells)
+    assert built == 6
+    assert alive == []
+
+
+# --- untraced runs ---------------------------------------------------------------
+
+# The per-frame events whose call sites test `World.collect_trace` before
+# building them, as (kind, drop reason or None).
+HOT_EVENTS = {("link_frame", None), ("energy", None), ("blocked", None),
+              ("guard_drop", None), ("drop", "throttled"),
+              ("drop", "queue_full")}
+
+
+def emitted_events(monkeypatch, scenario, attack, collect_traces):
+    seen = set()
+    emit = World.emit
+
+    def counted_emit(self, kind, node, **detail):
+        seen.add((kind, detail.get("reason") if kind == "drop" else None))
+        return emit(self, kind, node, **detail)
+
+    monkeypatch.setattr(World, "emit", counted_emit)
+    run_cell(SHORT, scenario, attack, collect_traces)
+    monkeypatch.undo()
+    return seen
+
+
+def test_untraced_runs_skip_the_hot_events(monkeypatch):
+    cells = [("baseline-open", "distributed_flood"),
+             ("baseline-throttled", "blind_flood"),
+             ("exemptions", "distributed_flood"),
+             ("fullguard", "distributed_flood")]
+    traced = set()
+    for scenario, attack in cells:
+        assert not emitted_events(monkeypatch, scenario, attack,
+                                  False) & HOT_EVENTS, (scenario, attack)
+        traced |= emitted_events(monkeypatch, scenario, attack, True)
+    # The same cells, traced, reach every one of those call sites.
+    assert HOT_EVENTS <= traced
 
 
 # --- rendering -------------------------------------------------------------------------

@@ -173,6 +173,44 @@ def test_run_until_leaves_future_events_queued():
     assert len(world.queue) == 1
 
 
+@given(st.lists(st.tuples(st.integers(0, 60),
+                          st.lists(st.integers(0, 30), max_size=3)),
+                min_size=1, max_size=25),
+       st.lists(st.integers(0, 40), min_size=1, max_size=4))
+def test_each_event_sees_the_clock_at_its_own_time(plan, steps):
+    """Random schedules, with events that schedule more events, run in
+    several `run_until` steps: each event runs with `clock.now` equal to
+    its own time, never lower than the last, and each step ends at its
+    `t_end`. The past stays refused throughout."""
+    world = World(seed=1)
+    seen = []  # (scheduled time, clock.now when it ran)
+
+    def event(at, delays):
+        def run():
+            seen.append((at, world.clock.now))
+            for d in delays:
+                world.schedule_in(d, event(world.clock.now + d, ()))
+        return run
+
+    for at, delays in plan:
+        world.schedule(at, event(at, delays))
+    t_end = 0
+    for step in steps:
+        t_end += step
+        world.run_until(t_end)
+        assert world.clock.now == t_end
+        assert all(at > t_end for at, _, _ in world.queue._heap)
+        if t_end > 0:
+            with pytest.raises(SchedulingInPast):
+                world.schedule(t_end - 1, lambda: None)
+            with pytest.raises(SchedulingInPast):
+                world.run_until(t_end - 1)
+    assert [now for _, now in seen] == sorted(now for _, now in seen)
+    assert all(now == at for at, now in seen)
+    assert len(seen) + len(world.queue) == len(plan) + sum(
+        len(delays) for (at, delays) in plan if at <= t_end)
+
+
 # --- links -------------------------------------------------------------------
 
 def _frame(size, dst="b"):
