@@ -3,14 +3,17 @@
 Tokens are bound to a subject key and an audience, carry an integrity tag
 under the AS/audience shared key, and verify without any AS round-trip.
 The bound key travels inside the token sealed under that same key, so an
-on-path observer can read the claims but cannot extract the key.
+on-path observer can read the claims but cannot extract the key. Every
+token lives `TOKEN_LIFETIME_MS`. A client guard gets tokens for an
+audience under its own key once the AS has granted that key the audience
+(`AsRegistry.grant`, on the client's `authorize_binding` request).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .seclayer import aead_open, aead_seal, AuthError, derive_key, fnv1a64
+from .seclayer import aead_open, aead_seal, derive_key, fnv1a64
 
 TOKEN_LIFETIME_MS = 3_600_000
 
@@ -35,16 +38,12 @@ class AccessToken:
     issued_at: int  # ms
     expiry: int  # ms
     sealed_key: bytes  # subject's bound key, sealed under the audience key
-    guard_bindings: dict | None = None
     tag: bytes = b""
 
     def claims_bytes(self) -> bytes:
-        gb = ""
-        if self.guard_bindings:
-            gb = "|".join(f"{k}={v}" for k, v in sorted(self.guard_bindings.items()))
         return "|".join([
             self.audience, self.subject_key_id, self.scope,
-            str(self.issued_at), str(self.expiry), self.sealed_key.hex(), gb,
+            str(self.issued_at), str(self.expiry), self.sealed_key.hex(),
         ]).encode()
 
     def to_wire(self) -> dict:
@@ -56,7 +55,6 @@ class AccessToken:
             "issued_at": self.issued_at,
             "expiry": self.expiry,
             "sealed_key": self.sealed_key,
-            "guard_bindings": dict(self.guard_bindings) if self.guard_bindings else None,
             "tag": self.tag,
         }
 
@@ -87,19 +85,13 @@ class AsRegistry:
             self.known_subjects[key_id]["audiences"].add(audience)
 
 
-def issue_token(registry: AsRegistry, request: dict, now: int,
-                lifetime_ms: int = TOKEN_LIFETIME_MS) -> AccessToken:
-    """Issue a token for (subject, audience), or raise Denied.
-
-    When the request names guard bindings, the authorization is associated
-    with the client guard's key instead: the issued token's subject becomes
-    the client guard key id.
+def issue_token(registry: AsRegistry, request: dict, now: int) -> AccessToken:
+    """Issue a `TOKEN_LIFETIME_MS` token for the request's (subject,
+    audience), or raise Denied. The subject must already hold the audience:
+    a client guard's key gets it through `AsRegistry.grant`.
     """
     subject = request["subject_key_id"]
     audience = request["audience"]
-    guard_bindings = request.get("guard_bindings")
-    if guard_bindings:
-        subject = guard_bindings["client_guard_key_id"]
     entry = registry.known_subjects.get(subject)
     if entry is None:
         raise Denied(f"unknown subject {subject!r}")
@@ -114,9 +106,8 @@ def issue_token(registry: AsRegistry, request: dict, now: int,
         subject_key_id=subject,
         scope=request.get("scope", ""),
         issued_at=now,
-        expiry=now + lifetime_ms,
+        expiry=now + TOKEN_LIFETIME_MS,
         sealed_key=sealed_key,
-        guard_bindings=dict(guard_bindings) if guard_bindings else None,
     )
     token.tag = _token_tag(audience_key, token)
     return token
@@ -140,7 +131,6 @@ def verify_token(token: AccessToken, audience_key: bytes, audience: str,
         "subject_key_id": token.subject_key_id,
         "scope": token.scope,
         "expiry": token.expiry,
-        "guard_bindings": token.guard_bindings,
     }
 
 
@@ -159,11 +149,12 @@ def ace_context_master(bound_key: bytes, nonce_client: bytes,
     return derive_key(bound_key + nonce_client + nonce_server, b"ace")
 
 
-def ace_kid_pair(nonce_client: bytes, nonce_server: bytes,
-                 kid_len: int = 1) -> tuple[bytes, bytes]:
-    """(client sender id, server sender id), distinct by construction."""
-    a = fnv1a64(b"ackid1" + nonce_client + nonce_server).to_bytes(8, "big")[-kid_len:]
-    b = fnv1a64(b"ackid2" + nonce_client + nonce_server).to_bytes(8, "big")[-kid_len:]
+def ace_kid_pair(nonce_client: bytes,
+                 nonce_server: bytes) -> tuple[bytes, bytes]:
+    """(client sender id, server sender id): 1 byte each, distinct by
+    construction."""
+    a = fnv1a64(b"ackid1" + nonce_client + nonce_server).to_bytes(8, "big")[-1:]
+    b = fnv1a64(b"ackid2" + nonce_client + nonce_server).to_bytes(8, "big")[-1:]
     if a == b:
-        b = bytes([(b[0] + 1) & 0xFF]) + b[1:]
+        b = bytes([(b[0] + 1) & 0xFF])
     return a, b

@@ -20,7 +20,7 @@ Topology (built by the harness):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import ace as ace_mod
 from .coap_lite import (DEFAULT_BASE_TIMEOUT_MS, DEFAULT_RETRANSMIT_LIMIT,
@@ -29,7 +29,8 @@ from .coap_lite import (DEFAULT_BASE_TIMEOUT_MS, DEFAULT_RETRANSMIT_LIMIT,
 from .netsim import EnergyBudget, Frame, World
 from . import seclayer
 from .seclayer import (AuthError, ReplayError, SecurityContext, UnknownKid,
-                       aead_nonce, aead_seal, open_sealed, EDHOC_MSG_SIZES)
+                       aead_nonce, aead_seal, next_piv, open_sealed,
+                       EDHOC_MSG_SIZES)
 from .guard import GuardConfig, GuardState, NON_PROXY, TUNNEL
 
 REKEY_THRESHOLD = 3
@@ -281,7 +282,7 @@ class Exchange:
 
     def start(self) -> None:
         self.pending[self.msg.token] = self
-        tx_step(self.state, self.owner.world.clock.now, "sent")
+        tx_step(self.state, "sent")
         self.send(self.msg, self.origin)
         self._arm_timer()
 
@@ -296,8 +297,7 @@ class Exchange:
     def _timer(self) -> None:
         if self.done or self.acked:
             return
-        now = self.owner.world.clock.now
-        action = tx_step(self.state, now, "timer")
+        action = tx_step(self.state, "timer")
         if action == "retransmit":
             if self.interaction is not None:
                 self.interaction.retransmissions += 1
@@ -309,7 +309,7 @@ class Exchange:
             self.pending.pop(self.msg.token, None)
             self._emit("giveup")
             if self.interaction is not None:
-                self.interaction.time_out(now)
+                self.interaction.time_out(self.owner.world.clock.now)
             if self.on_giveup is not None:
                 self.on_giveup()
 
@@ -449,13 +449,12 @@ class ServerNode(Node):
     address with the guard as proxy, instead of publishing the guard's."""
 
     def __init__(self, world, address="srv", energy=None, guard_address=None,
-                 behind_tunnel=False, audience="aud_srv",
-                 as_key_id="key_as", audience_key=b"", rd_address="rd"):
+                 behind_tunnel=False, audience="aud_srv", audience_key=b"",
+                 rd_address="rd"):
         super().__init__(world, address, energy)
         self.guard_address = guard_address
         self.behind_tunnel = behind_tunnel
         self.audience = audience
-        self.as_key_id = as_key_id
         self.audience_key = audience_key
         self.rd_address = rd_address
         self.contexts: dict[bytes, SecurityContext] = {}
@@ -470,7 +469,6 @@ class ServerNode(Node):
         if self.guard_address:
             payload = {"audience": self.audience}
             if self.behind_tunnel:
-                payload["as_key_id"] = self.as_key_id
                 payload["audience_key"] = self.audience_key
             msg = SimMessage(src=self.address, dst=self.guard_address,
                              mtype="CON", mid=self.new_mid(),
@@ -553,10 +551,7 @@ class ServerNode(Node):
         if msg.payload.get("confirm") != seclayer.edhoc_confirmation(master):
             self._respond(msg, frame, "4.01", "error", {}, 2)
             return
-        session = seclayer.EdhocSession(role="responder",
-                                        ephemeral=sess["eph_r"],
-                                        peer_ephemeral=sess["eph_i"])
-        ctx = seclayer.edhoc_derive(session)
+        ctx = seclayer.edhoc_derive(sess["eph_r"], sess["eph_i"])
         self.contexts[ctx.recipient_id] = ctx
         self.charge("edhoc", frame.origin, fraction=0.5)
         self.world.emit("edhoc_msg", self.address, n=3, origin=frame.origin)
@@ -593,18 +588,18 @@ class ServerNode(Node):
 
 
 class ClientNode(Node):
+    """Constrained client. `base_timeout_ms` and `retransmit_limit` pace its
+    key exchanges and requests; its bootstrap exchanges with the rendezvous
+    node, the AS and its guard keep the `send_con` defaults."""
+
     def __init__(self, world, address="cli", energy=None, guard_address=None,
-                 rd_address="rd", as_address="as", server_name="srv",
-                 request_interval_ms=10_000, rekey_threshold=REKEY_THRESHOLD,
-                 base_timeout_ms=DEFAULT_BASE_TIMEOUT_MS,
-                 retransmit_limit=DEFAULT_RETRANSMIT_LIMIT):
+                 rd_address="rd", server_name="srv", *, request_interval_ms,
+                 base_timeout_ms, retransmit_limit):
         super().__init__(world, address, energy)
         self.guard_address = guard_address  # set: requests go via this proxy
         self.rd_address = rd_address
-        self.as_address = as_address
         self.server_name = server_name
         self.request_interval_ms = request_interval_ms
-        self.rekey_threshold = rekey_threshold
         self.base_timeout_ms = base_timeout_ms
         self.retransmit_limit = retransmit_limit
 
@@ -660,8 +655,8 @@ class ClientNode(Node):
                 "server_guard_key_id": self.entry.server_guard_key_id,
             },
         }
-        msg = self._request(self.as_address, "as_token_request", payload, 50,
-                            direct=True)
+        msg = self._request(self.entry.as_hint, "as_token_request", payload,
+                            50, direct=True)
 
         def authorized(resp, frame):
             self._brief_guard(on_done)
@@ -669,7 +664,7 @@ class ClientNode(Node):
         self.send_con(msg, "legit", authorized)
 
     def _brief_guard(self, on_done) -> None:
-        payload = {"entry": self.entry.to_doc(), "as_address": self.as_address}
+        payload = {"entry": self.entry.to_doc()}
         msg = self._request(self.guard_address, "guard_brief", payload, 50,
                             direct=True)
         self.send_con(msg, "legit", lambda r, f: on_done())
@@ -744,10 +739,7 @@ class ClientNode(Node):
                 if resp3.payload_kind != "edhoc_done":
                     on_done(False)
                     return
-                session = seclayer.EdhocSession(role="initiator",
-                                                ephemeral=eph_i,
-                                                peer_ephemeral=eph_r)
-                self.ctx = seclayer.edhoc_derive(session)
+                self.ctx = seclayer.edhoc_derive(eph_i, eph_r)
                 self.sent_pivs = []
                 self.charge("edhoc", cause)
                 on_done(True)
@@ -793,7 +785,7 @@ class ClientNode(Node):
                 self.consec_auth_fail += 1
                 if frame.origin.startswith("attacker"):
                     self.auth_fail_from_attacker = True
-                if (self.consec_auth_fail >= self.rekey_threshold
+                if (self.consec_auth_fail >= REKEY_THRESHOLD
                         and not self._rekeying):
                     self._trigger_rekey()
                 return
@@ -892,7 +884,7 @@ class GuardNode(RouterNode):
     `relay`.
     """
 
-    def __init__(self, world, address, constrained_prefix, key_id=""):
+    def __init__(self, world, address, constrained_prefix, key_id):
         super().__init__(world, address)
         # True for an address inside the guarded network, None outside.
         self._inside = AddressTable([(constrained_prefix, True)]).get
@@ -903,7 +895,6 @@ class GuardNode(RouterNode):
         self.origin_server: str | None = None
         self.audience: str | None = None
         self.audience_key: bytes = b""
-        self.accepted_as: tuple | None = None
         self.guard_key_issued: str | None = None
 
     # --- dispatch -------------------------------------------------------------
@@ -982,9 +973,8 @@ class GuardNode(RouterNode):
         self.origin_server = msg.src
         self.audience = msg.payload.get("audience")
         self.audience_key = msg.payload.get("audience_key", b"")
-        self.accepted_as = (msg.payload.get("as_key_id"), self.audience)
         self.world.emit("setup_step", self.address, step=1)
-        self.guard_key_issued = self.key_id or f"key_{self.address}"
+        self.guard_key_issued = self.key_id
         self.world.emit("setup_step", self.address, step=2)
         self.reply(msg, "legit", "2.01", payload_kind="onboard_ack",
                    payload={"guard_key_id": self.guard_key_issued},
@@ -997,7 +987,7 @@ class ExemptionsGuard(GuardNode):
     it to the server."""
 
     def __init__(self, world, address, constrained_prefix, config: GuardConfig,
-                 key_id=""):
+                 key_id):
         # The policy engine draws the Echo nonces from the node's random
         # stream, so it must exist before `Node.__init__` sets `rng`.
         self.gstate = GuardState(address, config, None)
@@ -1053,8 +1043,7 @@ class ExemptionsGuard(GuardNode):
     def observe_upstream(self, req: SimMessage, resp: SimMessage) -> None:
         kind = ("ace_token_post" if req.payload_kind == "tunnel_token_post"
                 else req.payload_kind)
-        self.gstate.observe_exchange(req.src, req.oscore_kid, kind, resp,
-                                     self.world.clock.now)
+        self.gstate.observe_exchange(req.src, kind, resp, self.world.clock.now)
         if resp.is_protected:
             self.world.emit("allow_listed", self.address, src=req.src)
 
@@ -1094,8 +1083,7 @@ class TunnelGuard(GuardNode):
     def send_tunnel_data(self, ctx: SecurityContext, inner: SimMessage,
                          dst: str, origin: str) -> None:
         data = serialize_full(inner)
-        piv = ctx.sender_seq
-        ctx.sender_seq += 1
+        piv = next_piv(ctx)
         sealed = aead_seal(ctx.sender_key, aead_nonce(ctx.sender_id, piv),
                            b"tun", data)
         msg = SimMessage(src=self.address, dst=dst, mtype="NON",
@@ -1110,7 +1098,7 @@ class ServerTunnelGuard(TunnelGuard):
     """Server end of the tunnel: verifies tunnel tokens, unwraps tunnel
     requests and relays them to the server."""
 
-    def __init__(self, world, address, constrained_prefix, key_id=""):
+    def __init__(self, world, address, constrained_prefix, key_id):
         super().__init__(world, address, constrained_prefix, key_id)
         self.tunnel_ctxs: dict[bytes, SecurityContext] = {}
 
@@ -1179,14 +1167,15 @@ class ServerTunnelGuard(TunnelGuard):
 class ClientTunnelGuard(TunnelGuard):
     """Client end of the tunnel: forward proxy for the clients behind it.
     Requests wait for a tunnel, travel sealed under the current tunnel
-    context, and the tunnel is renegotiated after repeated auth failures."""
+    context, and the tunnel is renegotiated after repeated auth failures.
+    Its client's `guard_brief` names the server's rendezvous entry, whose
+    `as_hint` is where the guard asks for tunnel tokens; until then it
+    cannot set up a tunnel."""
 
-    def __init__(self, world, address, constrained_prefix, key_id="", key=b"",
-                 as_address="as"):
+    def __init__(self, world, address, constrained_prefix, key_id, key):
         super().__init__(world, address, constrained_prefix, key_id)
         self.key = key
-        self.as_address = as_address
-        self.server_meta: dict | None = None
+        self.as_address: str | None = None  # set by the brief
         self.server_guard_address: str | None = None
         self.tunnel_ctx: SecurityContext | None = None
         self.tunnel_rx: dict[bytes, SecurityContext] = {}
@@ -1204,9 +1193,9 @@ class ClientTunnelGuard(TunnelGuard):
         msg = frame.msg
         if msg.payload_kind == "guard_brief":
             entry = RendezvousEntry.from_doc(msg.payload["entry"])
-            self.server_meta = msg.payload
+            self.as_address = entry.as_hint
             self.server_guard_address = entry.published_address
-            self.audience = msg.payload.get("audience", f"aud_{entry.name}")
+            self.audience = f"aud_{entry.name}"
             self.world.emit("setup_step", self.address, step=5)
             self.reply(msg, frame.origin, "2.04", payload_kind="brief_ack",
                        payload_len=2)
@@ -1239,7 +1228,7 @@ class ClientTunnelGuard(TunnelGuard):
                               self.server_guard_address, origin)
 
     def _establish_tunnel(self) -> None:
-        if self.establishing or self.server_meta is None:
+        if self.establishing or self.as_address is None:
             return
         self.establishing = True
         req = SimMessage(src=self.address, dst=self.as_address, mtype="CON",

@@ -167,7 +167,6 @@ def _dec(v):
 # --- Confirmable retransmission state machine ---------------------------
 
 PENDING = "pending"
-COMPLETED = "completed"
 TIMED_OUT = "timed_out"
 
 
@@ -178,36 +177,33 @@ class TxState:
     attempts: int = 0
     next_timeout_ms: int = 0
     outcome: str = PENDING
-    final_at: int | None = None
 
     def __post_init__(self):
         if self.next_timeout_ms == 0:
             self.next_timeout_ms = self.base_timeout_ms
 
 
-def tx_step(state: TxState, now: int, event: str) -> str:
-    """Advance a confirmable exchange. Events: "sent", "ack", "timer".
+def tx_step(state: TxState, event: str) -> str:
+    """Advance a confirmable exchange. Events: "sent", "timer".
 
-    Returns the action to take: "retransmit", "give_up", "done" or "none".
+    Returns the action to take: "retransmit", "give_up" or "none".
     Timeouts double per attempt; with base b and limit n the k-th
     transmission happens at b*(2^(k-1)-1) and give-up at b*(2^(n+1)-1).
+    A response or empty ACK ends the exchange outside this machine
+    (`actors.Exchange` stops its timer), so only a give-up is final here,
+    and any event after it raises EventAfterFinal.
     """
     if state.outcome != PENDING:
         raise EventAfterFinal(f"event {event!r} after outcome {state.outcome!r}")
     if event == "sent":
         state.attempts += 1
         return "none"
-    if event == "ack":
-        state.outcome = COMPLETED
-        state.final_at = now
-        return "done"
     if event == "timer":
         if state.attempts <= state.retransmit_limit:
             state.attempts += 1
             state.next_timeout_ms *= 2
             return "retransmit"
         state.outcome = TIMED_OUT
-        state.final_at = now
         return "give_up"
     raise ValueError(f"unknown tx event {event!r}")
 

@@ -93,11 +93,13 @@ class ThrottlePolicy:
 
 @dataclass
 class FlowRecord:
-    """Per-source guard state. kids seen on the flow refine it."""
+    """Per-source guard state, keyed by source address alone: the flow's
+    class, its pending Echo challenge, when it proved reachable, whether
+    its allow-listing is tentative, and whether a known kid showed up from
+    it as a new source (`elevated`)."""
 
     source: str
     cls: str = UNKNOWN_VIA_PROXY
-    kids: set = field(default_factory=set)
     echo_nonce: bytes | None = None
     echo_issued_ms: int | None = None
     reachable_since_ms: int | None = None
@@ -255,9 +257,8 @@ class GuardState:
         rec.elevated = False
         return "verified"
 
-    def observe_exchange(self, source: str, kid: bytes | None,
-                         request_kind: str | None, response: SimMessage,
-                         now_ms: int) -> None:
+    def observe_exchange(self, source: str, request_kind: str | None,
+                         response: SimMessage, now_ms: int) -> None:
         """Promote a flow on an observably authenticated exchange.
 
         Only a protected response counts; ACE token POST replies indicate
@@ -268,8 +269,6 @@ class GuardState:
             rec.last_update_ms = now_ms
             return
         if response.is_protected:
-            if kid is not None:
-                rec.kids.add(kid)
             rec.tentative = True
             self._set_class(rec, ALLOW_LISTED, now_ms)
         else:

@@ -69,11 +69,13 @@ class LinksConfig:
 
 @dataclass
 class EnergyConfig:
-    budget: float = 50_000.0
-    cost_per_rx_byte: float = 0.00002
-    cost_per_msg: float = 0.002
-    cost_edhoc: float = 1.0
-    cost_oscore_verify: float = 0.01
+    """Each device's `EnergyBudget`, whose defaults these are."""
+
+    budget: float = EnergyBudget.remaining
+    cost_per_rx_byte: float = EnergyBudget.cost_per_rx_byte
+    cost_per_msg: float = EnergyBudget.cost_per_msg
+    cost_edhoc: float = EnergyBudget.cost_edhoc
+    cost_oscore_verify: float = EnergyBudget.cost_oscore_verify
 
     def make(self) -> EnergyBudget:
         return EnergyBudget(remaining=self.budget,
@@ -315,8 +317,7 @@ def build_world(config: SimConfig, scenario: str, attack_kind: str,
     server = ServerNode(world, "srv", energy=config.energy.make(),
                         guard_address="rtrS" if guarded else None,
                         behind_tunnel=scenario == "fullguard",
-                        audience="aud_srv",
-                        as_key_id="key_as", audience_key=keys["aud_srv"])
+                        audience="aud_srv", audience_key=keys["aud_srv"])
     client = None
     if client_enabled:
         client = ClientNode(world, "cli", energy=config.energy.make(),
@@ -431,8 +432,9 @@ NO_TRAFFIC = "no_traffic"
 
 def classify_behavior(latencies_ms: list[int], retransmissions: list[int],
                       n_timed_out: int, n_started: int, base_timeout_ms: int,
-                      loss_fraction: float = 0.05,
-                      retransmit_fraction: float = 0.10) -> str:
+                      loss_fraction=ClassifyConfig.loss_fraction,
+                      retransmit_fraction=ClassifyConfig.retransmit_fraction
+                      ) -> str:
     """Label one phase: Losses when exchanges time out, Throttled when
     completion needed back-off (retransmissions or above-timeout latency),
     Good otherwise."""
@@ -472,7 +474,8 @@ def phase_stats(interactions, kinds, config: SimConfig) -> dict:
 
 # --- energy accounting --------------------------------------------------------
 
-def energy_report(ledger: EnergyLedger, cost_edhoc: float = 1.0) -> dict:
+def energy_report(ledger: EnergyLedger,
+                  cost_edhoc: float = EnergyBudget.cost_edhoc) -> dict:
     """Round a world's energy ledger (`World.ledger`) into report figures."""
     return {
         "total_drained": round(ledger.total, 6),

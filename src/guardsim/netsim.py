@@ -15,7 +15,7 @@ import heapq
 import json
 import struct
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's state increment
@@ -235,20 +235,16 @@ class EnergyBudget:
     """Abstract per-device energy accounting.
 
     `remaining` only ever decreases; the device counts as exhausted once it
-    hits zero and then drops all processing.
+    hits zero and then drops all processing. These defaults are also the
+    `energy` config section's (`harness.EnergyConfig`).
     """
 
     remaining: float = 50_000.0
-    initial: float = field(default=0.0)
     cost_per_rx_byte: float = 0.00002
     cost_per_msg: float = 0.002
     cost_edhoc: float = 1.0
     cost_oscore_verify: float = 0.01
     exhausted: bool = False
-
-    def __post_init__(self):
-        if self.initial == 0.0:
-            self.initial = self.remaining
 
     def drain(self, amount: float) -> float:
         """Drain `amount`, flooring at zero. Returns the amount actually drained."""

@@ -142,7 +142,6 @@ class SecurityContext:
     master_key: bytes
     sender_seq: int = 0
     replay_window: ReplayWindow = field(default_factory=ReplayWindow)
-    max_seq: int = DEFAULT_MAX_SEQ
 
     # Derived once per context: the ids and master key never change after
     # construction.
@@ -154,11 +153,16 @@ class SecurityContext:
     def recipient_key(self) -> bytes:
         return derive_key(self.master_key, b"key" + self.recipient_id)
 
-    def mirrored(self) -> "SecurityContext":
-        return SecurityContext(sender_id=self.recipient_id,
-                               recipient_id=self.sender_id,
-                               master_key=self.master_key,
-                               replay_window=ReplayWindow(self.replay_window.size))
+
+def next_piv(ctx: SecurityContext) -> int:
+    """Use up and return the context's next sender sequence number, the
+    piv of the next request or tunnel frame it seals; raises SeqExhausted
+    once `DEFAULT_MAX_SEQ` are used."""
+    piv = ctx.sender_seq
+    if piv >= DEFAULT_MAX_SEQ:
+        raise SeqExhausted(f"sender sequence at limit {DEFAULT_MAX_SEQ}")
+    ctx.sender_seq = piv + 1
+    return piv
 
 
 def aead_nonce(kid: bytes, piv: int) -> bytes:
@@ -170,16 +174,13 @@ def oscore_protect(ctx: SecurityContext, inner: SimMessage,
                    request_piv: int | None = None) -> SimMessage:
     """Protect `inner`, exposing only kid and piv to on-path observers.
 
-    Requests consume the context's sender sequence number; responses reuse
-    the request's piv and bind to it through the associated data, giving the
+    Requests take their piv from `next_piv`; responses reuse the request's
+    piv and bind to it through the associated data, giving the
     request/response binding that proxies can rely on.
     """
     plaintext = serialize_inner(inner)
     if request_piv is None:
-        if ctx.sender_seq >= ctx.max_seq:
-            raise SeqExhausted(f"sender sequence at limit {ctx.max_seq}")
-        piv = ctx.sender_seq
-        ctx.sender_seq += 1
+        piv = next_piv(ctx)
         aad = b"req"
     else:
         piv = request_piv
@@ -246,46 +247,33 @@ def oscore_unprotect(ctx: SecurityContext, msg: SimMessage,
 EDHOC_MSG_SIZES = (40, 120, 90)
 
 
-@dataclass
-class EdhocSession:
-    """Three-message handshake state for one side."""
-
-    role: str  # "initiator" | "responder"
-    ephemeral: bytes
-    peer_ephemeral: bytes | None = None
-
-
 def edhoc_master(ephemeral_a: bytes, ephemeral_b: bytes) -> bytes:
     """Shared secret from both ephemerals (order-independent mix)."""
     lo, hi = sorted((ephemeral_a, ephemeral_b))
     return derive_key(lo + hi, b"edhoc")
 
 
-def edhoc_kid(ephemeral: bytes, kid_len: int = 1) -> bytes:
-    return fnv1a64(b"kid" + ephemeral).to_bytes(8, "big")[-kid_len:]
+def edhoc_kid(ephemeral: bytes) -> bytes:
+    """1-byte key id of the side that drew `ephemeral`."""
+    return fnv1a64(b"kid" + ephemeral).to_bytes(8, "big")[-1:]
 
 
-def edhoc_derive(session: EdhocSession, window: int = DEFAULT_REPLAY_WINDOW,
-                 kid_len: int = 1) -> SecurityContext:
-    """Derive this side's context once both ephemerals are known.
+def edhoc_derive(ephemeral: bytes, peer_ephemeral: bytes) -> SecurityContext:
+    """This side's context from its own and its peer's ephemeral, once the
+    handshake has both; initiator and responder call it alike.
 
     The two sides end up with mirrored contexts: each party's sender id is
-    the other's recipient id. A deterministic tiebreak keeps the two kids
-    distinct even for 1-byte identifiers.
+    the other's recipient id. A deterministic tiebreak keeps the two 1-byte
+    kids distinct. The replay window has the default size.
     """
-    assert session.peer_ephemeral is not None
-    master = edhoc_master(session.ephemeral, session.peer_ephemeral)
-    lo, hi = sorted((session.ephemeral, session.peer_ephemeral))
-    kid_lo = edhoc_kid(lo, kid_len)
-    kid_hi = edhoc_kid(hi, kid_len)
+    master = edhoc_master(ephemeral, peer_ephemeral)
+    lo, hi = sorted((ephemeral, peer_ephemeral))
+    kid_lo = edhoc_kid(lo)
+    kid_hi = edhoc_kid(hi)
     if kid_lo == kid_hi:
-        kid_hi = bytes([(kid_hi[0] + 1) & 0xFF]) + kid_hi[1:]
-    own_is_lo = session.ephemeral == lo
-    sender_id = kid_lo if own_is_lo else kid_hi
-    recipient_id = kid_hi if own_is_lo else kid_lo
-    return SecurityContext(sender_id=sender_id, recipient_id=recipient_id,
-                           master_key=master,
-                           replay_window=ReplayWindow(window))
+        kid_hi = bytes([(kid_hi[0] + 1) & 0xFF])
+    own, peer = (kid_lo, kid_hi) if ephemeral == lo else (kid_hi, kid_lo)
+    return SecurityContext(sender_id=own, recipient_id=peer, master_key=master)
 
 
 def edhoc_confirmation(master: bytes) -> bytes:

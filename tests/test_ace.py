@@ -1,10 +1,11 @@
-"""Authorization tokens: issuance, verification, guard bindings, key binding."""
+"""Authorization tokens: issuance, verification, audiences granted to a
+client guard's key, key binding."""
 
 import pytest
 
-from guardsim.ace import (AccessToken, AsRegistry, Denied, InvalidToken,
-                          ace_context_master, ace_kid_pair, issue_token,
-                          unseal_bound_key, verify_token)
+from guardsim.ace import (TOKEN_LIFETIME_MS, AccessToken, AsRegistry, Denied,
+                          InvalidToken, ace_context_master, ace_kid_pair,
+                          issue_token, unseal_bound_key, verify_token)
 from guardsim.coap_lite import SimMessage
 from guardsim.seclayer import (AuthError, SecurityContext, oscore_protect,
                                oscore_unprotect)
@@ -45,18 +46,13 @@ def test_unauthorized_audience_denied():
                     now=0)
 
 
-def test_guard_bindings_rebind_subject():
+def test_granted_guard_key_gets_a_token_bound_to_itself():
     reg = make_registry()
     reg.grant("key_cgp", "aud_srv")
-    token = issue_token(reg, {
-        "subject_key_id": "key_cli",
-        "audience": "aud_srv",
-        "guard_bindings": {"client_guard_key_id": "key_cgp",
-                           "server_guard_key_id": "key_sgp"},
-    }, now=0)
+    token = issue_token(reg, {"subject_key_id": "key_cgp",
+                              "audience": "aud_srv"}, now=0)
     assert token.subject_key_id == "key_cgp"
-    assert token.guard_bindings["server_guard_key_id"] == "key_sgp"
-    # The sealed key inside is now the guard's, not the client's.
+    # The sealed key inside is the guard's, not the client's.
     assert unseal_bound_key(token, AUD_KEY) == CGP_KEY
 
 
@@ -94,11 +90,10 @@ def test_wrong_audience_rejected():
 def test_expiry_boundary_is_exclusive():
     reg = make_registry()
     token = issue_token(reg, {"subject_key_id": "key_cli",
-                              "audience": "aud_srv"}, now=0,
-                        lifetime_ms=1000)
-    assert verify_token(token, AUD_KEY, "aud_srv", now=999)
+                              "audience": "aud_srv"}, now=0)
+    assert verify_token(token, AUD_KEY, "aud_srv", now=TOKEN_LIFETIME_MS - 1)
     with pytest.raises(InvalidToken) as e:
-        verify_token(token, AUD_KEY, "aud_srv", now=1000)
+        verify_token(token, AUD_KEY, "aud_srv", now=TOKEN_LIFETIME_MS)
     assert e.value.reason == "expired"
 
 

@@ -8,10 +8,11 @@ import pytest
 from guardsim.actors import (FloodAttacker, GuardNode, Impersonator, Node,
                              OnPathAttacker, RendezvousEntry, RendezvousNode,
                              deserialize_full, serialize_full)
-from guardsim.coap_lite import SimMessage, message_size
+from guardsim.coap_lite import SimMessage, ack, message_size
 from guardsim.guard import ALLOW_LISTED, CLASS_PRIORITY, REACHABILITY_VERIFIED
 from guardsim.harness import SimConfig, build_world, derive_seed
 from guardsim.netsim import Frame, Rng, World
+from guardsim.seclayer import DEFAULT_MAX_SEQ, SecurityContext, SeqExhausted
 
 
 def make_frame(msg, origin="legit"):
@@ -133,23 +134,18 @@ def test_fullguard_entry_carries_guard_metadata():
     assert entry.as_hint == "as"
 
 
-def test_fullguard_onboarding_registers_as_key():
-    handles = run_quiet("fullguard")
-    assert handles.server_router.accepted_as == ("key_as", "aud_srv")
-
-
 def test_onboarding_is_idempotent():
     handles = run_quiet("fullguard")
     guard = handles.server_router
-    first = (guard.accepted_as, guard.guard_key_issued, guard.origin_server)
+    first = (guard.audience, guard.audience_key, guard.guard_key_issued,
+             guard.origin_server)
     onboard = SimMessage(src="srv", dst="rtrS", mid=999, token=b"\x99",
                          code="POST", payload_kind="onboard_request",
                          payload={"audience": "aud_srv",
-                                  "as_key_id": "key_as",
                                   "audience_key": guard.audience_key},
                          payload_len=30)
     guard._onboard(make_frame(onboard))
-    assert (guard.accepted_as, guard.guard_key_issued,
+    assert (guard.audience, guard.audience_key, guard.guard_key_issued,
             guard.origin_server) == first
 
 
@@ -226,7 +222,7 @@ def test_exemptions_retransmission_in_flight_gets_only_an_empty_ack():
 
 def test_relay_cache_keeps_the_newest_64_answers():
     world = World(seed=1)
-    guard = GuardNode(world, "g", "srv")
+    guard = GuardNode(world, "g", "srv", key_id="key_g")
     guard.origin_server = "srv"
     upstream = []
     guard.send_con = lambda up, origin, on_response, on_giveup: \
@@ -278,6 +274,44 @@ def test_fullguard_client_routes_via_its_guard():
     msg = client._request(client._server_dst(), "edhoc_m1", {}, 40)
     assert msg.dst == "rtrC"
     assert msg.proxy_uri == "coap://srv"
+
+
+def announced_entry(as_hint):
+    """The fullguard server's rendezvous entry, naming `as_hint` as its AS."""
+    return RendezvousEntry(name="srv", address="srv", proxy_address="rtrS",
+                           server_guard_key_id="key_sgp", as_hint=as_hint)
+
+
+def test_client_asks_the_announced_as_to_authorize_its_guard():
+    handles = build_world(SimConfig(), "fullguard", "none", 0, 1000, 3)
+    client = handles.client
+    sent = []
+    client.send_frame = lambda msg, origin: sent.append(msg)
+    client.bootstrap(lambda: None)
+    lookup, = sent
+    entry = ack(lookup, "rd", "2.05", payload_kind="rd_entry",
+                payload={"entry": announced_entry("as9").to_doc()})
+    client.handle(make_frame(entry), "rtrC")
+    assert [(m.dst, m.payload["purpose"]) for m in sent[1:]] == \
+        [("as9", "authorize_binding")]
+
+
+def test_client_guard_asks_the_announced_as_for_tunnel_tokens():
+    handles = build_world(SimConfig(), "fullguard", "none", 0, 1000, 3)
+    guard = handles.client_router
+    sent = []
+    guard.send_frame = lambda msg, origin: sent.append(msg)
+    brief = SimMessage(src="cli", dst="rtrC", mid=1, token=b"\x01",
+                       code="POST", payload_kind="guard_brief",
+                       payload={"entry": announced_entry("as9").to_doc()},
+                       payload_len=50)
+    request = SimMessage(src="cli", dst="rtrC", mid=2, token=b"\x02",
+                         code="POST", payload_kind="edhoc_m1",
+                         proxy_uri="coap://srv", payload_len=40)
+    guard.handle_inside(make_frame(brief))
+    guard.handle_inside(make_frame(request))
+    assert [m.dst for m in sent if m.payload_kind == "as_token_request"] == \
+        ["as9"]
 
 
 def test_fresh_identity_changes_source():
@@ -438,6 +472,20 @@ def test_server_tunnel_end_passes_only_handshake_responses_inward(kind, passes):
     assert [e["detail"]["payload_kind"] for e in srv_link_frames(world.trace)
             if e["node"] == "rtrS->srv"] == ([kind] if passes else [])
     assert bool(world.trace.by_kind("blocked")) is not passes
+
+
+def test_tunnel_frames_stop_at_the_sequence_bound():
+    handles = build_world(SimConfig(), "fullguard", "none", 0, 1000, 3)
+    guard = handles.client_router
+    sent = []
+    guard.send_frame = lambda msg, origin: sent.append(msg)
+    ctx = SecurityContext(sender_id=b"\x01", recipient_id=b"\x02",
+                          master_key=b"m" * 16, sender_seq=DEFAULT_MAX_SEQ - 1)
+    inner = SimMessage(src="cli", dst="srv")
+    guard.send_tunnel_data(ctx, inner, "rtrS", "legit")
+    with pytest.raises(SeqExhausted):
+        guard.send_tunnel_data(ctx, inner, "rtrS", "legit")
+    assert [m.oscore_piv for m in sent] == [DEFAULT_MAX_SEQ - 1]
 
 
 def test_tunnel_exchange_gives_up_and_leaves_no_state():

@@ -102,10 +102,10 @@ def drive_tx(base_ms, limit):
     state = TxState(base_timeout_ms=base_ms, retransmit_limit=limit)
     now = 0
     times = [0]
-    tx_step(state, now, "sent")
+    tx_step(state, "sent")
     while True:
         now += state.next_timeout_ms
-        action = tx_step(state, now, "timer")
+        action = tx_step(state, "timer")
         if action == "retransmit":
             times.append(now)
         else:
@@ -127,32 +127,20 @@ def test_schedule_matches_brute_force_any_params(base_ms, limit):
     assert give_up_time_ms(base_ms, limit) == brute_force_schedule(base_ms, limit)[1]
 
 
-def test_ack_completes_without_retransmission():
-    state = TxState()
-    tx_step(state, 0, "sent")
-    action = tx_step(state, 1, "ack")
-    assert action == "done"
-    assert state.outcome == "completed"
-    assert state.final_at == 1
-    assert state.attempts == 1
-
-
 def test_event_after_final_raises():
     state = TxState(base_timeout_ms=10, retransmit_limit=0)
-    tx_step(state, 0, "sent")
-    assert tx_step(state, 10, "timer") == "give_up"
+    tx_step(state, "sent")
+    assert tx_step(state, "timer") == "give_up"
     assert state.outcome == "timed_out"
     with pytest.raises(EventAfterFinal):
-        tx_step(state, 11, "ack")
+        tx_step(state, "timer")
 
 
 def test_attempts_bounded_by_limit():
     state = TxState(base_timeout_ms=100, retransmit_limit=3)
-    tx_step(state, 0, "sent")
-    now = 0
+    tx_step(state, "sent")
     while state.outcome == "pending":
-        now += state.next_timeout_ms
-        tx_step(state, now, "timer")
+        tx_step(state, "timer")
     assert state.attempts <= state.retransmit_limit + 1
 
 

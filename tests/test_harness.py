@@ -1,6 +1,7 @@
 """Configuration handling, classification rules, energy reporting, rendering."""
 
 import gc
+import inspect
 import json
 import pathlib
 import re
@@ -9,7 +10,8 @@ from dataclasses import fields, is_dataclass
 
 import pytest
 
-from guardsim.harness import (ATTACKS, ConfigError, MATRIX_CELLS, SCENARIOS,
+from guardsim.harness import (ATTACKS, ClassifyConfig, ConfigError,
+                              EnergyConfig, MATRIX_CELLS, SCENARIOS,
                               SimConfig, build_world, cell_to_csv,
                               cell_to_markdown, classify_behavior,
                               config_from_dict, derive_seed, energy_report,
@@ -17,8 +19,8 @@ from guardsim.harness import (ATTACKS, ConfigError, MATRIX_CELLS, SCENARIOS,
                               report_to_json, resource_label, run_cell,
                               run_matrix, run_subrun)
 from guardsim import harness
-from guardsim.netsim import (ATTACK_CAUSES, EnergyLedger, NullTrace, Trace,
-                             World)
+from guardsim.netsim import (ATTACK_CAUSES, EnergyBudget, EnergyLedger,
+                             NullTrace, Trace, World)
 
 
 # --- configuration ------------------------------------------------------------
@@ -185,6 +187,24 @@ def test_energy_report_no_attack_is_zero():
     ledger = EnergyLedger()
     ledger.add(0.1, "legit")
     assert energy_report(ledger)["attack_attributable"] == 0.0
+
+
+def defaults(fn, *names):
+    params = inspect.signature(fn).parameters
+    return tuple(params[name].default for name in names)
+
+
+@pytest.mark.parametrize("copy, source", [
+    (EnergyConfig().make(), EnergyBudget()),
+    (defaults(classify_behavior, "loss_fraction", "retransmit_fraction"),
+     (ClassifyConfig().loss_fraction, ClassifyConfig().retransmit_fraction)),
+    (defaults(energy_report, "cost_edhoc"), (EnergyBudget().cost_edhoc,)),
+], ids=["EnergyConfig", "classify_behavior", "energy_report"])
+def test_each_default_has_one_value(copy, source):
+    # tests/test_acceptance.py calls EnergyBudget(), energy_report(ledger)
+    # and a five-argument classify_behavior; each must agree with the
+    # config the simulation runs.
+    assert copy == source
 
 
 def test_resource_labels():

@@ -442,7 +442,7 @@ def test_energy_50000_edhoc_runs_exhaust_budget():
 def test_energy_zero_byte_rx_is_free():
     budget = EnergyBudget()
     drain_energy(budget, "rx_bytes", nbytes=0)
-    assert budget.remaining == budget.initial
+    assert budget.remaining == EnergyBudget.remaining
     assert not budget.exhausted
 
 
