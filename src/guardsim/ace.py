@@ -11,9 +11,10 @@ audience under its own key once the AS has granted that key the audience
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from .seclayer import aead_open, aead_seal, derive_key, fnv1a64
+from .seclayer import (SecurityContext, aead_open, aead_seal, derive_key,
+                       fnv1a64)
 
 TOKEN_LIFETIME_MS = 3_600_000
 
@@ -48,15 +49,7 @@ class AccessToken:
 
     def to_wire(self) -> dict:
         """Observable wire form; tokens are not secret in this model."""
-        return {
-            "audience": self.audience,
-            "subject_key_id": self.subject_key_id,
-            "scope": self.scope,
-            "issued_at": self.issued_at,
-            "expiry": self.expiry,
-            "sealed_key": self.sealed_key,
-            "tag": self.tag,
-        }
+        return asdict(self)
 
     @classmethod
     def from_wire(cls, doc: dict) -> "AccessToken":
@@ -158,3 +151,16 @@ def ace_kid_pair(nonce_client: bytes,
     if a == b:
         b = bytes([(b[0] + 1) & 0xFF])
     return a, b
+
+
+def tunnel_contexts(bound_key: bytes, nonce_client: bytes,
+                    nonce_server: bytes
+                    ) -> tuple[SecurityContext, SecurityContext]:
+    """(client end, server end) of a tunnel: mirrored contexts, each end's
+    sender id the other's recipient id, under one `ace_context_master`."""
+    master = ace_context_master(bound_key, nonce_client, nonce_server)
+    kid_c, kid_s = ace_kid_pair(nonce_client, nonce_server)
+    return (SecurityContext(sender_id=kid_c, recipient_id=kid_s,
+                            master_key=master),
+            SecurityContext(sender_id=kid_s, recipient_id=kid_c,
+                            master_key=master))

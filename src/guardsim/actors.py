@@ -20,7 +20,7 @@ Topology (built by the harness):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import ace as ace_mod
 from .coap_lite import (DEFAULT_BASE_TIMEOUT_MS, DEFAULT_RETRANSMIT_LIMIT,
@@ -31,24 +31,26 @@ from . import seclayer
 from .seclayer import (AuthError, ReplayError, SecurityContext, UnknownKid,
                        aead_nonce, aead_seal, next_piv, open_sealed,
                        EDHOC_MSG_SIZES)
-from .guard import GuardConfig, GuardState, NON_PROXY, TUNNEL
+from .guard import GuardConfig, GuardState, NON_PROXY, TokenBucket, TUNNEL
 
 REKEY_THRESHOLD = 3
 
 
 @dataclass
 class RendezvousEntry:
+    """A server's announcement. Behind a tunnel guard it also names the
+    guard, the AS (`as_hint`) and the `audience` its clients and their
+    guards use."""
+
     name: str
     address: str
     proxy_address: str | None = None
     server_guard_key_id: str | None = None
     as_hint: str | None = None
+    audience: str | None = None
 
     def to_doc(self) -> dict:
-        return {"name": self.name, "address": self.address,
-                "proxy_address": self.proxy_address,
-                "server_guard_key_id": self.server_guard_key_id,
-                "as_hint": self.as_hint}
+        return asdict(self)
 
     @classmethod
     def from_doc(cls, doc: dict) -> "RendezvousEntry":
@@ -158,6 +160,15 @@ class Node:
     def new_token(self) -> bytes:
         self._token = (self._token + 1) & 0xFFFFFFFF
         return self._token.to_bytes(4, "big")
+
+    def request(self, dst: str, kind: str, payload: dict, payload_len: int,
+                code: str = "POST") -> SimMessage:
+        """A CON from this node, with a fresh mid, then a fresh token: every
+        request a node originates, bar the attackers' frames."""
+        return SimMessage(src=self.address, dst=dst, mtype="CON",
+                          mid=self.new_mid(), token=self.new_token(),
+                          code=code, payload_kind=kind, payload=payload,
+                          payload_len=payload_len)
 
     # --- transmission ------------------------------------------------------
 
@@ -340,7 +351,6 @@ class ThrottleRouter(RouterNode):
     def __init__(self, world, address, protected_prefixes: tuple[str, ...],
                  rate_per_s: float, burst: float):
         super().__init__(world, address)
-        from .guard import TokenBucket
         # True for an address inside, None outside.
         self._protected = AddressTable(
             (p, True) for p in protected_prefixes).get
@@ -397,7 +407,7 @@ class RendezvousNode(Node):
 class AsNode(Node):
     """Authorization server; channels to it are modeled as pre-secured."""
 
-    def __init__(self, world, registry: ace_mod.AsRegistry, address="as"):
+    def __init__(self, world, registry: ace_mod.AsRegistry, *, address):
         super().__init__(world, address)
         self.registry = registry
 
@@ -408,14 +418,14 @@ class AsNode(Node):
             return
         purpose = msg.payload.get("purpose", "token")
         if purpose == "authorize_binding":
-            gb = msg.payload["guard_bindings"]
             subject = msg.payload["subject_key_id"]
             audience = msg.payload["audience"]
             # Tokens for the audience may now be issued to the owner of the
             # client guard's key; taken on the client's word.
             if subject in self.registry.known_subjects and \
                     audience in self.registry.known_subjects[subject]["audiences"]:
-                self.registry.grant(gb["client_guard_key_id"], audience)
+                self.registry.grant(msg.payload["client_guard_key_id"],
+                                    audience)
                 self.world.emit("setup_step", self.address, step=4)
                 self._respond(msg, "2.01", {"granted": True})
             else:
@@ -444,19 +454,21 @@ class AsNode(Node):
 
 class ServerNode(Node):
     """Constrained server. With a `guard_address` it onboards with that guard
-    before it registers; `behind_tunnel` says the guard is a tunnel end, so
-    the server hands it the token-verification keys and publishes its own
-    address with the guard as proxy, instead of publishing the guard's."""
+    before it registers at `rd_address`; `behind_tunnel` says the guard is
+    a tunnel end, so the server hands it the token-verification keys and
+    announces its own address with the guard as proxy, `as_address` as the
+    AS and its `audience`, instead of just the guard's address."""
 
-    def __init__(self, world, address="srv", energy=None, guard_address=None,
-                 behind_tunnel=False, audience="aud_srv", audience_key=b"",
-                 rd_address="rd"):
+    def __init__(self, world, *, address, audience, rd_address, as_address,
+                 energy=None, guard_address=None, behind_tunnel=False,
+                 audience_key=b""):
         super().__init__(world, address, energy)
         self.guard_address = guard_address
         self.behind_tunnel = behind_tunnel
         self.audience = audience
         self.audience_key = audience_key
         self.rd_address = rd_address
+        self.as_address = as_address
         self.contexts: dict[bytes, SecurityContext] = {}
         self.sessions: dict[tuple, dict] = {}
         self.dedup: dict[tuple, SimMessage] = {}
@@ -470,11 +482,8 @@ class ServerNode(Node):
             payload = {"audience": self.audience}
             if self.behind_tunnel:
                 payload["audience_key"] = self.audience_key
-            msg = SimMessage(src=self.address, dst=self.guard_address,
-                             mtype="CON", mid=self.new_mid(),
-                             token=self.new_token(), code="POST",
-                             payload_kind="onboard_request", payload=payload,
-                             payload_len=30)
+            msg = self.request(self.guard_address, "onboard_request", payload,
+                               30)
             self.send_con(msg, "legit", self._onboarded)
         else:
             self._register()
@@ -488,14 +497,13 @@ class ServerNode(Node):
             entry = RendezvousEntry(name=self.address, address=self.address,
                                     proxy_address=self.guard_address,
                                     server_guard_key_id=self.guard_key_id,
-                                    as_hint="as")
+                                    as_hint=self.as_address,
+                                    audience=self.audience)
         else:
             entry = RendezvousEntry(name=self.address,
                                     address=self.guard_address or self.address)
-        msg = SimMessage(src=self.address, dst=self.rd_address, mtype="CON",
-                         mid=self.new_mid(), token=self.new_token(),
-                         code="POST", payload_kind="rd_register",
-                         payload={"entry": entry.to_doc()}, payload_len=40)
+        msg = self.request(self.rd_address, "rd_register",
+                           {"entry": entry.to_doc()}, 40)
         self.send_con(msg, "legit", lambda r, f: None)
 
     # --- request handling ---------------------------------------------------
@@ -588,17 +596,21 @@ class ServerNode(Node):
 
 
 class ClientNode(Node):
-    """Constrained client. `base_timeout_ms` and `retransmit_limit` pace its
-    key exchanges and requests; its bootstrap exchanges with the rendezvous
-    node, the AS and its guard keep the `send_con` defaults."""
+    """Constrained client of the server it looks up at `rd_address`. With
+    a `guard_address`, it asks the entry's AS to grant its guard's key the
+    entry's audience under its own `key_id`, then briefs the guard.
+    `base_timeout_ms` and `retransmit_limit` pace its key exchanges and
+    requests; its bootstrap exchanges keep the `send_con` defaults."""
 
-    def __init__(self, world, address="cli", energy=None, guard_address=None,
-                 rd_address="rd", server_name="srv", *, request_interval_ms,
-                 base_timeout_ms, retransmit_limit):
+    def __init__(self, world, *, address, rd_address, server_name, key_id,
+                 guard_key_id, request_interval_ms, base_timeout_ms,
+                 retransmit_limit, energy=None, guard_address=None):
         super().__init__(world, address, energy)
         self.guard_address = guard_address  # set: requests go via this proxy
         self.rd_address = rd_address
         self.server_name = server_name
+        self.key_id = key_id
+        self.guard_key_id = guard_key_id
         self.request_interval_ms = request_interval_ms
         self.base_timeout_ms = base_timeout_ms
         self.retransmit_limit = retransmit_limit
@@ -628,8 +640,8 @@ class ClientNode(Node):
 
     def bootstrap(self, on_done) -> None:
         def lookup():
-            msg = self._request(self.rd_address, "rd_lookup",
-                                {"name": self.server_name}, 12, direct=True)
+            msg = self.request(self.rd_address, "rd_lookup",
+                               {"name": self.server_name}, 12, code="GET")
             self.send_con(msg, "legit", got_entry,
                           on_giveup=lambda: self.world.schedule_in(2000, lookup))
 
@@ -648,15 +660,11 @@ class ClientNode(Node):
     def _authorize_binding(self, on_done) -> None:
         payload = {
             "purpose": "authorize_binding",
-            "subject_key_id": "key_cli",
-            "audience": "aud_srv",
-            "guard_bindings": {
-                "client_guard_key_id": "key_cgp",
-                "server_guard_key_id": self.entry.server_guard_key_id,
-            },
+            "subject_key_id": self.key_id,
+            "audience": self.entry.audience,
+            "client_guard_key_id": self.guard_key_id,
         }
-        msg = self._request(self.entry.as_hint, "as_token_request", payload,
-                            50, direct=True)
+        msg = self.request(self.entry.as_hint, "as_token_request", payload, 50)
 
         def authorized(resp, frame):
             self._brief_guard(on_done)
@@ -664,29 +672,23 @@ class ClientNode(Node):
         self.send_con(msg, "legit", authorized)
 
     def _brief_guard(self, on_done) -> None:
-        payload = {"entry": self.entry.to_doc()}
-        msg = self._request(self.guard_address, "guard_brief", payload, 50,
-                            direct=True)
+        msg = self.request(self.guard_address, "guard_brief",
+                           {"entry": self.entry.to_doc()}, 50)
         self.send_con(msg, "legit", lambda r, f: on_done())
 
     # --- message construction ----------------------------------------------
 
-    def _request(self, dst: str, kind: str, payload: dict, payload_len: int,
-                 direct: bool = False) -> SimMessage:
-        """Build a request; server-bound traffic goes via the client's guard
-        proxy, if it has one."""
-        msg = SimMessage(src=self.current_src, dst=dst, mtype="CON",
-                         mid=self.new_mid(), token=self.new_token(),
-                         code="POST" if kind != "rd_lookup" else "GET",
-                         payload_kind=kind, payload=payload,
-                         payload_len=payload_len)
-        if not direct and self.guard_address:
-            msg.dst = self.guard_address
-            msg.proxy_uri = f"coap://{self.entry.address}"
+    def _server_request(self, kind: str, payload: dict,
+                        payload_len: int) -> SimMessage:
+        """A request from the current identity to the looked-up server, or
+        to the client's guard with the server in its Proxy-Uri."""
+        server = self.entry.address
+        msg = self.request(self.guard_address or server, kind, payload,
+                           payload_len)
+        msg.src = self.current_src
+        if self.guard_address:
+            msg.proxy_uri = f"coap://{server}"
         return msg
-
-    def _server_dst(self) -> str:
-        return self.entry.address if self.entry else self.server_name
 
     def _send_with_echo_retry(self, msg: SimMessage, origin: str, on_response,
                               on_giveup, interaction) -> None:
@@ -729,10 +731,10 @@ class ClientNode(Node):
             master = seclayer.edhoc_master(eph_i, eph_r)
             i2 = Interaction("key_exchange", self.world.clock.now, counted)
             self.interactions.append(i2)
-            m3 = self._request(self._server_dst(), "edhoc_m3",
-                               {"session": session_id,
-                                "confirm": seclayer.edhoc_confirmation(master)},
-                               EDHOC_MSG_SIZES[2])
+            m3 = self._server_request(
+                "edhoc_m3", {"session": session_id,
+                             "confirm": seclayer.edhoc_confirmation(master)},
+                EDHOC_MSG_SIZES[2])
 
             def got_done(resp3: SimMessage, frame3: Frame) -> None:
                 i2.complete(self.world.clock.now)
@@ -746,9 +748,9 @@ class ClientNode(Node):
 
             self._send_with_echo_retry(m3, cause, got_done, fail, i2)
 
-        m1 = self._request(self._server_dst(), "edhoc_m1",
-                           {"eph": eph_i, "session": session_id},
-                           EDHOC_MSG_SIZES[0])
+        m1 = self._server_request("edhoc_m1",
+                                  {"eph": eph_i, "session": session_id},
+                                  EDHOC_MSG_SIZES[0])
         self._send_with_echo_retry(m1, cause, got_m2, fail, i1)
 
     # --- steady-state requests ------------------------------------------------
@@ -759,14 +761,13 @@ class ClientNode(Node):
         now = self.world.clock.now
         inter = Interaction("request", now, counted)
         self.interactions.append(inter)
-        inner = SimMessage(src=self.current_src, dst=self._server_dst(),
+        inner = SimMessage(src=self.current_src, dst=self.entry.address,
                            code="GET", payload_kind="app_request",
                            payload_len=8)
         protected = seclayer.oscore_protect(self.ctx, inner)
         piv = protected.oscore_piv
         self.sent_pivs.append(piv)
-        msg = self._request(self._server_dst(), "oscore", {},
-                            protected.payload_len)
+        msg = self._server_request("oscore", {}, protected.payload_len)
         msg.sealed = protected.sealed
         msg.oscore_kid = protected.oscore_kid
         msg.oscore_piv = piv
@@ -895,7 +896,6 @@ class GuardNode(RouterNode):
         self.origin_server: str | None = None
         self.audience: str | None = None
         self.audience_key: bytes = b""
-        self.guard_key_issued: str | None = None
 
     # --- dispatch -------------------------------------------------------------
 
@@ -974,10 +974,9 @@ class GuardNode(RouterNode):
         self.audience = msg.payload.get("audience")
         self.audience_key = msg.payload.get("audience_key", b"")
         self.world.emit("setup_step", self.address, step=1)
-        self.guard_key_issued = self.key_id
         self.world.emit("setup_step", self.address, step=2)
         self.reply(msg, "legit", "2.01", payload_kind="onboard_ack",
-                   payload={"guard_key_id": self.guard_key_issued},
+                   payload={"guard_key_id": self.key_id},
                    payload_len=20)
 
 
@@ -1132,13 +1131,9 @@ class ServerTunnelGuard(TunnelGuard):
         self.world.emit("token_verified", self.address,
                         subject=token.subject_key_id, origin=frame.origin)
         bound = ace_mod.unseal_bound_key(token, self.audience_key)
-        nonce_c = msg.payload["nonce"]
         nonce_s = self.rng.bytes(8)
-        master = ace_mod.ace_context_master(bound, nonce_c, nonce_s)
-        kid_c, kid_s = ace_mod.ace_kid_pair(nonce_c, nonce_s)
-        ctx = SecurityContext(sender_id=kid_s, recipient_id=kid_c,
-                              master_key=master)
-        self.tunnel_ctxs[kid_c] = ctx
+        _, ctx = ace_mod.tunnel_contexts(bound, msg.payload["nonce"], nonce_s)
+        self.tunnel_ctxs[ctx.recipient_id] = ctx
         self.world.emit("tunnel_established", self.address,
                         subject=token.subject_key_id, origin=frame.origin)
         self.world.emit("setup_step", self.address, step=8)
@@ -1169,8 +1164,8 @@ class ClientTunnelGuard(TunnelGuard):
     Requests wait for a tunnel, travel sealed under the current tunnel
     context, and the tunnel is renegotiated after repeated auth failures.
     Its client's `guard_brief` names the server's rendezvous entry, whose
-    `as_hint` is where the guard asks for tunnel tokens; until then it
-    cannot set up a tunnel."""
+    `as_hint` is where the guard asks for tunnel tokens for the entry's
+    `audience`; until then it cannot set up a tunnel."""
 
     def __init__(self, world, address, constrained_prefix, key_id, key):
         super().__init__(world, address, constrained_prefix, key_id)
@@ -1195,7 +1190,7 @@ class ClientTunnelGuard(TunnelGuard):
             entry = RendezvousEntry.from_doc(msg.payload["entry"])
             self.as_address = entry.as_hint
             self.server_guard_address = entry.published_address
-            self.audience = f"aud_{entry.name}"
+            self.audience = entry.audience
             self.world.emit("setup_step", self.address, step=5)
             self.reply(msg, frame.origin, "2.04", payload_kind="brief_ack",
                        payload_len=2)
@@ -1231,13 +1226,10 @@ class ClientTunnelGuard(TunnelGuard):
         if self.establishing or self.as_address is None:
             return
         self.establishing = True
-        req = SimMessage(src=self.address, dst=self.as_address, mtype="CON",
-                         mid=self.new_mid(), token=self.new_token(),
-                         code="POST", payload_kind="as_token_request",
-                         payload={"purpose": "tunnel_token",
-                                  "subject_key_id": self.key_id,
-                                  "audience": self.audience},
-                         payload_len=50)
+        req = self.request(self.as_address, "as_token_request",
+                           {"purpose": "tunnel_token",
+                            "subject_key_id": self.key_id,
+                            "audience": self.audience}, 50)
         self.send_con(req, "legit", self._got_tunnel_token,
                       on_giveup=self._tunnel_setup_failed)
 
@@ -1246,25 +1238,17 @@ class ClientTunnelGuard(TunnelGuard):
             self._tunnel_setup_failed()
             return
         nonce_c = self.rng.bytes(8)
-        post = SimMessage(src=self.address, dst=self.server_guard_address,
-                          mtype="CON", mid=self.new_mid(),
-                          token=self.new_token(), code="POST",
-                          payload_kind="tunnel_token_post",
-                          payload={"token": resp.payload["token"],
-                                   "nonce": nonce_c},
-                          payload_len=80)
+        post = self.request(self.server_guard_address, "tunnel_token_post",
+                            {"token": resp.payload["token"], "nonce": nonce_c},
+                            80)
 
         def done(r: SimMessage, f: Frame) -> None:
             if r.code != "2.01":
                 self._tunnel_setup_failed()
                 return
-            nonce_s = r.payload["nonce"]
-            master = ace_mod.ace_context_master(self.key, nonce_c, nonce_s)
-            kid_c, kid_s = ace_mod.ace_kid_pair(nonce_c, nonce_s)
-            self.tunnel_ctx = SecurityContext(sender_id=kid_c,
-                                              recipient_id=kid_s,
-                                              master_key=master)
-            self.tunnel_rx[kid_s] = self.tunnel_ctx
+            ctx, _ = ace_mod.tunnel_contexts(self.key, nonce_c,
+                                             r.payload["nonce"])
+            self.tunnel_ctx = self.tunnel_rx[ctx.recipient_id] = ctx
             self.establishing = False
             self.world.emit("tunnel_ready", self.address)
             queued, self.tunnel_queue = self.tunnel_queue, {}

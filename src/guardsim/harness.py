@@ -295,8 +295,9 @@ def build_world(config: SimConfig, scenario: str, attack_kind: str,
     registry.add_audience("aud_srv", keys["aud_srv"])
 
     guarded = scenario in ("exemptions", "fullguard")
+    fullguard = scenario == "fullguard"
 
-    if scenario == "fullguard":
+    if fullguard:
         rtr_c = ClientTunnelGuard(world, "rtrC", "cli*", key_id="key_cgp",
                                   key=keys["key_cgp"])
     else:
@@ -314,19 +315,24 @@ def build_world(config: SimConfig, scenario: str, attack_kind: str,
     else:
         rtr_s = RouterNode(world, "rtrS")
 
-    server = ServerNode(world, "srv", energy=config.energy.make(),
+    as_address = "as"
+    server = ServerNode(world, address="srv", audience="aud_srv",
+                        rd_address="rd", as_address=as_address,
+                        energy=config.energy.make(), behind_tunnel=fullguard,
                         guard_address="rtrS" if guarded else None,
-                        behind_tunnel=scenario == "fullguard",
-                        audience="aud_srv", audience_key=keys["aud_srv"])
+                        audience_key=keys["aud_srv"])
     client = None
     if client_enabled:
-        client = ClientNode(world, "cli", energy=config.energy.make(),
-                            guard_address="rtrC" if scenario == "fullguard" else None,
+        client = ClientNode(world, address="cli", rd_address="rd",
+                            server_name="srv", key_id="key_cli",
+                            guard_key_id="key_cgp" if fullguard else None,
+                            energy=config.energy.make(),
+                            guard_address="rtrC" if fullguard else None,
                             request_interval_ms=config.client.request_interval_ms,
                             base_timeout_ms=config.coap.base_timeout_ms,
                             retransmit_limit=config.coap.retransmit_limit)
     rendezvous = RendezvousNode(world, "rd")
-    authorization = AsNode(world, registry, "as")
+    authorization = AsNode(world, registry, address=as_address)
 
     attacker = None
     attacks, start, stop = config.attacks, attack_start_ms, attack_stop_ms
@@ -361,7 +367,7 @@ def build_world(config: SimConfig, scenario: str, attack_kind: str,
         client.routes = [("*", "rtrC")]
     rtr_c.routes = ([("cli*", "cli")] if client is not None else []) + \
         [("*", "rtrS")]
-    rtr_s.routes = ([("srv", "srv"), ("rd", "rd"), ("as", "as")]
+    rtr_s.routes = ([("srv", "srv"), ("rd", "rd"), (as_address, as_address)]
                     + ([("x*", "atk"), ("atk", "atk")]
                        if attacker is not None else [])
                     + [("*", "rtrC")])
@@ -505,31 +511,26 @@ def run_cell(config: SimConfig, scenario: str, attack_kind: str,
     With `collect_traces`, both sub-runs keep their event traces, returned
     under the cell's `_traces` key; otherwise no event is kept.
     """
-    sub_a = run_subrun(config, scenario, attack_kind, "setup", collect_traces)
-    sub_b = run_subrun(config, scenario, attack_kind, "steady", collect_traces)
-
-    setup = phase_stats(sub_a.handles.client.interactions, ("key_exchange",),
-                        config)
-    steady = phase_stats(sub_b.handles.client.interactions, ("request",),
+    subs = [run_subrun(config, scenario, attack_kind, subrun, collect_traces)
+            for subrun in ("setup", "steady")]
+    setup = phase_stats(subs[0].handles.client.interactions,
+                        ("key_exchange",), config)
+    steady = phase_stats(subs[1].handles.client.interactions, ("request",),
                          config)
 
-    total = 0.0
-    attributable = 0.0
-    for sub in (sub_a, sub_b):
-        rep = energy_report(sub.handles.world.ledger, config.energy.cost_edhoc)
-        total += rep["total_drained"]
-        attributable += rep["attack_attributable"]
+    energy = [energy_report(s.handles.world.ledger, config.energy.cost_edhoc)
+              for s in subs]
+    total = sum(rep["total_drained"] for rep in energy)
+    attributable = sum(rep["attack_attributable"] for rep in energy)
     exposure = 0
     if attack_kind != "none":
-        exposure = sum(s.measured_until_ms - s.attack_start_ms
-                       for s in (sub_a, sub_b))
+        exposure = sum(s.measured_until_ms - s.attack_start_ms for s in subs)
 
-    rekeys = sum(s.handles.client.rekeys for s in (sub_a, sub_b))
-    induced = sum(s.handles.client.attack_induced_rekeys for s in (sub_a, sub_b))
-    renegotiations = 0
-    for sub in (sub_a, sub_b):
-        for node in (sub.handles.client_router, sub.handles.server_router):
-            renegotiations += getattr(node, "renegotiations", 0)
+    rekeys = sum(s.handles.client.rekeys for s in subs)
+    induced = sum(s.handles.client.attack_induced_rekeys for s in subs)
+    # Only the client tunnel end renegotiates.
+    renegotiations = sum(getattr(s.handles.client_router, "renegotiations", 0)
+                         for s in subs)
 
     cell = {
         "scenario": scenario,
@@ -551,13 +552,12 @@ def run_cell(config: SimConfig, scenario: str, attack_kind: str,
         "tunnel_renegotiations": renegotiations,
     }
     if collect_traces:
-        cell["_traces"] = (sub_a.handles.world.trace, sub_b.handles.world.trace)
+        cell["_traces"] = tuple(s.handles.world.trace for s in subs)
     # Each sub-run's world is cyclic garbage (each node refers to its world
     # and the world to its nodes). By now both sit in the oldest
     # generation, which automatic collection seldom reaches, so free them
-    # here, once no local name (the loops' `sub` and `node` included)
-    # refers to them.
-    del sub_a, sub_b, sub, node
+    # here, once no local name refers to them.
+    del subs
     gc.collect()
     return cell
 

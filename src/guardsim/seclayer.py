@@ -22,7 +22,8 @@ from functools import cached_property
 
 from _sha3 import shake_128
 
-from .coap_lite import SimMessage, deserialize_inner, serialize_inner
+from .coap_lite import (SimMessage, deserialize_inner, message_size,
+                        serialize_inner)
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -201,7 +202,6 @@ def oscore_protect(ctx: SecurityContext, inner: SimMessage,
 
 def inner_payload_size(inner: SimMessage) -> int:
     """Declared outer payload size: inner size plus the authentication tag."""
-    from .coap_lite import message_size
     return message_size(inner) + TAG_LEN
 
 

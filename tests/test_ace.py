@@ -5,10 +5,12 @@ import pytest
 
 from guardsim.ace import (TOKEN_LIFETIME_MS, AccessToken, AsRegistry, Denied,
                           InvalidToken, ace_context_master, ace_kid_pair,
-                          issue_token, unseal_bound_key, verify_token)
+                          issue_token, tunnel_contexts, unseal_bound_key,
+                          verify_token)
 from guardsim.coap_lite import SimMessage
-from guardsim.seclayer import (AuthError, SecurityContext, oscore_protect,
-                               oscore_unprotect)
+from guardsim.seclayer import (AuthError, SecurityContext, aead_nonce,
+                               aead_seal, next_piv, open_sealed,
+                               oscore_protect, oscore_unprotect)
 
 AUD_KEY = b"audience-key-01!"
 CLI_KEY = b"client-key-0001!"
@@ -136,6 +138,25 @@ def test_token_replay_without_bound_key_fails_at_first_message():
     good = oscore_protect(honest_ctx, SimMessage(src="cli", dst="srv",
                                                  code="GET", payload_len=4))
     assert oscore_unprotect(server_ctx, good).code == "GET"
+
+
+def test_tunnel_contexts_are_mirrored_ends():
+    nonce_c, nonce_s = b"nonce-cl", b"nonce-sv"
+    client, server = tunnel_contexts(CGP_KEY, nonce_c, nonce_s)
+    assert (client.sender_id, server.sender_id) == ace_kid_pair(nonce_c,
+                                                                nonce_s)
+    assert (client.recipient_id, server.recipient_id) == \
+        (server.sender_id, client.sender_id)
+    assert client.master_key == server.master_key == \
+        ace_context_master(CGP_KEY, nonce_c, nonce_s)
+    for sender, receiver in ((client, server), (server, client)):
+        for data in (b"first frame", b"second frame"):
+            piv = next_piv(sender)
+            sealed = aead_seal(sender.sender_key,
+                               aead_nonce(sender.sender_id, piv), b"tun", data)
+            frame = SimMessage(src="a", dst="b", oscore_kid=sender.sender_id,
+                               oscore_piv=piv, sealed=sealed)
+            assert open_sealed(receiver, frame, b"tun") == data
 
 
 def test_kid_pair_distinct():

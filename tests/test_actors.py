@@ -7,7 +7,7 @@ import pytest
 
 from guardsim.actors import (FloodAttacker, GuardNode, Impersonator, Node,
                              OnPathAttacker, RendezvousEntry, RendezvousNode,
-                             deserialize_full, serialize_full)
+                             ServerNode, deserialize_full, serialize_full)
 from guardsim.coap_lite import SimMessage, ack, message_size
 from guardsim.guard import ALLOW_LISTED, CLASS_PRIORITY, REACHABILITY_VERIFIED
 from guardsim.harness import SimConfig, build_world, derive_seed
@@ -137,7 +137,7 @@ def test_fullguard_entry_carries_guard_metadata():
 def test_onboarding_is_idempotent():
     handles = run_quiet("fullguard")
     guard = handles.server_router
-    first = (guard.audience, guard.audience_key, guard.guard_key_issued,
+    first = (guard.audience, guard.audience_key, guard.key_id,
              guard.origin_server)
     onboard = SimMessage(src="srv", dst="rtrS", mid=999, token=b"\x99",
                          code="POST", payload_kind="onboard_request",
@@ -145,7 +145,7 @@ def test_onboarding_is_idempotent():
                                   "audience_key": guard.audience_key},
                          payload_len=30)
     guard._onboard(make_frame(onboard))
-    assert (guard.audience, guard.audience_key, guard.guard_key_issued,
+    assert (guard.audience, guard.audience_key, guard.key_id,
             guard.origin_server) == first
 
 
@@ -260,7 +260,7 @@ def test_exemptions_client_unchanged_from_baseline():
     exem = build_world(SimConfig(), "exemptions", "none", 0, 1000, 2)
     assert base.client.guard_address is exem.client.guard_address is None
     exem.client.entry = RendezvousEntry(name="srv", address="rtrS")
-    msg = exem.client._request(exem.client._server_dst(), "edhoc_m1", {}, 40)
+    msg = exem.client._server_request("edhoc_m1", {}, 40)
     assert msg.dst == "rtrS"  # only the destination differs
     assert msg.proxy_uri is None
 
@@ -271,15 +271,57 @@ def test_fullguard_client_routes_via_its_guard():
     client.entry = RendezvousEntry(name="srv", address="srv",
                                    proxy_address="rtrS",
                                    server_guard_key_id="key_sgp")
-    msg = client._request(client._server_dst(), "edhoc_m1", {}, 40)
+    msg = client._server_request("edhoc_m1", {}, 40)
     assert msg.dst == "rtrC"
     assert msg.proxy_uri == "coap://srv"
 
 
-def announced_entry(as_hint):
-    """The fullguard server's rendezvous entry, naming `as_hint` as its AS."""
+def announced_entry(as_hint, audience="aud_srv"):
+    """The fullguard server's rendezvous entry, naming `as_hint` as its AS
+    and `audience` as the audience its tokens carry."""
     return RendezvousEntry(name="srv", address="srv", proxy_address="rtrS",
-                           server_guard_key_id="key_sgp", as_hint=as_hint)
+                           server_guard_key_id="key_sgp", as_hint=as_hint,
+                           audience=audience)
+
+
+def test_tunnelled_server_announces_its_as_and_audience():
+    server = ServerNode(World(seed=1), address="srv", audience="aud_x",
+                        rd_address="rd", as_address="as9",
+                        guard_address="rtrS", behind_tunnel=True)
+    sent = []
+    server.send_frame = lambda msg, origin: sent.append(msg)
+    server.start()
+    server.world.run_until(1)
+    onboard, = sent
+    assert onboard.payload["audience"] == "aud_x"
+    server.handle(make_frame(ack(onboard, "rtrS", "2.01",
+                                 payload_kind="onboard_ack",
+                                 payload={"guard_key_id": "key_sgp"})),
+                  "rtrS")
+    register = sent[-1]
+    assert (register.dst, register.payload_kind) == ("rd", "rd_register")
+    assert RendezvousEntry.from_doc(register.payload["entry"]) == \
+        announced_entry("as9", "aud_x")
+
+
+def test_client_authorizes_its_guard_for_the_announced_audience():
+    handles = build_world(SimConfig(), "fullguard", "none", 0, 1000, 3)
+    client = handles.client
+    sent = []
+    client.send_frame = lambda msg, origin: sent.append(msg)
+    client.bootstrap(lambda: None)
+    lookup, = sent
+    entry = ack(lookup, "rd", "2.05", payload_kind="rd_entry",
+                payload={"entry": announced_entry("as9", "aud_x").to_doc()})
+    client.handle(make_frame(entry), "rtrC")
+    authorize, = sent[1:]
+    # The client's own key and its guard's, as the AS registry knows them.
+    subjects = handles.authorization.registry.known_subjects
+    assert authorize.payload["subject_key_id"] == "key_cli"
+    assert "key_cli" in subjects
+    assert authorize.payload["client_guard_key_id"] == \
+        handles.client_router.key_id == "key_cgp"
+    assert authorize.payload["audience"] == "aud_x"
 
 
 def test_client_asks_the_announced_as_to_authorize_its_guard():
@@ -312,6 +354,26 @@ def test_client_guard_asks_the_announced_as_for_tunnel_tokens():
     guard.handle_inside(make_frame(request))
     assert [m.dst for m in sent if m.payload_kind == "as_token_request"] == \
         ["as9"]
+
+
+def test_client_guard_asks_for_tokens_for_the_announced_audience():
+    handles = build_world(SimConfig(), "fullguard", "none", 0, 1000, 3)
+    guard = handles.client_router
+    sent = []
+    guard.send_frame = lambda msg, origin: sent.append(msg)
+    brief = SimMessage(src="cli", dst="rtrC", mid=1, token=b"\x01",
+                       code="POST", payload_kind="guard_brief",
+                       payload={"entry": announced_entry("as", "aud_x")
+                                .to_doc()},
+                       payload_len=50)
+    request = SimMessage(src="cli", dst="rtrC", mid=2, token=b"\x02",
+                         code="POST", payload_kind="edhoc_m1",
+                         proxy_uri="coap://srv", payload_len=40)
+    guard.handle_inside(make_frame(brief))
+    guard.handle_inside(make_frame(request))
+    assert [(m.payload["purpose"], m.payload["audience"]) for m in sent
+            if m.payload_kind == "as_token_request"] == \
+        [("tunnel_token", "aud_x")]
 
 
 def test_fresh_identity_changes_source():
