@@ -470,7 +470,9 @@ class ServerNode(Node):
         self.rd_address = rd_address
         self.as_address = as_address
         self.contexts: dict[bytes, SecurityContext] = {}
-        self.sessions: dict[tuple, dict] = {}
+        # (src, session) -> (eph_i, eph_r) of each m1 answered: one tuple
+        # per half-open session, which a flood of m1s multiplies.
+        self.sessions: dict[tuple, tuple[bytes, bytes]] = {}
         self.dedup: dict[tuple, SimMessage] = {}
         self.guard_key_id: str | None = None
 
@@ -543,9 +545,8 @@ class ServerNode(Node):
         self.charge("edhoc", frame.origin, fraction=0.5)
         self.world.emit("edhoc_msg", self.address, n=1, origin=frame.origin)
         eph_r = self.rng.bytes(8)
-        self.sessions[(msg.src, msg.payload.get("session", 0))] = {
-            "eph_i": msg.payload.get("eph", b""), "eph_r": eph_r,
-        }
+        self.sessions[(msg.src, msg.payload.get("session", 0))] = (
+            msg.payload.get("eph", b""), eph_r)
         self._respond(msg, frame, "2.04", "edhoc_m2",
                       {"eph": eph_r, "session": msg.payload.get("session", 0)},
                       EDHOC_MSG_SIZES[1])
@@ -555,11 +556,12 @@ class ServerNode(Node):
         if sess is None:
             self._respond(msg, frame, "4.01", "error", {}, 2)
             return
-        master = seclayer.edhoc_master(sess["eph_i"], sess["eph_r"])
+        eph_i, eph_r = sess
+        master = seclayer.edhoc_master(eph_i, eph_r)
         if msg.payload.get("confirm") != seclayer.edhoc_confirmation(master):
             self._respond(msg, frame, "4.01", "error", {}, 2)
             return
-        ctx = seclayer.edhoc_derive(sess["eph_r"], sess["eph_i"])
+        ctx = seclayer.edhoc_derive(eph_r, eph_i)
         self.contexts[ctx.recipient_id] = ctx
         self.charge("edhoc", frame.origin, fraction=0.5)
         self.world.emit("edhoc_msg", self.address, n=3, origin=frame.origin)

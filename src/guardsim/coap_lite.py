@@ -11,7 +11,7 @@ to values such as next hops.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 class EventAfterFinal(Exception):
@@ -57,9 +57,11 @@ class SimMessage:
     sealed: bytes | None = None
 
     def copy(self, **changes) -> "SimMessage":
-        msg = replace(self, **changes)
-        msg.payload = dict(self.payload) if "payload" not in changes else msg.payload
-        return msg
+        # One class call over the instance dict, not `dataclasses.replace`,
+        # which walks every field on each call. An unknown name in
+        # `changes` raises TypeError.
+        return SimMessage(**{**self.__dict__, "payload": dict(self.payload),
+                             **changes})
 
     @property
     def is_response(self) -> bool:

@@ -35,6 +35,8 @@ DEFAULT_SEQ_MEMORY = 64
 class TokenBucket:
     """Continuous-refill token bucket; deterministic given call order."""
 
+    __slots__ = ("rate", "burst", "tokens", "last_ms")
+
     def __init__(self, rate_per_s: float, burst: float):
         self.rate = rate_per_s
         self.burst = float(burst)
@@ -70,28 +72,32 @@ class ThrottlePolicy:
 
     def __init__(self, specs: dict[str, BucketSpec]):
         self.specs = dict(specs)
-        self._aggregate: dict[str, TokenBucket] = {}
-        self._per_source: dict[tuple[str, str], TokenBucket] = {}
+        self._aggregate = {cls: TokenBucket(spec.aggregate_rate,
+                                            spec.aggregate_burst)
+                           for cls, spec in self.specs.items()}
+        # Per-source buckets by class, then source, so that no bucket needs
+        # a (class, source) key tuple.
+        self._per_source: dict[str, dict[str, TokenBucket]] = {
+            cls: {} for cls in self.specs}
+        # Each class's burst as one float that all its buckets share.
+        self._source_burst = {cls: float(spec.per_source_burst)
+                              for cls, spec in self.specs.items()}
 
     def admit(self, cls: str, source: str, now_ms: int) -> bool:
-        spec = self.specs[cls]
-        key = (cls, source)
-        if key not in self._per_source:
-            self._per_source[key] = TokenBucket(spec.per_source_rate,
-                                                spec.per_source_burst)
-            self._per_source[key].last_ms = now_ms
-        if cls not in self._aggregate:
-            self._aggregate[cls] = TokenBucket(spec.aggregate_rate,
-                                               spec.aggregate_burst)
+        buckets = self._per_source[cls]
+        bucket = buckets.get(source)
+        if bucket is None:
+            bucket = buckets[source] = TokenBucket(
+                self.specs[cls].per_source_rate, self._source_burst[cls])
+            bucket.last_ms = now_ms
         # Per-source first: a refusal there returns before the aggregate
         # bucket is touched. An aggregate refusal still spends the
         # per-source token, so a starved aggregate does not make per-source
         # budgets refillable.
-        return (self._per_source[key].admit(now_ms)
-                and self._aggregate[cls].admit(now_ms))
+        return bucket.admit(now_ms) and self._aggregate[cls].admit(now_ms)
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowRecord:
     """Per-source guard state, keyed by source address alone: the flow's
     class, its pending Echo challenge, when it proved reachable, whether
@@ -108,7 +114,7 @@ class FlowRecord:
     last_update_ms: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class SeqTracker:
     """Per-kid sequence observations: highest piv and recent piv->token pairs."""
 

@@ -15,7 +15,6 @@ import csv
 import gc
 import io
 import json
-import statistics
 from dataclasses import dataclass, field, fields, is_dataclass
 
 from .actors import (AsNode, AttackerNode, ClientNode, ClientTunnelGuard,
@@ -436,6 +435,17 @@ LOSSES = "losses"
 NO_TRAFFIC = "no_traffic"
 
 
+def median(values: list) -> int | float:
+    """`statistics.median`'s arithmetic: the middle value of an odd count,
+    the mean of the two middle values of an even one. The `statistics`
+    module is not imported because it loads `decimal` and `fractions`."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def classify_behavior(latencies_ms: list[int], retransmissions: list[int],
                       n_timed_out: int, n_started: int, base_timeout_ms: int,
                       loss_fraction=ClassifyConfig.loss_fraction,
@@ -453,7 +463,7 @@ def classify_behavior(latencies_ms: list[int], retransmissions: list[int],
     with_retx = sum(1 for r in retransmissions if r >= 1)
     if with_retx / len(retransmissions) > retransmit_fraction:
         return THROTTLED
-    if statistics.median(latencies_ms) > base_timeout_ms:
+    if median(latencies_ms) > base_timeout_ms:
         return THROTTLED
     return GOOD
 
@@ -472,7 +482,7 @@ def phase_stats(interactions, kinds, config: SimConfig) -> dict:
         "n_started": len(picked),
         "n_completed": len(latencies),
         "n_timed_out": n_timed_out,
-        "median_latency_ms": (statistics.median(latencies) if latencies else None),
+        "median_latency_ms": (median(latencies) if latencies else None),
         "retransmit_fraction": (round(sum(1 for r in retx if r >= 1) / len(retx), 4)
                                 if retx else None),
     }

@@ -242,6 +242,16 @@ def test_inner_serialization_round_trip():
     assert back.echo == b"\xaa" * 8
 
 
+def test_copy_takes_its_own_payload_and_rejects_unknown_fields():
+    base = SimMessage(src="a", dst="b", payload={"n": 1})
+    dup = base.copy(dst="c")
+    dup.payload["n"] = 2
+    assert (base.dst, base.payload) == ("b", {"n": 1})
+    assert base.copy(payload={"m": 3}).payload == {"m": 3}
+    with pytest.raises(TypeError):
+        base.copy(no_such_field=1)
+
+
 def test_inner_serialization_deterministic():
     inner = SimMessage(src="a", dst="b", payload={"x": 1, "y": b"z"})
     assert serialize_inner(inner) == serialize_inner(inner.copy())

@@ -1,9 +1,12 @@
 """Guard policy: classes, two-level throttling, echo challenges,
 allow-listing, sequence plausibility."""
 
+import pytest
+from hypothesis import given, strategies as st
+
 from guardsim.coap_lite import SimMessage
 from guardsim.guard import (ALLOW_LISTED, BucketSpec, CLASS_PRIORITY,
-                            CONFLICT, GuardConfig, GuardState,
+                            CONFLICT, FlowRecord, GuardConfig, GuardState,
                             IMPLAUSIBLE_JUMP, KNOWN_MOBILE, NON_PROXY,
                             PLAUSIBLE, REACHABILITY_VERIFIED, SeqTracker,
                             ThrottlePolicy, TokenBucket, TUNNEL,
@@ -82,7 +85,70 @@ def test_starved_aggregate_still_consumes_per_source():
     assert policy.admit(UNKNOWN_VIA_PROXY, "a", 0) is True
     assert policy.admit(UNKNOWN_VIA_PROXY, "b", 0) is False
     # b's per-source token was consumed by the failed attempt.
-    assert policy._per_source[(UNKNOWN_VIA_PROXY, "b")].tokens < 1.0
+    assert policy._per_source[UNKNOWN_VIA_PROXY]["b"].tokens < 1.0
+
+
+class TupleKeyedPolicy:
+    """Reference: `ThrottlePolicy.admit` with one bucket per (class, source)
+    tuple, each converting its own burst."""
+
+    def __init__(self, specs):
+        self.specs = specs
+        self.aggregate = {}
+        self.per_source = {}
+
+    def admit(self, cls, source, now_ms):
+        spec = self.specs[cls]
+        key = (cls, source)
+        if key not in self.per_source:
+            self.per_source[key] = TokenBucket(spec.per_source_rate,
+                                               spec.per_source_burst)
+            self.per_source[key].last_ms = now_ms
+        if cls not in self.aggregate:
+            self.aggregate[cls] = TokenBucket(spec.aggregate_rate,
+                                              spec.aggregate_burst)
+        return (self.per_source[key].admit(now_ms)
+                and self.aggregate[cls].admit(now_ms))
+
+
+def _state(bucket):
+    return (bucket.tokens, bucket.last_ms)
+
+
+@given(st.lists(st.tuples(
+    st.sampled_from([UNKNOWN_VIA_PROXY, NON_PROXY, REACHABILITY_VERIFIED]),
+    st.sampled_from(["a", "b", "c", "d"]),
+    st.integers(0, 3_000)), max_size=60))
+def test_admit_matches_tuple_keyed_reference(steps):
+    config = GuardConfig()
+    specs = {UNKNOWN_VIA_PROXY: config.unknown_bucket,
+             NON_PROXY: config.non_proxy_bucket,
+             REACHABILITY_VERIFIED: config.verified_bucket}
+    policy, ref = ThrottlePolicy(specs), TupleKeyedPolicy(specs)
+    now = 0
+    for cls, source, dt in steps:
+        now += dt
+        assert policy.admit(cls, source, now) == ref.admit(cls, source, now)
+    assert {(cls, src): _state(b)
+            for cls, by_src in policy._per_source.items()
+            for src, b in by_src.items()} == {
+        key: _state(b) for key, b in ref.per_source.items()}
+    # The policy builds every class's aggregate bucket up front, the
+    # reference on first use: a bucket not yet used is full at last_ms 0.
+    assert {cls: _state(b) for cls, b in policy._aggregate.items()} == {
+        cls: _state(ref.aggregate[cls]) if cls in ref.aggregate
+        else (float(specs[cls].aggregate_burst), 0) for cls in specs}
+
+
+@pytest.mark.parametrize("obj", [TokenBucket(1.0, 2), FlowRecord("s"),
+                                 SeqTracker()],
+                         ids=["TokenBucket", "FlowRecord", "SeqTracker"])
+def test_per_source_records_are_slotted(obj):
+    # One of these per spoofed source: a per-instance dict would cost more
+    # than the fields it holds.
+    assert not hasattr(obj, "__dict__")
+    with pytest.raises(AttributeError):
+        obj.undeclared = 1
 
 
 def test_token_bucket_never_exceeds_burst():

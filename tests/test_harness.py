@@ -3,12 +3,17 @@
 import gc
 import inspect
 import json
+import os
 import pathlib
 import re
+import statistics
+import subprocess
+import sys
 import weakref
 from dataclasses import fields, is_dataclass
 
 import pytest
+from hypothesis import given, strategies as st
 
 from guardsim.harness import (ATTACKS, ClassifyConfig, ConfigError,
                               EnergyConfig, MATRIX_CELLS, SCENARIOS,
@@ -163,6 +168,33 @@ def test_small_loss_fraction_tolerated():
 
 def test_no_interactions():
     assert classify_behavior([], [], 0, 0, 2000) == "no_traffic"
+
+
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1))
+def test_median_matches_statistics(values):
+    # Odd counts give the middle int, even counts the float mean of the two
+    # middle values; a report's `median_latency_ms` shows which.
+    ours, ref = harness.median(values), statistics.median(values)
+    assert ours == ref
+    assert type(ours) is type(ref)
+
+
+def test_importing_guardsim_loads_no_statistics():
+    """`statistics` loads `decimal` and `fractions`, about half a MB of
+    resident memory in every run. Modules a bare interpreter already has
+    (through site hooks, say) do not count."""
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    code = "import sys; {}print(' '.join(sorted(sys.modules)))"
+
+    def loaded(imports):
+        return set(subprocess.run(
+            [sys.executable, "-c", code.format(imports)], check=True,
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}).stdout.split())
+
+    added = loaded("import guardsim, guardsim.harness; ") - loaded("")
+    assert "guardsim.harness" in added
+    assert not added & {"statistics", "decimal", "_decimal", "fractions"}
 
 
 # --- energy report --------------------------------------------------------------------
