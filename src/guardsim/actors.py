@@ -122,6 +122,11 @@ def deserialize_full(data: bytes) -> SimMessage:
 
 
 class Node:
+    # The timing of this node's confirmable exchanges: RFC 7252's defaults
+    # until `build_world` sets both from `config.coap`.
+    base_timeout_ms = DEFAULT_BASE_TIMEOUT_MS
+    retransmit_limit = DEFAULT_RETRANSMIT_LIMIT
+
     def __init__(self, world: World, address: str,
                  energy: EnergyBudget | None = None):
         self.world = world
@@ -235,12 +240,9 @@ class Node:
     # --- confirmable exchanges --------------------------------------------
 
     def send_con(self, msg: SimMessage, origin: str, on_response,
-                 on_giveup=None, interaction: Interaction | None = None,
-                 base_timeout_ms: int = DEFAULT_BASE_TIMEOUT_MS,
-                 retransmit_limit: int = DEFAULT_RETRANSMIT_LIMIT):
+                 on_giveup=None, interaction: Interaction | None = None):
         ex = Exchange(self, msg, origin, self.send_frame, self.outstanding,
-                      on_response, on_giveup, interaction, base_timeout_ms,
-                      retransmit_limit)
+                      on_response, on_giveup, interaction)
         ex.start()
         return ex
 
@@ -262,8 +264,10 @@ class Node:
 
 
 class Exchange:
-    """One confirmable request, retransmitted with doubling timeouts until a
-    response or an empty ACK ends it, or it gives up.
+    """One confirmable request, retransmitted at its owner's CoAP timing
+    until a response ends it or it gives up. An empty ACK stops the
+    retransmissions; it then gives up once its lifetime
+    (`TxState.lifetime_ms`) from its first send has passed.
 
     `send(msg, origin)` puts the request on the wire, each time it is
     (re)sent; `pending` maps the request token to the exchange while it is
@@ -274,8 +278,6 @@ class Exchange:
     def __init__(self, owner: Node, msg: SimMessage, origin: str, send,
                  pending: dict, on_response=None, on_giveup=None,
                  interaction: Interaction | None = None,
-                 base_timeout_ms: int = DEFAULT_BASE_TIMEOUT_MS,
-                 retransmit_limit: int = DEFAULT_RETRANSMIT_LIMIT,
                  via: str | None = None):
         self.owner = owner
         self.msg = msg
@@ -286,10 +288,10 @@ class Exchange:
         self.on_giveup = on_giveup
         self.interaction = interaction
         self.via = via
-        self.state = TxState(base_timeout_ms=base_timeout_ms,
-                             retransmit_limit=retransmit_limit)
+        self.state = TxState(owner.base_timeout_ms, owner.retransmit_limit)
         self.acked = False
         self.done = False
+        self.sent_ms = owner.world.clock.now  # built and started at once
 
     def start(self) -> None:
         self.pending[self.msg.token] = self
@@ -306,9 +308,15 @@ class Exchange:
         self.owner.world.schedule_in(self.state.next_timeout_ms, self._timer)
 
     def _timer(self) -> None:
-        if self.done or self.acked:
+        if self.done:
             return
-        action = tx_step(self.state, "timer")
+        expires = self.sent_ms + self.state.lifetime_ms
+        if self.acked and self.owner.world.clock.now < expires:
+            # Wait for the separate response until the lifetime ends; only
+            # a later time is armed, as re-arming at `now` would never end.
+            self.owner.world.schedule(expires, self._timer)
+            return
+        action = tx_step(self.state, "expire" if self.acked else "timer")
         if action == "retransmit":
             if self.interaction is not None:
                 self.interaction.retransmissions += 1
@@ -600,13 +608,11 @@ class ServerNode(Node):
 class ClientNode(Node):
     """Constrained client of the server it looks up at `rd_address`. With
     a `guard_address`, it asks the entry's AS to grant its guard's key the
-    entry's audience under its own `key_id`, then briefs the guard.
-    `base_timeout_ms` and `retransmit_limit` pace its key exchanges and
-    requests; its bootstrap exchanges keep the `send_con` defaults."""
+    entry's audience under its own `key_id`, then briefs the guard."""
 
     def __init__(self, world, *, address, rd_address, server_name, key_id,
-                 guard_key_id, request_interval_ms, base_timeout_ms,
-                 retransmit_limit, energy=None, guard_address=None):
+                 guard_key_id, request_interval_ms, energy=None,
+                 guard_address=None):
         super().__init__(world, address, energy)
         self.guard_address = guard_address  # set: requests go via this proxy
         self.rd_address = rd_address
@@ -614,8 +620,6 @@ class ClientNode(Node):
         self.key_id = key_id
         self.guard_key_id = guard_key_id
         self.request_interval_ms = request_interval_ms
-        self.base_timeout_ms = base_timeout_ms
-        self.retransmit_limit = retransmit_limit
 
         self.entry: RendezvousEntry | None = None
         self.ctx: SecurityContext | None = None
@@ -702,13 +706,11 @@ class ClientNode(Node):
                     interaction.retransmissions += 1
                 retry = msg.copy(mid=self.new_mid(), token=self.new_token(),
                                  echo=resp.echo)
-                self.send_con(retry, origin, wrapped, on_giveup, interaction,
-                              self.base_timeout_ms, self.retransmit_limit)
+                self.send_con(retry, origin, wrapped, on_giveup, interaction)
                 return
             on_response(resp, frame)
 
-        self.send_con(msg, origin, wrapped, on_giveup, interaction,
-                      self.base_timeout_ms, self.retransmit_limit)
+        self.send_con(msg, origin, wrapped, on_giveup, interaction)
 
     # --- key exchange --------------------------------------------------------
 

@@ -184,27 +184,34 @@ class TxState:
         if self.next_timeout_ms == 0:
             self.next_timeout_ms = self.base_timeout_ms
 
+    @property
+    def lifetime_ms(self) -> int:
+        # RFC 7252 §4.8.2 EXCHANGE_LIFETIME: MAX_TRANSMIT_SPAN b*(2^n-1)*1.5,
+        # 2*MAX_LATENCY (2*100 s) and PROCESSING_DELAY b; 247 s by default.
+        base = self.base_timeout_ms
+        return base * (2 ** self.retransmit_limit - 1) * 3 // 2 + 200_000 + base
+
 
 def tx_step(state: TxState, event: str) -> str:
-    """Advance a confirmable exchange. Events: "sent", "timer".
+    """Advance a confirmable exchange. Events: "sent", "timer", "expire".
 
     Returns the action to take: "retransmit", "give_up" or "none".
     Timeouts double per attempt; with base b and limit n the k-th
     transmission happens at b*(2^(k-1)-1) and give-up at b*(2^(n+1)-1).
-    A response or empty ACK ends the exchange outside this machine
-    (`actors.Exchange` stops its timer), so only a give-up is final here,
-    and any event after it raises EventAfterFinal.
+    After an empty ACK, "expire" ends the exchange's lifetime: a give-up.
+    A response ends it outside this machine, so only a give-up is final
+    here, and any event after it raises EventAfterFinal.
     """
     if state.outcome != PENDING:
         raise EventAfterFinal(f"event {event!r} after outcome {state.outcome!r}")
     if event == "sent":
         state.attempts += 1
         return "none"
-    if event == "timer":
-        if state.attempts <= state.retransmit_limit:
-            state.attempts += 1
-            state.next_timeout_ms *= 2
-            return "retransmit"
+    if event == "timer" and state.attempts <= state.retransmit_limit:
+        state.attempts += 1
+        state.next_timeout_ms *= 2
+        return "retransmit"
+    if event in ("timer", "expire"):
         state.outcome = TIMED_OUT
         return "give_up"
     raise ValueError(f"unknown tx event {event!r}")

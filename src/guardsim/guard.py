@@ -89,7 +89,6 @@ class ThrottlePolicy:
         if bucket is None:
             bucket = buckets[source] = TokenBucket(
                 self.specs[cls].per_source_rate, self._source_burst[cls])
-            bucket.last_ms = now_ms
         # Per-source first: a refusal there returns before the aggregate
         # bucket is touched. An aggregate refusal still spends the
         # per-source token, so a starved aggregate does not make per-source

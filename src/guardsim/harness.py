@@ -327,9 +327,7 @@ def build_world(config: SimConfig, scenario: str, attack_kind: str,
                             guard_key_id="key_cgp" if fullguard else None,
                             energy=config.energy.make(),
                             guard_address="rtrC" if fullguard else None,
-                            request_interval_ms=config.client.request_interval_ms,
-                            base_timeout_ms=config.coap.base_timeout_ms,
-                            retransmit_limit=config.coap.retransmit_limit)
+                            request_interval_ms=config.client.request_interval_ms)
     rendezvous = RendezvousNode(world, "rd")
     authorization = AsNode(world, registry, address=as_address)
 
@@ -378,6 +376,8 @@ def build_world(config: SimConfig, scenario: str, attack_kind: str,
 
     for i, node in enumerate(world.nodes.values()):
         node.rng = world.rng.fork(i + 1)
+        node.base_timeout_ms = config.coap.base_timeout_ms
+        node.retransmit_limit = config.coap.retransmit_limit
 
     if isinstance(attacker, OnPathAttacker):
         rtr_s.links["rtrC"].interceptor = attacker.intercept

@@ -5,12 +5,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from guardsim.actors import (FloodAttacker, GuardNode, Impersonator, Node,
-                             OnPathAttacker, RendezvousEntry, RendezvousNode,
-                             ServerNode, deserialize_full, serialize_full)
-from guardsim.coap_lite import SimMessage, ack, message_size
+from guardsim.actors import (FloodAttacker, GuardNode, Impersonator,
+                             Interaction, Node, OnPathAttacker,
+                             RendezvousEntry, RendezvousNode, ServerNode,
+                             deserialize_full, serialize_full)
+from guardsim.coap_lite import SimMessage, TxState, ack, message_size
 from guardsim.guard import ALLOW_LISTED, CLASS_PRIORITY, REACHABILITY_VERIFIED
-from guardsim.harness import SimConfig, build_world, derive_seed
+from guardsim.harness import (SimConfig, build_world, config_from_dict,
+                              derive_seed)
 from guardsim.netsim import Frame, Rng, World
 from guardsim.seclayer import DEFAULT_MAX_SEQ, SecurityContext, SeqExhausted
 
@@ -102,9 +104,8 @@ def test_routes_cannot_grow_in_place():
 
 # --- scenario wiring and published entries -------------------------------------------
 
-def run_quiet(scenario, until_ms=30_000, mutate=None):
-    cfg = SimConfig()
-    handles = build_world(cfg, scenario, "none", 0, until_ms,
+def run_quiet(scenario, until_ms=30_000, mutate=None, cfg=None):
+    handles = build_world(cfg or SimConfig(), scenario, "none", 0, until_ms,
                           derive_seed(1, scenario, "none", "t"),
                           collect_trace=True)
     if mutate:
@@ -166,10 +167,10 @@ def test_upstream_giveup_leaves_no_proxy_table_entry():
     assert guard.relaying == set()
 
 
-def relay_setup(silent_server=False):
+def relay_setup(silent_server=False, cfg=None):
     """An exemptions world with `cli` allow-listed at the guard, and a log
     of what the guard sends toward `cli` as (code, payload_kind, origin)."""
-    handles = run_quiet("exemptions")
+    handles = run_quiet("exemptions", cfg=cfg)
     world, guard = handles.world, handles.server_router
     if silent_server:
         handles.server.handle = lambda frame, from_addr: None
@@ -583,6 +584,94 @@ def test_replayed_tunnel_frame_is_dropped_before_the_server():
     assert len(world.trace.by_kind("tunnel_replay")) == 1
     assert len([e for e in srv_link_frames(world.trace)
                 if e["node"] == "rtrS->srv"]) == before
+
+
+# --- confirmable exchanges: one timing source, and a lifetime --------------------------------
+
+def acked_exchange(base_timeout_ms=2000, retransmit_limit=4, ack_at_ms=0):
+    """A node's exchange, sent at 0, whose request gets only an empty ACK,
+    at `ack_at_ms`. Returns the world, the node, the exchange's interaction
+    and the times `on_giveup` was called."""
+    world = World(seed=1, collect_trace=True)
+    node = Node(world, "a")
+    node.base_timeout_ms = base_timeout_ms
+    node.retransmit_limit = retransmit_limit
+    node.send_frame = lambda msg, origin: None
+    inter = Interaction("request", 0)
+    gave_up = []
+    msg = node.request("b", "app_request", {}, 8)
+    node.send_con(msg, "legit", lambda resp, frame: None,
+                  lambda: gave_up.append(world.clock.now), inter)
+    empty = make_frame(ack(msg, "b", "EMPTY", token=b""))
+    world.schedule(ack_at_ms, lambda: node.match_response(empty))
+    return world, node, inter, gave_up
+
+
+def test_acked_exchange_gives_up_at_first_send_plus_lifetime():
+    world, node, inter, gave_up = acked_exchange()
+    lifetime = 247_000  # RFC 7252's EXCHANGE_LIFETIME at the defaults
+    world.run_until(lifetime - 1)
+    assert inter.outcome is None and gave_up == []
+    world.run_until(lifetime + 100_000)
+    assert [(e["t"], e["node"]) for e in world.trace.by_kind("giveup")] == \
+        [(lifetime, "a")]
+    assert not world.trace.by_kind("retransmit")
+    assert (inter.outcome, inter.t_end) == ("timed_out", lifetime)
+    assert gave_up == [lifetime]
+    assert node.outstanding == {} and len(world.queue) == 0
+    assert TxState().lifetime_ms == lifetime
+
+
+def test_exchange_acked_past_its_lifetime_gives_up_at_its_next_timer():
+    # Base 200 s, limit 2: timers at 200, 600 and 1,400 s, and a lifetime
+    # of 1,300 s, which has passed when the third timer finds it acked.
+    world, node, inter, gave_up = acked_exchange(200_000, 2,
+                                                 ack_at_ms=700_000)
+    world.run_until(3_000_000)
+    assert [e["t"] for e in world.trace.by_kind("retransmit")] == \
+        [200_000, 600_000]
+    assert gave_up == [1_400_000]
+    assert inter.outcome == "timed_out" and len(world.queue) == 0
+    assert TxState(200_000, 2).lifetime_ms == 1_300_000
+
+
+SHORT_TIMEOUT = {"coap": {"base_timeout_ms": 500}}
+
+
+def retransmits(world, node):
+    return [(e["t"], e["detail"].get("via")) for e in
+            world.trace.by_kind("retransmit") if e["node"] == node]
+
+
+def test_guard_relay_retransmits_at_the_configured_timeout():
+    world, guard, req, sent = relay_setup(
+        silent_server=True, cfg=config_from_dict(SHORT_TIMEOUT))
+    t0 = world.clock.now
+    guard.receive(make_frame(req), "rtrC")
+    world.run_until(t0 + 1000)
+    assert retransmits(world, "rtrS") == [(t0 + 500, None)]
+
+
+def test_client_bootstrap_retransmits_at_the_configured_timeout():
+    handles = build_world(config_from_dict(SHORT_TIMEOUT), "baseline-open",
+                          "none", 0, 10_000, 3, collect_trace=True)
+    handles.rendezvous.handle = lambda frame, from_addr: None  # silent
+    handles.client.bootstrap(lambda: None)
+    handles.world.run_until(1000)
+    assert retransmits(handles.world, "cli") == [(500, None)]
+
+
+def test_tunnel_exchange_retransmits_at_the_configured_timeout():
+    handles = build_world(config_from_dict(SHORT_TIMEOUT), "fullguard",
+                          "none", 0, 10_000, 3, collect_trace=True)
+    world, guard = handles.world, handles.client_router
+    req = SimMessage(src="cli", dst="rtrC", mtype="CON", mid=1,
+                     token=b"\x01", code="POST", proxy_uri="coap://srv",
+                     payload_kind="oscore", payload_len=20)
+    # No tunnel yet: the exchange waits in the queue, and still times out.
+    guard.receive(make_frame(req), "cli")
+    world.run_until(1000)
+    assert retransmits(world, "rtrC") == [(500, "tunnel")]
 
 
 # --- attackers -------------------------------------------------------------------------------

@@ -309,6 +309,23 @@ def test_ledger_equals_running_sums_over_the_trace(scenario, attack):
         assert world.ledger.attributable == attributable
 
 
+# --- every exchange resolves -------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_short_network_wide_timeouts_do_not_stall_the_setup_loop(seed):
+    # Every node takes this timing. rtrC empty-ACKs the client's m1, the
+    # on-path attacker's garbling makes the tunnel exchange give up, and
+    # the client's acked m1 must then expire, or the setup loop stops.
+    cfg = config_from_dict({"seed": seed, "coap": {"base_timeout_ms": 500,
+                                                   "retransmit_limit": 2}})
+    sub = run_subrun(cfg, "fullguard", "on_path", "setup")
+    interactions = sub.handles.client.interactions
+    assert all(i.outcome is not None for i in interactions)
+    setup = harness.phase_stats(interactions, ("key_exchange",), cfg)
+    assert setup["behavior"] != "no_traffic"
+    assert setup["n_timed_out"] >= 1
+
+
 # --- memory ------------------------------------------------------------------------------
 
 SHORT = config_from_dict({
