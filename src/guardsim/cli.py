@@ -3,12 +3,14 @@
     guardsim run --config FILE [--seed N] [--out json|csv|markdown] [--trace PATH]
     guardsim matrix --config FILE [--seed N] [--out json|csv|markdown]
 
-Exit codes: 0 success, 2 configuration error, 3 a cell errored.
+Exit codes: 0 success, 2 configuration error (an unwritable --trace path
+included), 3 a cell errored.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .harness import (ConfigError, SimConfig, cell_to_csv, cell_to_markdown,
@@ -51,20 +53,26 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
     if args.command == "run":
-        want_trace = getattr(args, "trace", None)
-        try:
-            cell = run_cell(config, config.scenario, config.attack,
-                            collect_traces=bool(want_trace))
-        except Exception as e:
-            print(f"cell error: {type(e).__name__}: {e}", file=sys.stderr)
-            return EXIT_CELL_ERROR
-        if want_trace:
-            setup_trace, steady_trace = cell.pop("_traces")
-            with open(want_trace, "w") as fh:
-                fh.write(setup_trace.to_jsonl())
-                fh.write("\n")
-                fh.write(steady_trace.to_jsonl())
-                fh.write("\n")
+        # Open the trace file first, so that an unwritable path is a config
+        # error before the cell runs, not a traceback after it.
+        trace_file = None
+        if args.trace:
+            try:
+                trace_file = open(args.trace, "w")
+            except OSError as e:
+                print(f"config error: --trace: {e}", file=sys.stderr)
+                return EXIT_CONFIG
+        with trace_file or contextlib.nullcontext():
+            try:
+                cell = run_cell(config, config.scenario, config.attack,
+                                collect_traces=trace_file is not None)
+            except Exception as e:
+                print(f"cell error: {type(e).__name__}: {e}", file=sys.stderr)
+                return EXIT_CELL_ERROR
+            if trace_file is not None:
+                for trace in cell.pop("_traces"):
+                    trace_file.write(trace.to_jsonl())
+                    trace_file.write("\n")
         out = {"json": report_to_json, "csv": cell_to_csv,
                "markdown": cell_to_markdown}[args.out](cell)
         sys.stdout.write(out)

@@ -521,33 +521,39 @@ def run_cell(config: SimConfig, scenario: str, attack_kind: str,
     With `collect_traces`, both sub-runs keep their event traces, returned
     under the cell's `_traces` key; otherwise no event is kept.
     """
-    subs = [run_subrun(config, scenario, attack_kind, subrun, collect_traces)
-            for subrun in ("setup", "steady")]
-    setup = phase_stats(subs[0].handles.client.interactions,
-                        ("key_exchange",), config)
-    steady = phase_stats(subs[1].handles.client.interactions, ("request",),
-                         config)
-
-    energy = [energy_report(s.handles.world.ledger, config.energy.cost_edhoc)
-              for s in subs]
-    total = sum(rep["total_drained"] for rep in energy)
-    attributable = sum(rep["attack_attributable"] for rep in energy)
-    exposure = 0
-    if attack_kind != "none":
-        exposure = sum(s.measured_until_ms - s.attack_start_ms for s in subs)
-
-    rekeys = sum(s.handles.client.rekeys for s in subs)
-    induced = sum(s.handles.client.attack_induced_rekeys for s in subs)
-    # Only the client tunnel end renegotiates.
-    renegotiations = sum(getattr(s.handles.client_router, "renegotiations", 0)
-                         for s in subs)
+    phases = {}
+    total = attributable = exposure = rekeys = induced = renegotiations = 0
+    traces = []
+    for subrun, kinds in (("setup", ("key_exchange",)),
+                          ("steady", ("request",))):
+        sub = run_subrun(config, scenario, attack_kind, subrun, collect_traces)
+        handles = sub.handles
+        phases[subrun] = phase_stats(handles.client.interactions, kinds,
+                                     config)
+        energy = energy_report(handles.world.ledger, config.energy.cost_edhoc)
+        total += energy["total_drained"]
+        attributable += energy["attack_attributable"]
+        if attack_kind != "none":
+            exposure += sub.measured_until_ms - sub.attack_start_ms
+        rekeys += handles.client.rekeys
+        induced += handles.client.attack_induced_rekeys
+        # Only the client tunnel end renegotiates.
+        renegotiations += getattr(handles.client_router, "renegotiations", 0)
+        if collect_traces:
+            traces.append(handles.world.trace)
+        # The world is cyclic garbage (each node refers to its world and the
+        # world to its nodes) that has reached the oldest generation, which
+        # automatic collection seldom reaches. Free it before the next
+        # sub-run builds its own, so a cell holds one world at a time.
+        del sub, handles
+        gc.collect()
 
     cell = {
         "scenario": scenario,
         "attack": attack_kind,
         "seed": config.seed,
-        "setup": setup,
-        "steady": steady,
+        "setup": phases["setup"],
+        "steady": phases["steady"],
         "energy": {
             "total_drained": round(total, 6),
             "attack_attributable": round(attributable, 6),
@@ -562,13 +568,7 @@ def run_cell(config: SimConfig, scenario: str, attack_kind: str,
         "tunnel_renegotiations": renegotiations,
     }
     if collect_traces:
-        cell["_traces"] = tuple(s.handles.world.trace for s in subs)
-    # Each sub-run's world is cyclic garbage (each node refers to its world
-    # and the world to its nodes). By now both sit in the oldest
-    # generation, which automatic collection seldom reaches, so free them
-    # here, once no local name refers to them.
-    del subs
-    gc.collect()
+        cell["_traces"] = tuple(traces)
     return cell
 
 

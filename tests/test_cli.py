@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from guardsim import cli
 from guardsim.cli import EXIT_CONFIG, EXIT_OK, main
 
 
@@ -48,6 +49,21 @@ def test_run_writes_trace_file(quick_config, tmp_path, capsys):
              trace_path.read_text().strip().splitlines()]
     assert lines
     assert all({"t", "kind", "node", "detail"} <= set(e) for e in lines)
+
+
+@pytest.mark.parametrize("where", ["no/such/dir/t.jsonl", "."])
+def test_unwritable_trace_path_is_config_error(quick_config, tmp_path,
+                                               capsys, monkeypatch, where):
+    # A missing directory or a path that is a directory: refused before
+    # the cell runs, with nothing on stdout.
+    ran = []
+    monkeypatch.setattr(cli, "run_cell", lambda *a, **k: ran.append(a))
+    assert main(["run", "--config", quick_config,
+                 "--trace", str(tmp_path / where)]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: --trace: ")
+    assert ran == []
 
 
 def test_seed_override(quick_config, capsys):

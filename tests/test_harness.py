@@ -337,11 +337,16 @@ SHORT = config_from_dict({
 def worlds_left_alive(monkeypatch, run):
     """`run()` with automatic collection off, so that a world is freed only
     if something breaks or collects its cycles before `run` returns.
-    Returns its result, the number of worlds it built and the indices of
-    those still alive."""
+    Returns its result, the number of worlds it built, the indices of
+    those still alive, and, for each world built while an earlier one was
+    still alive, its index and the indices of those earlier worlds."""
     worlds = []
+    overlaps = []
 
     def tracked_world(*args, **kwargs):
+        earlier = [i for i, ref in enumerate(worlds) if ref() is not None]
+        if earlier:
+            overlaps.append((len(worlds), earlier))
         world = World(*args, **kwargs)
         worlds.append(weakref.ref(world))
         return world
@@ -355,15 +360,18 @@ def worlds_left_alive(monkeypatch, run):
     finally:
         if was_enabled:
             gc.enable()
-    return result, len(worlds), alive
+    return result, len(worlds), alive, overlaps
 
 
 def test_run_matrix_frees_each_cells_worlds(monkeypatch):
-    report, built, alive = worlds_left_alive(monkeypatch,
-                                             lambda: run_matrix(SHORT))
+    report, built, alive, overlaps = worlds_left_alive(
+        monkeypatch, lambda: run_matrix(SHORT))
     assert not report["errored"]
     assert built == 2 * len(MATRIX_CELLS)
     assert alive == []
+    # One world at a time: each steady world is built after its cell's
+    # setup world has been freed.
+    assert overlaps == []
 
 
 def test_run_cell_frees_its_own_worlds(monkeypatch):
@@ -373,9 +381,10 @@ def test_run_cell_frees_its_own_worlds(monkeypatch):
         for attack in ("none", "impersonator", "on_path"):
             run_cell(SHORT, "fullguard", attack)
 
-    _, built, alive = worlds_left_alive(monkeypatch, three_cells)
+    _, built, alive, overlaps = worlds_left_alive(monkeypatch, three_cells)
     assert built == 6
     assert alive == []
+    assert overlaps == []
 
 
 # --- untraced runs ---------------------------------------------------------------
