@@ -11,8 +11,6 @@ audience under its own key once the AS has granted that key the audience
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-
 from .seclayer import (SecurityContext, aead_open, aead_seal, derive_key,
                        fnv1a64)
 
@@ -23,23 +21,31 @@ class Denied(Exception):
     pass
 
 
-@dataclass
 class InvalidToken(Exception):
-    reason: str  # "bad_tag" | "wrong_audience" | "expired"
+    def __init__(self, reason: str):
+        self.reason = reason  # "bad_tag" | "wrong_audience" | "expired"
 
     def __str__(self):
         return self.reason
 
 
-@dataclass
 class AccessToken:
-    audience: str
-    subject_key_id: str
-    scope: str
-    issued_at: int  # ms
-    expiry: int  # ms
-    sealed_key: bytes  # subject's bound key, sealed under the audience key
-    tag: bytes = b""
+    def __init__(self, audience: str, subject_key_id: str, scope: str,
+                 issued_at: int, expiry: int, sealed_key: bytes,
+                 tag: bytes = b""):
+        self.audience = audience
+        self.subject_key_id = subject_key_id
+        self.scope = scope
+        self.issued_at = issued_at  # ms
+        self.expiry = expiry  # ms
+        # The subject's bound key, sealed under the audience key.
+        self.sealed_key = sealed_key
+        self.tag = tag
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
 
     def claims_bytes(self) -> bytes:
         return "|".join([
@@ -49,7 +55,7 @@ class AccessToken:
 
     def to_wire(self) -> dict:
         """Observable wire form; tokens are not secret in this model."""
-        return asdict(self)
+        return dict(self.__dict__)
 
     @classmethod
     def from_wire(cls, doc: dict) -> "AccessToken":
@@ -60,12 +66,13 @@ def _token_tag(audience_key: bytes, token: AccessToken) -> bytes:
     return fnv1a64(audience_key + token.claims_bytes()).to_bytes(8, "big")
 
 
-@dataclass
 class AsRegistry:
     """Who the AS knows: subject keys, their audiences, and audience tag keys."""
 
-    known_subjects: dict[str, dict] = field(default_factory=dict)
-    audience_keys: dict[str, bytes] = field(default_factory=dict)
+    def __init__(self, known_subjects: dict[str, dict] | None = None,
+                 audience_keys: dict[str, bytes] | None = None):
+        self.known_subjects = {} if known_subjects is None else known_subjects
+        self.audience_keys = {} if audience_keys is None else audience_keys
 
     def add_subject(self, key_id: str, key: bytes, audiences: set[str]) -> None:
         self.known_subjects[key_id] = {"key": key, "audiences": set(audiences)}

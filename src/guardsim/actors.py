@@ -20,7 +20,6 @@ Topology (built by the harness):
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
 
 from . import ace as ace_mod
 from .coap_lite import (DEFAULT_BASE_TIMEOUT_MS, DEFAULT_RETRANSMIT_LIMIT,
@@ -36,21 +35,29 @@ from .guard import GuardConfig, GuardState, NON_PROXY, TokenBucket, TUNNEL
 REKEY_THRESHOLD = 3
 
 
-@dataclass
 class RendezvousEntry:
     """A server's announcement. Behind a tunnel guard it also names the
     guard, the AS (`as_hint`) and the `audience` its clients and their
     guards use."""
 
-    name: str
-    address: str
-    proxy_address: str | None = None
-    server_guard_key_id: str | None = None
-    as_hint: str | None = None
-    audience: str | None = None
+    def __init__(self, name: str, address: str,
+                 proxy_address: str | None = None,
+                 server_guard_key_id: str | None = None,
+                 as_hint: str | None = None, audience: str | None = None):
+        self.name = name
+        self.address = address
+        self.proxy_address = proxy_address
+        self.server_guard_key_id = server_guard_key_id
+        self.as_hint = as_hint
+        self.audience = audience
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
 
     def to_doc(self) -> dict:
-        return asdict(self)
+        return dict(self.__dict__)
 
     @classmethod
     def from_doc(cls, doc: dict) -> "RendezvousEntry":
@@ -61,14 +68,16 @@ class RendezvousEntry:
         return self.proxy_address or self.address
 
 
-@dataclass
 class Interaction:
-    kind: str  # "key_exchange" | "request"
-    t_start: int
-    counted: bool = True
-    t_end: int | None = None
-    retransmissions: int = 0
-    outcome: str | None = None  # "completed" | "timed_out"
+    def __init__(self, kind: str, t_start: int, counted: bool = True,
+                 t_end: int | None = None, retransmissions: int = 0,
+                 outcome: str | None = None):
+        self.kind = kind  # "key_exchange" | "request"
+        self.t_start = t_start
+        self.counted = counted
+        self.t_end = t_end
+        self.retransmissions = retransmissions
+        self.outcome = outcome  # "completed" | "timed_out"
 
     def complete(self, now: int) -> None:
         if self.outcome is None:

@@ -11,7 +11,6 @@ to values such as next hops.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 
 class EventAfterFinal(Exception):
@@ -33,33 +32,44 @@ DEFAULT_BASE_TIMEOUT_MS = 2000
 DEFAULT_RETRANSMIT_LIMIT = 4
 
 
-@dataclass
 class SimMessage:
     # The first nine fields are the ones a flood frame sets, in the order
     # `FloodAttacker._build_message` passes them by position: CPython
     # takes about twice as long over a class call with keywords, and flood
     # frames are most of the messages a matrix builds. Other callers pass
-    # keywords.
-    src: str
-    dst: str
-    mtype: str = "CON"  # CON | NON | ACK | RST
-    mid: int = 0
-    token: bytes = b""
-    code: str = "GET"  # request method, response class like "2.05", or "EMPTY"
-    # Simulation-level content; not part of the size formula beyond payload_len.
-    payload_kind: str | None = None
-    payload: dict = field(default_factory=dict)
-    payload_len: int = 0
-    proxy_uri: str | None = None
-    echo: bytes | None = None
-    oscore_kid: bytes | None = None
-    oscore_piv: int | None = None
-    sealed: bytes | None = None
+    # keywords. `copy` and `__eq__` read the instance `__dict__`, so it
+    # holds these fields and nothing else.
+    def __init__(self, src: str, dst: str, mtype: str = "CON", mid: int = 0,
+                 token: bytes = b"", code: str = "GET",
+                 payload_kind: str | None = None, payload: dict | None = None,
+                 payload_len: int = 0, proxy_uri: str | None = None,
+                 echo: bytes | None = None, oscore_kid: bytes | None = None,
+                 oscore_piv: int | None = None, sealed: bytes | None = None):
+        self.src = src
+        self.dst = dst
+        self.mtype = mtype  # CON | NON | ACK | RST
+        self.mid = mid
+        self.token = token
+        # Request method, response class like "2.05", or "EMPTY".
+        self.code = code
+        # Simulation-level content; not part of the size formula beyond
+        # payload_len.
+        self.payload_kind = payload_kind
+        self.payload = {} if payload is None else payload
+        self.payload_len = payload_len
+        self.proxy_uri = proxy_uri
+        self.echo = echo
+        self.oscore_kid = oscore_kid
+        self.oscore_piv = oscore_piv
+        self.sealed = sealed
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
 
     def copy(self, **changes) -> "SimMessage":
-        # One class call over the instance dict, not `dataclasses.replace`,
-        # which walks every field on each call. An unknown name in
-        # `changes` raises TypeError.
+        # An unknown name in `changes` raises TypeError.
         return SimMessage(**{**self.__dict__, "payload": dict(self.payload),
                              **changes})
 
@@ -172,17 +182,16 @@ PENDING = "pending"
 TIMED_OUT = "timed_out"
 
 
-@dataclass
 class TxState:
-    base_timeout_ms: int = DEFAULT_BASE_TIMEOUT_MS
-    retransmit_limit: int = DEFAULT_RETRANSMIT_LIMIT
-    attempts: int = 0
-    next_timeout_ms: int = 0
-    outcome: str = PENDING
-
-    def __post_init__(self):
-        if self.next_timeout_ms == 0:
-            self.next_timeout_ms = self.base_timeout_ms
+    def __init__(self, base_timeout_ms: int = DEFAULT_BASE_TIMEOUT_MS,
+                 retransmit_limit: int = DEFAULT_RETRANSMIT_LIMIT,
+                 attempts: int = 0, next_timeout_ms: int = 0,
+                 outcome: str = PENDING):
+        self.base_timeout_ms = base_timeout_ms
+        self.retransmit_limit = retransmit_limit
+        self.attempts = attempts
+        self.next_timeout_ms = next_timeout_ms or base_timeout_ms
+        self.outcome = outcome
 
     @property
     def lifetime_ms(self) -> int:

@@ -54,7 +54,7 @@ class TokenBucket:
         return False
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class BucketSpec:
     per_source_rate: float
     per_source_burst: float
@@ -96,30 +96,43 @@ class ThrottlePolicy:
         return bucket.admit(now_ms) and self._aggregate[cls].admit(now_ms)
 
 
-@dataclass(slots=True)
 class FlowRecord:
     """Per-source guard state, keyed by source address alone: the flow's
     class, its pending Echo challenge, when it proved reachable, whether
     its allow-listing is tentative, and whether a known kid showed up from
     it as a new source (`elevated`)."""
 
-    source: str
-    cls: str = UNKNOWN_VIA_PROXY
-    echo_nonce: bytes | None = None
-    echo_issued_ms: int | None = None
-    reachable_since_ms: int | None = None
-    tentative: bool = False
-    elevated: bool = False
-    last_update_ms: int = 0
+    __slots__ = ("source", "cls", "echo_nonce", "echo_issued_ms",
+                 "reachable_since_ms", "tentative", "elevated",
+                 "last_update_ms")
+
+    def __init__(self, source: str, cls: str = UNKNOWN_VIA_PROXY,
+                 echo_nonce: bytes | None = None,
+                 echo_issued_ms: int | None = None,
+                 reachable_since_ms: int | None = None,
+                 tentative: bool = False, elevated: bool = False,
+                 last_update_ms: int = 0):
+        self.source = source
+        self.cls = cls
+        self.echo_nonce = echo_nonce
+        self.echo_issued_ms = echo_issued_ms
+        self.reachable_since_ms = reachable_since_ms
+        self.tentative = tentative
+        self.elevated = elevated
+        self.last_update_ms = last_update_ms
 
 
-@dataclass(slots=True)
 class SeqTracker:
     """Per-kid sequence observations: highest piv and recent piv->token pairs."""
 
-    highest_seen: int = -1
-    seen: dict[int, str] = field(default_factory=dict)
-    known_sources: set = field(default_factory=set)
+    __slots__ = ("highest_seen", "seen", "known_sources")
+
+    def __init__(self, highest_seen: int = -1,
+                 seen: dict[int, str] | None = None,
+                 known_sources: set | None = None):
+        self.highest_seen = highest_seen
+        self.seen = {} if seen is None else seen
+        self.known_sources = set() if known_sources is None else known_sources
 
 
 PLAUSIBLE = "plausible"
@@ -162,7 +175,7 @@ def _bucket(*spec):
     return field(default_factory=lambda: BucketSpec(*spec))
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class GuardConfig:
     """Policy settings of the exemptions guard; the `guard` config section."""
 

@@ -15,6 +15,7 @@ import csv
 import gc
 import io
 import json
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
 
 from .actors import (AsNode, AttackerNode, ClientNode, ClientTunnelGuard,
@@ -53,20 +54,23 @@ class ConfigError(Exception):
     """Invalid configuration; the message names the offending field."""
 
 
-@dataclass
+# The config sections are dataclasses because `_fill_dataclass` and
+# `_check_ranges` walk their `fields()`. Nothing compares or prints them,
+# so they go without the generated `__eq__` and `__repr__`.
+@dataclass(eq=False, repr=False)
 class LinkSpec:
     bandwidth_bps: int = 4000
     delay_ms: int = 10
     queue_capacity: int = 8
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class LinksConfig:
     constrained: LinkSpec = field(default_factory=LinkSpec)
     internet: LinkSpec = field(default_factory=lambda: LinkSpec(1_000_000, 50, 64))
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class EnergyConfig:
     """Each device's `EnergyBudget`, whose defaults these are."""
 
@@ -84,25 +88,25 @@ class EnergyConfig:
                             cost_oscore_verify=self.cost_oscore_verify)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class CoapConfig:
     base_timeout_ms: int = DEFAULT_BASE_TIMEOUT_MS
     retransmit_limit: int = DEFAULT_RETRANSMIT_LIMIT
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class BaselineThrottleConfig:
     rate_per_s: float = 0.1
     burst: float = 1.0
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ClientConfig:
     request_interval_ms: int = 10_000
     setup_pause_ms: int = 5_000
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class AttackConfig:
     blind_rate: float = 20.0
     distributed_rate: float = 1.0
@@ -113,7 +117,7 @@ class AttackConfig:
     onpath_budget: int = 4
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class DurationConfig:
     setup_ms: int = 300_000
     warmup_ms: int = 30_000
@@ -121,18 +125,18 @@ class DurationConfig:
     grace_ms: int = 70_000
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ClassifyConfig:
     loss_fraction: float = 0.05
     retransmit_fraction: float = 0.10
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ResourceConfig:
     high_fraction: float = 0.10
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class SimConfig:
     seed: int = 42
     scenario: str = "exemptions"
@@ -202,6 +206,15 @@ POSITIVE_FIELDS = frozenset({
 })
 
 
+# Attack rates in messages/s: an attacker sends every 1000 / rate ms, so a
+# positive rate that small overflows that period to infinity.
+PERIOD_FIELDS = frozenset({
+    "attacks.blind_rate",
+    "attacks.distributed_rate",
+    "attacks.impersonator_rate",
+})
+
+
 def _check_ranges(obj, path: str) -> None:
     for f in fields(obj):
         value = getattr(obj, f.name)
@@ -211,6 +224,9 @@ def _check_ranges(obj, path: str) -> None:
         elif where in POSITIVE_FIELDS:
             if not value > 0:
                 raise ConfigError(f"{where}: must be > 0")
+            if where in PERIOD_FIELDS and not math.isfinite(1000.0 / value):
+                raise ConfigError(f"{where}: too small, its period of "
+                                  f"1000 / rate ms is not finite")
         elif f.name.endswith("burst"):
             if not value >= 1:
                 raise ConfigError(f"{where}: must be >= 1")
@@ -247,16 +263,19 @@ def derive_seed(seed: int, scenario: str, attack: str, subrun: str) -> int:
 # --- world construction -------------------------------------------------------
 
 
-@dataclass
 class Handles:
-    world: World
-    client: ClientNode | None
-    server: ServerNode
-    client_router: object
-    server_router: object
-    attacker: AttackerNode | None
-    rendezvous: RendezvousNode
-    authorization: AsNode
+    def __init__(self, world: World, client: ClientNode | None,
+                 server: ServerNode, client_router: object,
+                 server_router: object, attacker: AttackerNode | None,
+                 rendezvous: RendezvousNode, authorization: AsNode):
+        self.world = world
+        self.client = client
+        self.server = server
+        self.client_router = client_router
+        self.server_router = server_router
+        self.attacker = attacker
+        self.rendezvous = rendezvous
+        self.authorization = authorization
 
 
 def _connect(world: World, a, b, spec: LinkSpec, tag: str) -> None:
@@ -391,12 +410,13 @@ def build_world(config: SimConfig, scenario: str, attack_kind: str,
 # --- sub-run execution --------------------------------------------------------
 
 
-@dataclass
 class SubrunResult:
-    handles: Handles
-    attack_start_ms: int
-    measured_until_ms: int
-    run_end_ms: int
+    def __init__(self, handles: Handles, attack_start_ms: int,
+                 measured_until_ms: int, run_end_ms: int):
+        self.handles = handles
+        self.attack_start_ms = attack_start_ms
+        self.measured_until_ms = measured_until_ms
+        self.run_end_ms = run_end_ms
 
 
 def run_subrun(config: SimConfig, scenario: str, attack_kind: str,

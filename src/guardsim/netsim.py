@@ -15,7 +15,6 @@ import heapq
 import json
 import struct
 from collections import deque
-from dataclasses import dataclass
 
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's state increment
@@ -230,21 +229,39 @@ class EnergyLedger:
             self.attributable += amount
 
 
-@dataclass
 class EnergyBudget:
     """Abstract per-device energy accounting.
 
     `remaining` only ever decreases; the device counts as exhausted once it
-    hits zero and then drops all processing. These defaults are also the
-    `energy` config section's (`harness.EnergyConfig`).
+    hits zero and then drops all processing. The defaults, kept as class
+    attributes, are also the `energy` config section's
+    (`harness.EnergyConfig`).
     """
 
-    remaining: float = 50_000.0
-    cost_per_rx_byte: float = 0.00002
-    cost_per_msg: float = 0.002
-    cost_edhoc: float = 1.0
-    cost_oscore_verify: float = 0.01
-    exhausted: bool = False
+    remaining = 50_000.0
+    cost_per_rx_byte = 0.00002
+    cost_per_msg = 0.002
+    cost_edhoc = 1.0
+    cost_oscore_verify = 0.01
+    exhausted = False
+
+    def __init__(self, remaining: float = remaining,
+                 cost_per_rx_byte: float = cost_per_rx_byte,
+                 cost_per_msg: float = cost_per_msg,
+                 cost_edhoc: float = cost_edhoc,
+                 cost_oscore_verify: float = cost_oscore_verify,
+                 exhausted: bool = exhausted):
+        self.remaining = remaining
+        self.cost_per_rx_byte = cost_per_rx_byte
+        self.cost_per_msg = cost_per_msg
+        self.cost_edhoc = cost_edhoc
+        self.cost_oscore_verify = cost_oscore_verify
+        self.exhausted = exhausted
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
 
     def drain(self, amount: float) -> float:
         """Drain `amount`, flooring at zero. Returns the amount actually drained."""
@@ -274,13 +291,14 @@ def drain_energy(budget: EnergyBudget, event: str, nbytes: int = 0) -> float:
     return budget.drain(budget.cost_of(event, nbytes))
 
 
-@dataclass
 class Frame:
     """A message in flight, with bookkeeping for attribution and delivery."""
 
-    msg: object  # SimMessage
-    origin: str  # principal that caused this traffic ("legit", "attacker", ...)
-    size: int
+    def __init__(self, msg: object, origin: str, size: int):
+        self.msg = msg  # SimMessage
+        # The principal that caused this traffic ("legit", "attacker", ...).
+        self.origin = origin
+        self.size = size
 
 
 class Link:

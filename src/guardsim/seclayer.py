@@ -17,7 +17,6 @@ tokens and seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from _sha3 import shake_128
@@ -98,13 +97,14 @@ def derive_key(master: bytes, info: bytes) -> bytes:
 # --- Anti-replay sliding window ------------------------------------------
 
 
-@dataclass
 class ReplayWindow:
     """Bitmap sliding window over the highest received sequence number."""
 
-    size: int = DEFAULT_REPLAY_WINDOW
-    highest: int = -1
-    bitmap: int = 0
+    def __init__(self, size: int = DEFAULT_REPLAY_WINDOW, highest: int = -1,
+                 bitmap: int = 0):
+        self.size = size
+        self.highest = highest
+        self.bitmap = bitmap
 
     def check(self, seq: int) -> bool:
         """True iff `seq` would be accepted, without mutating the window."""
@@ -136,13 +136,16 @@ class ReplayWindow:
 # --- OSCORE-lite context ---------------------------------------------------
 
 
-@dataclass
 class SecurityContext:
-    sender_id: bytes
-    recipient_id: bytes
-    master_key: bytes
-    sender_seq: int = 0
-    replay_window: ReplayWindow = field(default_factory=ReplayWindow)
+    def __init__(self, sender_id: bytes, recipient_id: bytes,
+                 master_key: bytes, sender_seq: int = 0,
+                 replay_window: ReplayWindow | None = None):
+        self.sender_id = sender_id
+        self.recipient_id = recipient_id
+        self.master_key = master_key
+        self.sender_seq = sender_seq
+        self.replay_window = (ReplayWindow() if replay_window is None
+                              else replay_window)
 
     # Derived once per context: the ids and master key never change after
     # construction.

@@ -135,6 +135,28 @@ def test_out_of_range_value_is_config_error(tmp_path, capsys, doc, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("attack, field", [
+    ("blind_flood", "blind_rate"),
+    ("distributed_flood", "distributed_rate"),
+    ("impersonator", "impersonator_rate"),
+])
+def test_rate_with_overflowing_period_is_config_error(tmp_path, capsys,
+                                                      monkeypatch, attack,
+                                                      field):
+    # Positive, yet 1000 / rate ms overflows to infinity: refused before
+    # the cell runs, not an OverflowError while building the attacker.
+    ran = []
+    monkeypatch.setattr(cli, "run_cell", lambda *a, **k: ran.append(a))
+    path = tmp_path / "rate.json"
+    path.write_text(json.dumps({"scenario": "fullguard", "attack": attack,
+                                "attacks": {field: 1e-320}}))
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"attacks.{field}: too small" in err
+    assert ran == []
+
+
 @pytest.mark.parametrize("doc", [
     {"guard": {"unknown_bucket": {"per_source_burst": 2.5}}},
     {"baseline_throttle": {"burst": 2.5}},

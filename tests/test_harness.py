@@ -1,10 +1,12 @@
 """Configuration handling, classification rules, energy reporting, rendering."""
 
 import gc
+import importlib
 import inspect
 import json
 import os
 import pathlib
+import pkgutil
 import re
 import statistics
 import subprocess
@@ -23,7 +25,12 @@ from guardsim.harness import (ATTACKS, ClassifyConfig, ConfigError,
                               load_config, matrix_to_csv, matrix_to_markdown,
                               report_to_json, resource_label, run_cell,
                               run_matrix, run_subrun)
+import guardsim
 from guardsim import harness
+from guardsim.ace import AsRegistry
+from guardsim.coap_lite import SimMessage
+from guardsim.guard import SeqTracker
+from guardsim.seclayer import SecurityContext
 from guardsim.netsim import (ATTACK_CAUSES, EnergyBudget, EnergyLedger,
                              NullTrace, Trace, World)
 
@@ -134,6 +141,40 @@ def test_every_scalar_config_field_has_a_checked_type():
                 yield f.type
 
     assert set(scalar_types(SimConfig())) == {"bool", "int", "float", "str"}
+
+
+def test_only_config_sections_are_dataclasses():
+    # `@dataclass` generates and compiles its methods at import; the value
+    # types write theirs out, and only the sections `fields()` walks keep it.
+    def sections(obj):
+        yield type(obj)
+        for f in fields(obj):
+            value = getattr(obj, f.name)
+            if is_dataclass(value):
+                yield from sections(value)
+
+    decorated = set()
+    for info in pkgutil.iter_modules(guardsim.__path__):
+        module = importlib.import_module(f"guardsim.{info.name}")
+        decorated |= {cls for cls in vars(module).values()
+                      if isinstance(cls, type)
+                      and cls.__module__ == module.__name__
+                      and hasattr(cls, "__dataclass_fields__")}
+    assert decorated and decorated <= set(sections(SimConfig()))
+
+
+@pytest.mark.parametrize("make, attrs", [
+    (lambda: SimMessage("a", "b"), ["payload"]),
+    (lambda: SecurityContext(b"s", b"r", b"k"), ["replay_window"]),
+    (AsRegistry, ["known_subjects", "audience_keys"]),
+    (SeqTracker, ["seen", "known_sources"]),
+], ids=["SimMessage", "SecurityContext", "AsRegistry", "SeqTracker"])
+def test_default_built_instances_share_no_mutable_field(make, attrs):
+    # A written-out `__init__` must build each default afresh, as a
+    # dataclass `default_factory` does.
+    a, b = make(), make()
+    for attr in attrs:
+        assert getattr(a, attr) is not getattr(b, attr)
 
 
 # --- classification -----------------------------------------------------------------
