@@ -250,26 +250,31 @@ class Node:
 
     def send_con(self, msg: SimMessage, origin: str, on_response,
                  on_giveup=None, interaction: Interaction | None = None):
-        ex = Exchange(self, msg, origin, self.send_frame, self.outstanding,
-                      on_response, on_giveup, interaction)
+        ex = Exchange(self, msg, origin, self.send_frame, on_response,
+                      on_giveup, interaction)
         ex.start()
         return ex
 
-    def match_response(self, frame: Frame) -> bool:
-        """Consume a message that belongs to one of our exchanges."""
-        msg = frame.msg
+    def match_response(self, msg: SimMessage, frame: Frame) -> bool:
+        """Consume `msg`, carried by `frame`, if it belongs to one of our
+        exchanges. An exchange inside a tunnel (`via` set) matches only a
+        message opened from the tunnel, any other only `frame.msg` itself:
+        a tunnel's answer must pass the tunnel's authentication, and proxy
+        mids may equal the node's own."""
+        on_wire = msg is frame.msg
         if msg.mtype == "ACK" and msg.code == "EMPTY":
             for ex in self.outstanding.values():
-                if ex.msg.mid == msg.mid:
+                if ex.msg.mid == msg.mid and (ex.via is None) == on_wire:
                     ex.acked = True
                     return True
             return True  # stray ACK; swallow
-        if msg.is_response and msg.token in self.outstanding:
-            ex = self.outstanding.pop(msg.token)
-            ex.finish()
-            ex.on_response(msg, frame)
-            return True
-        return False
+        ex = self.outstanding.get(msg.token) if msg.is_response else None
+        if ex is None or (ex.via is None) != on_wire:
+            return False
+        del self.outstanding[msg.token]
+        ex.finish()
+        ex.on_response(msg, frame)
+        return True
 
 
 class Exchange:
@@ -279,20 +284,20 @@ class Exchange:
     (`TxState.lifetime_ms`) from its first send has passed.
 
     `send(msg, origin)` puts the request on the wire, each time it is
-    (re)sent; `pending` maps the request token to the exchange while it is
-    outstanding. Retransmit and give-up events name the destination, or
-    `via` when the request travels inside a tunnel.
+    (re)sent. Until it ends, it is filed under its token in
+    `owner.outstanding`: for a relayed request, the only record there is.
+    Retransmit and give-up events name the destination, or `via` when the
+    request travels inside a tunnel.
     """
 
     def __init__(self, owner: Node, msg: SimMessage, origin: str, send,
-                 pending: dict, on_response=None, on_giveup=None,
+                 on_response=None, on_giveup=None,
                  interaction: Interaction | None = None,
                  via: str | None = None):
         self.owner = owner
         self.msg = msg
         self.origin = origin
         self.send = send
-        self.pending = pending
         self.on_response = on_response
         self.on_giveup = on_giveup
         self.interaction = interaction
@@ -303,7 +308,7 @@ class Exchange:
         self.sent_ms = owner.world.clock.now  # built and started at once
 
     def start(self) -> None:
-        self.pending[self.msg.token] = self
+        self.owner.outstanding[self.msg.token] = self
         tx_step(self.state, "sent")
         self.send(self.msg, self.origin)
         self._arm_timer()
@@ -334,7 +339,7 @@ class Exchange:
             self._arm_timer()
         else:  # give_up
             self.done = True
-            self.pending.pop(self.msg.token, None)
+            self.owner.outstanding.pop(self.msg.token, None)
             self._emit("giveup")
             if self.interaction is not None:
                 self.interaction.time_out(self.owner.world.clock.now)
@@ -529,7 +534,7 @@ class ServerNode(Node):
 
     def handle(self, frame: Frame, from_addr: str) -> None:
         msg = frame.msg
-        if self.match_response(frame):
+        if self.match_response(msg, frame):
             return
         key = (msg.src, msg.mid)
         if key in self.dedup:
@@ -872,7 +877,7 @@ class ClientNode(Node):
     # --- receive ---------------------------------------------------------------
 
     def handle(self, frame: Frame, from_addr: str) -> None:
-        if self.match_response(frame):
+        if self.match_response(frame.msg, frame):
             return
         self.world.emit("drop", self.address, reason="unsolicited",
                         code=frame.msg.code)
@@ -903,7 +908,7 @@ class GuardNode(RouterNode):
         # True for an address inside the guarded network, None outside.
         self._inside = AddressTable([(constrained_prefix, True)]).get
         self.key_id = key_id
-        self.table = ProxyTable(address)
+        self.table = ProxyTable(address, self.outstanding)
         self.relaying: set[tuple] = set()  # keys awaiting the server
         self.answered: dict[tuple, tuple] = {}  # key -> (deliver, answer)
         self.origin_server: str | None = None
@@ -924,7 +929,7 @@ class GuardNode(RouterNode):
             self.forward(frame, from_addr)  # transit
 
     def handle(self, frame: Frame, from_addr: str) -> None:
-        if self.match_response(frame):
+        if self.match_response(frame.msg, frame):
             return
         if not self._inside(from_addr):
             self.handle_outside(frame, from_addr)
@@ -948,7 +953,9 @@ class GuardNode(RouterNode):
         """Relay `req` to the origin server once per `key` (RFC 7252 §5.7)
         and pass the answer to `deliver(answer, origin)`. A retransmission
         of an answered request gets the cached answer through the first
-        request's `deliver`; one still in flight gets nothing."""
+        request's `deliver`; one still in flight gets nothing. The request
+        lives in its exchange and `relaying` until it is answered or given
+        up; an answer after that matches nothing and goes no further."""
         if key in self.answered:
             first_deliver, answer = self.answered[key]
             first_deliver(answer, origin)
@@ -961,9 +968,7 @@ class GuardNode(RouterNode):
         def on_response(resp: SimMessage, frame: Frame) -> None:
             self.relaying.discard(key)
             self.observe_upstream(req, resp)
-            answer = self.table.rewrite_response(resp)
-            if answer is None:
-                return
+            answer = self.table.answer(resp, req)
             self.answered[key] = (deliver, answer)
             if len(self.answered) > 64:
                 self.answered.pop(next(iter(self.answered)))
@@ -971,7 +976,6 @@ class GuardNode(RouterNode):
 
         def on_giveup() -> None:
             self.relaying.discard(key)
-            self.table.out.pop(up.token, None)
             self.world.emit("upstream_giveup", self.address, src=req.src)
 
         self.send_con(up, origin, on_response, on_giveup)
@@ -1176,9 +1180,11 @@ class ClientTunnelGuard(TunnelGuard):
     """Client end of the tunnel: forward proxy for the clients behind it.
     Requests wait for a tunnel, travel sealed under the current tunnel
     context, and the tunnel is renegotiated after repeated auth failures.
-    Its client's `guard_brief` names the server's rendezvous entry, whose
-    `as_hint` is where the guard asks for tunnel tokens for the entry's
-    `audience`; until then it cannot set up a tunnel."""
+    A relayed request is one tunnel `Exchange`, also in `tunnel_queue`
+    while it waits for a tunnel. Its client's `guard_brief` names the
+    server's rendezvous entry, whose `as_hint` is where the guard asks for
+    tunnel tokens for the entry's `audience`; until then it cannot set up
+    a tunnel."""
 
     def __init__(self, world, address, constrained_prefix, key_id, key):
         super().__init__(world, address, constrained_prefix, key_id)
@@ -1188,7 +1194,6 @@ class ClientTunnelGuard(TunnelGuard):
         self.tunnel_ctx: SecurityContext | None = None
         self.tunnel_rx: dict[bytes, SecurityContext] = {}
         self.tunnel_queue: dict[bytes, Exchange] = {}  # waiting for a tunnel
-        self.tunnel_pending: dict[bytes, Exchange] = {}
         self.establishing = False
         self.consec_tunnel_fail = 0
         self.renegotiations = 0
@@ -1219,7 +1224,8 @@ class ClientTunnelGuard(TunnelGuard):
         origin_server = msg.proxy_uri.split("://", 1)[-1]
         up = self.table.rewrite_request(msg, origin_server)
         Exchange(self, up, frame.origin, self._send_tunneled,
-                 self.tunnel_pending,
+                 on_response=lambda resp, f: self.send_frame(
+                     self.table.answer(resp, msg), f.origin),
                  on_giveup=lambda: self.tunnel_queue.pop(up.token, None),
                  via="tunnel").start()
         if self.tunnel_ctx is None:
@@ -1230,7 +1236,7 @@ class ClientTunnelGuard(TunnelGuard):
         survive a renegotiation; without a context, queue the exchange
         until the tunnel is ready."""
         if self.tunnel_ctx is None:
-            self.tunnel_queue[inner.token] = self.tunnel_pending[inner.token]
+            self.tunnel_queue[inner.token] = self.outstanding[inner.token]
             return
         self.send_tunnel_data(self.tunnel_ctx, inner,
                               self.server_guard_address, origin)
@@ -1284,12 +1290,7 @@ class ClientTunnelGuard(TunnelGuard):
         if inner is None:
             return
         self.consec_tunnel_fail = 0
-        ex = self.tunnel_pending.pop(inner.token, None)
-        if ex is not None:
-            ex.finish()
-        down = self.table.rewrite_response(inner)
-        if down is not None:
-            self.send_frame(down, frame.origin)
+        self.match_response(inner, frame)
 
     def tunnel_auth_failed(self) -> None:
         self.consec_tunnel_fail += 1

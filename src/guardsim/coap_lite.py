@@ -230,25 +230,26 @@ def tx_step(state: TxState, event: str) -> str:
 
 
 class ProxyTable:
-    """Bijective token/mid remapping for a proxy's outstanding exchanges."""
+    """Token/mid rewriting for a proxy's relayed requests. It keeps only
+    counters: a relayed request lives in its exchange, filed in `live` (the
+    owner's `Node.outstanding`) until answered or given up."""
 
-    def __init__(self, proxy_address: str):
+    def __init__(self, proxy_address: str, live: dict):
         self.proxy_address = proxy_address
+        self.live = live
         self._next_token = 1
         self._next_mid = 1
-        # upstream token -> (client src, client token, client mid)
-        self.out: dict[bytes, tuple[str, bytes, int]] = {}
 
     def new_token(self) -> bytes:
-        """The next 2-byte token not held by an entry of `out`.
+        """The next 2-byte token not held by a live exchange.
 
-        The counter wraps at 16 bits and skips tokens still outstanding, so
-        a wrap never overwrites a live exchange.
+        The counter wraps at 16 bits and skips live tokens. A node's own
+        requests take 4-byte tokens, so the two never collide in `live`.
         """
         for _ in range(0x10000):
             t = self._next_token.to_bytes(2, "big")
             self._next_token = (self._next_token + 1) & 0xFFFF
-            if t not in self.out:
+            if t not in self.live:
                 return t
         raise TokensExhausted("all 65536 proxy tokens are outstanding")
 
@@ -265,17 +266,12 @@ class ProxyTable:
         """
         if origin is None:
             raise UnknownOrigin("no origin server registered")
-        token = self.new_token()
-        self.out[token] = (msg.src, msg.token, msg.mid)
-        return msg.copy(src=self.proxy_address, dst=origin, token=token,
-                        mid=self.new_mid(), proxy_uri=None)
+        return msg.copy(src=self.proxy_address, dst=origin,
+                        token=self.new_token(), mid=self.new_mid(),
+                        proxy_uri=None)
 
-    def rewrite_response(self, msg: SimMessage) -> SimMessage | None:
-        """Map a server response back to the original client exchange."""
-        entry = self.out.pop(msg.token, None)
-        if entry is None:
-            return None
-        client_src, client_token, client_mid = entry
-        return msg.copy(src=self.proxy_address, dst=client_src,
-                        token=client_token, mid=client_mid)
-
+    def answer(self, resp: SimMessage, req: SimMessage) -> SimMessage:
+        """The server's `resp` to a relayed request, as the proxy's answer
+        to the client's original `req`."""
+        return resp.copy(src=self.proxy_address, dst=req.src, token=req.token,
+                         mid=req.mid)

@@ -10,7 +10,6 @@ columns of the comparison matrix.
 
 from __future__ import annotations
 
-import copy
 import csv
 import gc
 import io
@@ -154,22 +153,22 @@ class SimConfig:
     resource: ResourceConfig = field(default_factory=ResourceConfig)
 
 
-def _fill_dataclass(cls, doc: dict, path: str, base=None):
+def _fill_dataclass(obj, doc: dict, path: str):
+    """Fill config section `obj` from `doc` in place and return it; nested
+    sections are the fresh defaults `SimConfig()` built, filled likewise."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{path or 'config'}: expected an object")
     # A scalar field is typed by the name of its annotation, not by its
     # default's type: a float field may default to an int. The annotation
     # is a string under `from __future__ import annotations`.
-    kinds = {f.name: getattr(f.type, "__name__", f.type) for f in fields(cls)}
-    obj = base if base is not None else cls()
+    kinds = {f.name: getattr(f.type, "__name__", f.type) for f in fields(obj)}
     for key, value in doc.items():
         where = f"{path}.{key}" if path else key
         if key not in kinds:
             raise ConfigError(f"{where}: unknown field")
         current = getattr(obj, key)
         if is_dataclass(current):
-            setattr(obj, key, _fill_dataclass(type(current), value, where,
-                                              base=copy.deepcopy(current)))
+            _fill_dataclass(current, value, where)
         else:
             kind = kinds[key]
             if kind == "bool":
@@ -236,7 +235,7 @@ def _check_ranges(obj, path: str) -> None:
 
 
 def config_from_dict(doc: dict) -> SimConfig:
-    cfg = _fill_dataclass(SimConfig, doc, "")
+    cfg = _fill_dataclass(SimConfig(), doc, "")
     if cfg.scenario not in SCENARIOS:
         raise ConfigError(f"scenario: must be one of {', '.join(SCENARIOS)}")
     if cfg.attack not in ATTACKS:

@@ -5,8 +5,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from guardsim.actors import (FloodAttacker, GuardNode, Impersonator,
-                             Interaction, Node, OnPathAttacker,
+from guardsim.actors import (ClientTunnelGuard, FloodAttacker, GuardNode,
+                             Impersonator, Interaction, Node, OnPathAttacker,
                              RendezvousEntry, RendezvousNode, ServerNode,
                              deserialize_full, serialize_full)
 from guardsim.coap_lite import SimMessage, TxState, ack, message_size
@@ -160,10 +160,10 @@ def test_upstream_giveup_leaves_no_proxy_table_entry():
                      token=b"\x05", code="POST", payload_kind="edhoc_m1",
                      payload_len=40)
     guard.receive(make_frame(req), "rtrC")
-    assert len(guard.table.out) == 1
+    assert len(guard.outstanding) == 1
     world.run_until(world.clock.now + 70_000)
     assert world.trace.by_kind("upstream_giveup")
-    assert guard.table.out == {}
+    assert guard.outstanding == {}
     assert guard.relaying == set()
 
 
@@ -217,7 +217,7 @@ def test_exemptions_retransmission_in_flight_gets_only_an_empty_ack():
     world.run_until(world.clock.now + 1000)
     assert sent == [("EMPTY", None, "legit"), ("EMPTY", None, "legit")]
     assert len(upstream_frames(world.trace)) == 1
-    assert len(guard.table.out) == 1
+    assert len(guard.outstanding) == 1
     assert guard.relaying == {("cli", "05")}
 
 
@@ -245,6 +245,28 @@ def test_relay_cache_keeps_the_newest_64_answers():
     guard.relay(0, SimMessage(src="cli", dst="g", mid=0, token=b"\x00"),
                 "legit", None)  # evicted: relayed again
     assert len(upstream) == 66
+
+
+def test_answer_matching_no_live_exchange_is_not_relayed():
+    world = World(seed=1)
+    guard = GuardNode(world, "g", "srv", key_id="key_g")
+    guard.origin_server = "srv"
+    upstream = []
+    guard.send_frame = lambda msg, origin: upstream.append(msg)
+    delivered = []
+    req = SimMessage(src="cli", dst="g", mid=5, token=b"\x05")
+    guard.relay("k", req, "legit",
+                lambda answer, origin: delivered.append(answer))
+    (up,) = upstream
+    assert list(guard.outstanding) == [up.token]
+    for token in (b"\xff\xff", up.token):
+        guard.handle(make_frame(SimMessage(src="srv", dst="g", mtype="ACK",
+                                           mid=up.mid, token=token,
+                                           code="2.05")), "srv")
+    # Only the answer carrying the live exchange's token is relayed.
+    assert [(a.dst, a.token, a.mid) for a in delivered] == \
+        [("cli", b"\x05", 5)]
+    assert guard.outstanding == {}
 
 
 def test_baseline_throttled_router_keeps_no_flow_state():
@@ -479,7 +501,7 @@ def test_server_tunnel_end_giveup_leaves_no_proxy_table_entry():
     assert [e for e in world.trace.by_kind("giveup") if e["node"] == "rtrS"]
     assert [e for e in world.trace.by_kind("upstream_giveup")
             if e["node"] == "rtrS"]
-    assert guard.table.out == {}
+    assert guard.outstanding == {}
     assert guard.relaying == set()
 
 
@@ -497,8 +519,8 @@ def test_server_tunnel_end_relays_retransmission_in_flight_once():
                                     "legit")
     world.run_until(world.clock.now + 1000)
     assert len(world.trace.by_kind("tunnel_replay")) == 0
-    relayed = [v for v in tunnel_in.table.out.values()
-               if v == ("rtrC", b"\x77\x77", 77)]
+    relayed = [ex for ex in tunnel_in.outstanding.values()
+               if (ex.msg.oscore_kid, ex.msg.oscore_piv) == (b"\x01", 3)]
     assert len(relayed) == 1
     assert ("rtrC", "7777", 3) in tunnel_in.relaying
 
@@ -560,8 +582,120 @@ def test_tunnel_exchange_gives_up_and_leaves_no_state():
     giveups = handles.world.trace.by_kind("giveup")
     assert [(e["t"], e["node"], e["detail"].get("via")) for e in giveups] == \
         [(63_282, "rtrC", "tunnel")]
-    assert guard.tunnel_pending == {}
+    assert guard.outstanding == {}
     assert len(guard.tunnel_queue) == 0
+
+
+def log_toward_cli(guard):
+    """Log the code of each message `guard` sends toward `cli`."""
+    sent = []
+    send_frame = guard.send_frame
+
+    def logged(msg, origin):
+        if msg.dst == "cli":
+            sent.append(msg.code)
+        send_frame(msg, origin)
+
+    guard.send_frame = logged
+    return sent
+
+
+def exemptions_relay_given_up():
+    """The exemptions guard relays `cli`'s request to a silent server and
+    gives up; the late answer comes from the server."""
+    world, guard, req, _ = relay_setup(silent_server=True)
+    sent = log_toward_cli(guard)
+    guard.receive(make_frame(req), "rtrC")
+    (token,) = guard.outstanding
+    world.run_until(world.clock.now + 70_000)
+
+    def late_answer():
+        guard.receive(make_frame(SimMessage(
+            src="srv", dst="rtrS", mtype="ACK", token=token, code="2.04",
+            payload_kind="edhoc_m2", payload_len=40)), "srv")
+
+    return world, guard, token, sent, late_answer
+
+
+def client_tunnel_end_given_up():
+    """The client tunnel end relays `cli`'s request through the tunnel to a
+    silent server and gives up; the late answer comes through the tunnel
+    from the server end."""
+    handles = run_fullguard_steady(until_ms=30_000)
+    world, guard, tunnel_in = (handles.world, handles.client_router,
+                               handles.server_router)
+    handles.server.handle = lambda frame, from_addr: None  # silent server
+    sent = log_toward_cli(guard)
+    before = set(guard.outstanding)
+    guard.receive(make_frame(SimMessage(
+        src="cli", dst="rtrC", mtype="CON", mid=88, token=b"\x88",
+        code="POST", payload_kind="oscore", proxy_uri="coap://srv",
+        oscore_kid=b"\x01", oscore_piv=500, payload_len=20)), "cli")
+    (token,) = set(guard.outstanding) - before
+    world.run_until(world.clock.now + 70_000)
+    (ctx,) = tunnel_in.tunnel_ctxs.values()
+
+    def late_answer():
+        tunnel_in.send_tunnel_data(ctx, SimMessage(
+            src="rtrS", dst="rtrC", mtype="ACK", token=token, code="2.04",
+            payload_kind="oscore", payload_len=20), "rtrC", "legit")
+
+    return world, guard, token, sent, late_answer
+
+
+@pytest.mark.parametrize("given_up", [exemptions_relay_given_up,
+                                      client_tunnel_end_given_up])
+def test_given_up_relay_leaves_nothing_and_drops_a_late_answer(given_up):
+    world, guard, token, sent, late_answer = given_up()
+    assert [e for e in world.trace.by_kind("giveup")
+            if e["node"] == guard.address
+            and e["detail"]["token"] == token.hex()]
+    assert token not in guard.outstanding
+    assert token not in getattr(guard, "tunnel_queue", {})
+    assert sent == ["EMPTY"]  # the empty ACK, and no answer
+    late_answer()
+    world.run_until(world.clock.now + 5000)
+    assert sent == ["EMPTY"]
+
+
+def guard_relaying_into_tunnel():
+    """A client tunnel end whose relayed request waits for a tunnel while
+    the guard asks the AS for a tunnel token: proxy mid 1 and the guard's
+    own mid 1. Returns the world, the guard, both exchanges and the codes
+    the guard sent toward `cli`."""
+    world = World(seed=1, collect_trace=True)
+    guard = ClientTunnelGuard(world, "rtrC", "cli*", key_id="key_cgp",
+                              key=b"k" * 16)
+    sent = []
+    guard.send_frame = lambda msg, origin: (
+        sent.append(msg.code) if msg.dst == "cli" else None)
+    guard.as_address = "as"
+    guard.handle_inside(make_frame(SimMessage(
+        src="cli", dst="rtrC", mid=9, token=b"\x09", proxy_uri="coap://srv")))
+    tunneled, own = sorted(guard.outstanding.values(),
+                           key=lambda ex: ex.via is None)
+    return world, guard, tunneled, own, sent
+
+
+def test_empty_ack_skips_exchanges_inside_the_tunnel():
+    _, guard, tunneled, own, _ = guard_relaying_into_tunnel()
+    assert tunneled.msg.mid == own.msg.mid == 1
+    empty = make_frame(ack(own.msg, "as", "EMPTY", token=b""))
+    assert guard.match_response(empty.msg, empty)
+    assert own.acked and not tunneled.acked
+
+
+def test_unprotected_answer_with_a_tunnel_token_is_blocked():
+    world, guard, tunneled, _, sent = guard_relaying_into_tunnel()
+    token = tunneled.msg.token
+    forged = make_frame(SimMessage(
+        src="x0", dst="rtrC", mtype="ACK", mid=tunneled.msg.mid, token=token,
+        code="2.04", payload_kind="oscore", payload_len=20), origin="attack")
+    guard.handle(forged, "x0")
+    assert [e["detail"]["origin"] for e in world.trace.by_kind("blocked")] \
+        == ["attack"]
+    assert guard.outstanding[token] is tunneled and not tunneled.done
+    assert sent == ["EMPTY"]  # the empty ACK to cli's request, no answer
 
 
 def test_replayed_tunnel_frame_is_dropped_before_the_server():
@@ -603,7 +737,7 @@ def acked_exchange(base_timeout_ms=2000, retransmit_limit=4, ack_at_ms=0):
     node.send_con(msg, "legit", lambda resp, frame: None,
                   lambda: gave_up.append(world.clock.now), inter)
     empty = make_frame(ack(msg, "b", "EMPTY", token=b""))
-    world.schedule(ack_at_ms, lambda: node.match_response(empty))
+    world.schedule(ack_at_ms, lambda: node.match_response(empty.msg, empty))
     return world, node, inter, gave_up
 
 

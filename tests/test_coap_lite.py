@@ -147,7 +147,7 @@ def test_attempts_bounded_by_limit():
 # --- proxy rewriting ---------------------------------------------------------------
 
 def test_forward_rewrite_strips_proxy_uri():
-    table = ProxyTable("proxy")
+    table = ProxyTable("proxy", {})
     msg = SimMessage(src="cli", dst="proxy", token=b"\xaa", mid=7,
                      proxy_uri="coap://srv/r")
     out = table.rewrite_request(msg, "srv")
@@ -157,26 +157,27 @@ def test_forward_rewrite_strips_proxy_uri():
 
 
 def test_rewrite_without_origin_raises():
-    table = ProxyTable("proxy")
+    table = ProxyTable("proxy", {})
     msg = SimMessage(src="cli", dst="proxy", token=b"\x01")
     with pytest.raises(UnknownOrigin):
         table.rewrite_request(msg, None)
-    assert table.out == {}
+    # No token was used up: the next request still gets the first one.
+    assert table.rewrite_request(msg, "srv").token == b"\x00\x01"
 
 
 def test_reverse_round_trip_identity():
-    table = ProxyTable("proxy")
+    table = ProxyTable("proxy", {})
     req = SimMessage(src="cli", dst="proxy", token=b"\x11\x22", mid=42)
     up = table.rewrite_request(req, "srv")
     resp = SimMessage(src="srv", dst="proxy", mtype="ACK", mid=up.mid,
                       token=up.token, code="2.05")
-    down = table.rewrite_response(resp)
+    down = table.answer(resp, req)
     assert (down.dst, down.token, down.mid) == ("cli", b"\x11\x22", 42)
     assert down.src == "proxy"
 
 
 def test_rewrite_preserves_oscore_header_and_payload():
-    table = ProxyTable("proxy")
+    table = ProxyTable("proxy", {})
     req = SimMessage(src="cli", dst="proxy", token=b"\x01",
                      oscore_kid=b"\x07", oscore_piv=9, payload_len=33,
                      sealed=b"sealed-bytes")
@@ -188,7 +189,7 @@ def test_rewrite_preserves_oscore_header_and_payload():
 
 
 def test_token_remap_injective():
-    table = ProxyTable("proxy")
+    table = ProxyTable("proxy", {})
     tokens = set()
     for i in range(200):
         req = SimMessage(src=f"cli{i}", dst="proxy", token=b"\x01", mid=i)
@@ -198,33 +199,30 @@ def test_token_remap_injective():
 
 
 def test_new_token_skips_live_tokens_after_wrap():
-    table = ProxyTable("proxy")
-    live = [table.rewrite_request(SimMessage(src="cli", dst="proxy", mid=i),
-                                  "srv").token for i in range(2)]
-    assert live == [b"\x00\x01", b"\x00\x02"]
+    live = {}
+    table = ProxyTable("proxy", live)
+    for i in range(2):
+        up = table.rewrite_request(SimMessage(src="cli", dst="proxy", mid=i),
+                                   "srv")
+        live[up.token] = up  # the owner files its exchange under the token
+    assert list(live) == [b"\x00\x01", b"\x00\x02"]
     issued = [table.new_token() for _ in range(3, 0x10000)]
     assert issued[-1] == b"\xff\xff"
-    # The counter wraps to 0, then skips 1 and 2, which are still in `out`.
+    # The counter wraps to 0, then skips 1 and 2, which are still live.
     assert [table.new_token() for _ in range(2)] == [b"\x00\x00", b"\x00\x03"]
 
 
 def test_new_token_raises_once_every_token_is_live():
-    table = ProxyTable("proxy")
+    live = {}
+    table = ProxyTable("proxy", live)
     for mid in range(0x10000):
         token = table.new_token()
-        assert token not in table.out
-        table.out[token] = ("cli", b"", mid)
+        assert token not in live
+        live[token] = mid
     with pytest.raises(TokensExhausted):
         table.new_token()
-    del table.out[b"\x12\x34"]
+    del live[b"\x12\x34"]
     assert table.new_token() == b"\x12\x34"
-
-
-def test_unknown_response_token_unmapped():
-    table = ProxyTable("proxy")
-    resp = SimMessage(src="srv", dst="proxy", mtype="ACK", token=b"\xff\xff",
-                      code="2.05")
-    assert table.rewrite_response(resp) is None
 
 
 # --- inner serialization ----------------------------------------------------------

@@ -58,6 +58,12 @@ def test_nested_overrides():
     assert cfg.links.constrained.bandwidth_bps == 1000
     assert cfg.links.internet.bandwidth_bps == 1_000_000  # untouched
     assert cfg.guard.unknown_bucket.per_source_rate == 0.5
+    # Sections are filled in place; the defaults of a new config stay.
+    fresh = SimConfig()
+    assert fresh.seed == 42 and fresh.scenario == "exemptions"
+    assert fresh.links.constrained.bandwidth_bps == 4000
+    assert fresh.guard.unknown_bucket.per_source_rate == 0.2
+    assert fresh.guard.unknown_bucket.per_source_burst == 2
 
 
 def test_readme_example_config_is_valid():
