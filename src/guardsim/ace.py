@@ -69,10 +69,9 @@ def _token_tag(audience_key: bytes, token: AccessToken) -> bytes:
 class AsRegistry:
     """Who the AS knows: subject keys, their audiences, and audience tag keys."""
 
-    def __init__(self, known_subjects: dict[str, dict] | None = None,
-                 audience_keys: dict[str, bytes] | None = None):
-        self.known_subjects = {} if known_subjects is None else known_subjects
-        self.audience_keys = {} if audience_keys is None else audience_keys
+    def __init__(self):
+        self.known_subjects: dict[str, dict] = {}
+        self.audience_keys: dict[str, bytes] = {}
 
     def add_subject(self, key_id: str, key: bytes, audiences: set[str]) -> None:
         self.known_subjects[key_id] = {"key": key, "audiences": set(audiences)}

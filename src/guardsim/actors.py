@@ -69,15 +69,16 @@ class RendezvousEntry:
 
 
 class Interaction:
-    def __init__(self, kind: str, t_start: int, counted: bool = True,
-                 t_end: int | None = None, retransmissions: int = 0,
-                 outcome: str | None = None):
+    """One request the client started: a key-exchange message or an app
+    request. Only the steady phase's priming request is not `counted`."""
+
+    def __init__(self, kind: str, t_start: int, counted: bool = True):
         self.kind = kind  # "key_exchange" | "request"
         self.t_start = t_start
         self.counted = counted
-        self.t_end = t_end
-        self.retransmissions = retransmissions
-        self.outcome = outcome  # "completed" | "timed_out"
+        self.t_end: int | None = None
+        self.retransmissions = 0
+        self.outcome: str | None = None  # "completed" | "timed_out"
 
     def complete(self, now: int) -> None:
         if self.outcome is None:
@@ -291,8 +292,7 @@ class Exchange:
     """
 
     def __init__(self, owner: Node, msg: SimMessage, origin: str, send,
-                 on_response=None, on_giveup=None,
-                 interaction: Interaction | None = None,
+                 on_response, on_giveup, interaction: Interaction | None = None,
                  via: str | None = None):
         self.owner = owner
         self.msg = msg
@@ -394,7 +394,7 @@ class ThrottleRouter(RouterNode):
 
 
 class RendezvousNode(Node):
-    def __init__(self, world, address="rd"):
+    def __init__(self, world, address):
         super().__init__(world, address)
         self.entries: dict[str, RendezvousEntry] = {}
 
@@ -482,8 +482,7 @@ class ServerNode(Node):
     AS and its `audience`, instead of just the guard's address."""
 
     def __init__(self, world, *, address, audience, rd_address, as_address,
-                 energy=None, guard_address=None, behind_tunnel=False,
-                 audience_key=b""):
+                 energy, guard_address, behind_tunnel, audience_key):
         super().__init__(world, address, energy)
         self.guard_address = guard_address
         self.behind_tunnel = behind_tunnel
@@ -625,8 +624,7 @@ class ClientNode(Node):
     entry's audience under its own `key_id`, then briefs the guard."""
 
     def __init__(self, world, *, address, rd_address, server_name, key_id,
-                 guard_key_id, request_interval_ms, energy=None,
-                 guard_address=None):
+                 guard_key_id, request_interval_ms, energy, guard_address):
         super().__init__(world, address, energy)
         self.guard_address = guard_address  # set: requests go via this proxy
         self.rd_address = rd_address
@@ -728,12 +726,12 @@ class ClientNode(Node):
 
     # --- key exchange --------------------------------------------------------
 
-    def run_key_exchange(self, counted: bool, cause: str, on_done) -> None:
+    def run_key_exchange(self, cause: str, on_done) -> None:
         now = self.world.clock.now
         self._session += 1
         session_id = self._session
         eph_i = self.rng.bytes(8)
-        i1 = Interaction("key_exchange", now, counted)
+        i1 = Interaction("key_exchange", now)
         self.interactions.append(i1)
 
         def fail():
@@ -747,7 +745,7 @@ class ClientNode(Node):
             i1.complete(self.world.clock.now)
             eph_r = resp.payload["eph"]
             master = seclayer.edhoc_master(eph_i, eph_r)
-            i2 = Interaction("key_exchange", self.world.clock.now, counted)
+            i2 = Interaction("key_exchange", self.world.clock.now)
             self.interactions.append(i2)
             m3 = self._server_request(
                 "edhoc_m3", {"session": session_id,
@@ -773,7 +771,7 @@ class ClientNode(Node):
 
     # --- steady-state requests ------------------------------------------------
 
-    def send_app_request(self, counted: bool = True) -> None:
+    def send_app_request(self, counted: bool) -> None:
         if self.ctx is None:
             return
         now = self.world.clock.now
@@ -828,7 +826,7 @@ class ClientNode(Node):
         def done(ok: bool) -> None:
             self._rekeying = False
 
-        self.run_key_exchange(counted=True, cause=cause, on_done=done)
+        self.run_key_exchange(cause=cause, on_done=done)
 
     # --- workload drivers ------------------------------------------------------
 
@@ -845,7 +843,7 @@ class ClientNode(Node):
             def done(ok: bool) -> None:
                 self.world.schedule_in(pause_ms, attempt)
 
-            self.run_key_exchange(counted=True, cause="legit", on_done=done)
+            self.run_key_exchange(cause="legit", on_done=done)
 
         self.bootstrap(attempt)
 
@@ -862,8 +860,7 @@ class ClientNode(Node):
             self.world.schedule(max(first, self.world.clock.now + 500), tick)
 
         def retry_setup() -> None:
-            self.run_key_exchange(counted=False, cause="legit",
-                                  on_done=setup_done)
+            self.run_key_exchange(cause="legit", on_done=setup_done)
 
         def tick() -> None:
             if self.world.clock.now >= until_ms:
@@ -872,7 +869,7 @@ class ClientNode(Node):
             self.world.schedule_in(self.request_interval_ms, tick)
 
         self.bootstrap(lambda: self.run_key_exchange(
-            counted=False, cause="legit", on_done=setup_done))
+            cause="legit", on_done=setup_done))
 
     # --- receive ---------------------------------------------------------------
 
@@ -1311,24 +1308,31 @@ class ClientTunnelGuard(TunnelGuard):
 
 
 class AttackerNode(Node):
-    """Base of the attacker models, active in [start_ms, stop_ms) and blind
-    to replies, so it never answers reachability checks. A sending model
-    defines `_build_message`; `_tick` sends `rate` of them per second."""
+    """Base of the attacker models, at address "atk", active in
+    [start_ms, stop_ms) and blind to replies, so it never answers
+    reachability checks."""
 
-    def __init__(self, world, address="atk", targets=("srv",), rate=1.0,
-                 start_ms=0, stop_ms=10**12):
-        super().__init__(world, address)
-        self.targets = list(targets)
+    def __init__(self, world, start_ms, stop_ms):
+        super().__init__(world, "atk")
         self.start_ms = start_ms
         self.stop_ms = stop_ms
-        self.period_ms = max(1, int(round(1000.0 / rate)))
-        self.sent = 0
 
     def owns(self, addr: str) -> bool:
         return addr == self.address or addr.startswith("x")
 
     def handle(self, frame: Frame, from_addr: str) -> None:
         pass  # blind to replies by design
+
+
+class SendingAttacker(AttackerNode):
+    """An attacker that sends: each model defines `_build_message`, and
+    `_tick` sends `rate` of them per second, each to one of `targets`."""
+
+    def __init__(self, world, targets, rate, start_ms, stop_ms):
+        super().__init__(world, start_ms, stop_ms)
+        self.targets = list(targets)
+        self.period_ms = max(1, int(round(1000.0 / rate)))
+        self.sent = 0
 
     def start(self) -> None:
         self.world.schedule(self.start_ms, self._tick)
@@ -1347,15 +1351,13 @@ class AttackerNode(Node):
         world.queue.schedule(now + delay, self._tick)
 
 
-class FloodAttacker(AttackerNode):
+class FloodAttacker(SendingAttacker):
     """Handshake-triggering frames, the cheapest way to drain a responder,
     from `n_sources` spoofed sources in turn at `rate` frames/s each. The
     blind flood is the one-source case."""
 
-    def __init__(self, world, rate, n_sources=1, address="atk",
-                 targets=("srv",), start_ms=0, stop_ms=10**12):
-        super().__init__(world, address, targets, rate * n_sources,
-                         start_ms, stop_ms)
+    def __init__(self, world, rate, n_sources, targets, start_ms, stop_ms):
+        super().__init__(world, targets, rate * n_sources, start_ms, stop_ms)
         self.sources = [f"x{i}" for i in range(n_sources)]
 
     def _build_message(self) -> SimMessage:
@@ -1372,15 +1374,14 @@ class FloodAttacker(AttackerNode):
                           EDHOC_MSG_SIZES[0])
 
 
-class Impersonator(AttackerNode):
+class Impersonator(SendingAttacker):
     """OSCORE-shaped junk from x0: every other frame jumps the piv far past
     any window, the rest replay pivs the victim sent. The kid is a random
     byte unless `knows_kid` and the victim has a context."""
 
-    def __init__(self, world, rate, victim=None, knows_kid=False,
-                 address="atk", targets=("srv",), start_ms=0,
-                 stop_ms=10**12):
-        super().__init__(world, address, targets, rate, start_ms, stop_ms)
+    def __init__(self, world, rate, victim, knows_kid, targets, start_ms,
+                 stop_ms):
+        super().__init__(world, targets, rate, start_ms, stop_ms)
         self.victim = victim
         self.knows_kid = knows_kid
 
@@ -1407,10 +1408,8 @@ class OnPathAttacker(AttackerNode):
     """On-path tampering: sends nothing; `intercept`, installed on a link,
     garbles up to `budget` protected frames inside the active window."""
 
-    def __init__(self, world, budget, address="atk", start_ms=0,
-                 stop_ms=10**12):
-        super().__init__(world, address, (), start_ms=start_ms,
-                         stop_ms=stop_ms)
+    def __init__(self, world, budget, start_ms, stop_ms):
+        super().__init__(world, start_ms, stop_ms)
         self.budget = budget
         self.corrupted = 0
 

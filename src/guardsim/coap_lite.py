@@ -183,15 +183,12 @@ TIMED_OUT = "timed_out"
 
 
 class TxState:
-    def __init__(self, base_timeout_ms: int = DEFAULT_BASE_TIMEOUT_MS,
-                 retransmit_limit: int = DEFAULT_RETRANSMIT_LIMIT,
-                 attempts: int = 0, next_timeout_ms: int = 0,
-                 outcome: str = PENDING):
+    def __init__(self, base_timeout_ms: int, retransmit_limit: int):
         self.base_timeout_ms = base_timeout_ms
         self.retransmit_limit = retransmit_limit
-        self.attempts = attempts
-        self.next_timeout_ms = next_timeout_ms or base_timeout_ms
-        self.outcome = outcome
+        self.attempts = 0
+        self.next_timeout_ms = base_timeout_ms
+        self.outcome = PENDING
 
     @property
     def lifetime_ms(self) -> int:

@@ -106,20 +106,15 @@ class FlowRecord:
                  "reachable_since_ms", "tentative", "elevated",
                  "last_update_ms")
 
-    def __init__(self, source: str, cls: str = UNKNOWN_VIA_PROXY,
-                 echo_nonce: bytes | None = None,
-                 echo_issued_ms: int | None = None,
-                 reachable_since_ms: int | None = None,
-                 tentative: bool = False, elevated: bool = False,
-                 last_update_ms: int = 0):
+    def __init__(self, source: str, now_ms: int):
         self.source = source
-        self.cls = cls
-        self.echo_nonce = echo_nonce
-        self.echo_issued_ms = echo_issued_ms
-        self.reachable_since_ms = reachable_since_ms
-        self.tentative = tentative
-        self.elevated = elevated
-        self.last_update_ms = last_update_ms
+        self.cls = UNKNOWN_VIA_PROXY
+        self.echo_nonce: bytes | None = None
+        self.echo_issued_ms: int | None = None
+        self.reachable_since_ms: int | None = None
+        self.tentative = False
+        self.elevated = False
+        self.last_update_ms = now_ms
 
 
 class SeqTracker:
@@ -127,12 +122,10 @@ class SeqTracker:
 
     __slots__ = ("highest_seen", "seen", "known_sources")
 
-    def __init__(self, highest_seen: int = -1,
-                 seen: dict[int, str] | None = None,
-                 known_sources: set | None = None):
-        self.highest_seen = highest_seen
-        self.seen = {} if seen is None else seen
-        self.known_sources = set() if known_sources is None else known_sources
+    def __init__(self):
+        self.highest_seen = -1
+        self.seen: dict[int, str] = {}
+        self.known_sources: set[str] = set()
 
 
 PLAUSIBLE = "plausible"
@@ -142,9 +135,8 @@ KNOWN_MOBILE = "known_mobile"
 
 
 def seq_check(trackers: dict[bytes, SeqTracker], kid: bytes, piv: int,
-              coap_token: bytes, source: str,
-              jump_threshold: int = DEFAULT_JUMP_THRESHOLD,
-              memory: int = DEFAULT_SEQ_MEMORY) -> str:
+              coap_token: bytes, source: str, jump_threshold: int,
+              memory: int) -> str:
     """Plausibility verdict for an observed (kid, piv, token, source).
 
     Conflicts (piv reused under a different token) and implausible jumps
@@ -209,8 +201,7 @@ class GuardState:
     def flow(self, source: str, now_ms: int) -> FlowRecord:
         rec = self.flows.get(source)
         if rec is None:
-            rec = self.flows[source] = FlowRecord(source=source,
-                                                  last_update_ms=now_ms)
+            rec = self.flows[source] = FlowRecord(source, now_ms)
         return rec
 
     def _set_class(self, rec: FlowRecord, cls: str, now_ms: int) -> None:

@@ -180,7 +180,10 @@ def _fill_dataclass(obj, doc: dict, path: str):
             elif kind == "float":
                 if not isinstance(value, (int, float)) or isinstance(value, bool):
                     raise ConfigError(f"{where}: expected a number")
-                value = float(value)
+                try:
+                    value = float(value)
+                except OverflowError:  # an integer too large for a float
+                    raise ConfigError(f"{where}: expected a number") from None
             elif kind == "str":
                 if not isinstance(value, str):
                     raise ConfigError(f"{where}: expected a string")
@@ -189,7 +192,8 @@ def _fill_dataclass(obj, doc: dict, path: str):
 
 
 # Fields the simulation divides by or paces itself with: zero raises
-# ZeroDivisionError or schedules without end. Token-bucket bursts (fields
+# ZeroDivisionError (`projected_exchanges_lost` divides by
+# `energy.cost_edhoc`) or schedules without end. Token-bucket bursts (fields
 # named `*burst`) must be at least 1, because a bucket admits only whole
 # tokens. Every other number except `seed` (durations, counts, capacities,
 # costs, bucket rates, fractions) must not be negative.
@@ -202,6 +206,7 @@ POSITIVE_FIELDS = frozenset({
     "attacks.distributed_rate",
     "attacks.distributed_sources",
     "attacks.impersonator_rate",
+    "energy.cost_edhoc",
 })
 
 
@@ -246,10 +251,12 @@ def config_from_dict(doc: dict) -> SimConfig:
 
 def load_config(path: str) -> SimConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config file: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config is not valid UTF-8: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
     return config_from_dict(doc)
@@ -353,18 +360,18 @@ def build_world(config: SimConfig, scenario: str, attack_kind: str,
     attacks, start, stop = config.attacks, attack_start_ms, attack_stop_ms
     targets = ["rtrS" if guarded else "srv", "srv"]  # published, raw
     if attack_kind == "blind_flood":
-        attacker = FloodAttacker(world, attacks.blind_rate, 1, "atk", targets,
-                                 start, stop)
+        attacker = FloodAttacker(world, attacks.blind_rate, 1, targets, start,
+                                 stop)
     elif attack_kind == "distributed_flood":
         attacker = FloodAttacker(world, attacks.distributed_rate,
-                                 attacks.distributed_sources, "atk", targets,
-                                 start, stop)
+                                 attacks.distributed_sources, targets, start,
+                                 stop)
     elif attack_kind == "impersonator":
         attacker = Impersonator(world, attacks.impersonator_rate, client,
-                                attacks.impersonator_knows_kid, "atk", targets,
-                                start, stop)
+                                attacks.impersonator_knows_kid, targets, start,
+                                stop)
     elif attack_kind == "on_path":
-        attacker = OnPathAttacker(world, attacks.onpath_budget, "atk", start,
+        attacker = OnPathAttacker(world, attacks.onpath_budget, start,
                                   start + attacks.onpath_window_ms)
 
     # Wiring: constrained device links at the edges, fast internet inside.
@@ -383,7 +390,8 @@ def build_world(config: SimConfig, scenario: str, attack_kind: str,
     rtr_c.routes = ([("cli*", "cli")] if client is not None else []) + \
         [("*", "rtrS")]
     rtr_s.routes = ([("srv", "srv"), ("rd", "rd"), (as_address, as_address)]
-                    + ([("x*", "atk"), ("atk", "atk")]
+                    + ([("x*", attacker.address),
+                        (attacker.address, attacker.address)]
                        if attacker is not None else [])
                     + [("*", "rtrC")])
     server.routes = [("*", "rtrS")]

@@ -243,20 +243,18 @@ class EnergyBudget:
     cost_per_msg = 0.002
     cost_edhoc = 1.0
     cost_oscore_verify = 0.01
-    exhausted = False
 
     def __init__(self, remaining: float = remaining,
                  cost_per_rx_byte: float = cost_per_rx_byte,
                  cost_per_msg: float = cost_per_msg,
                  cost_edhoc: float = cost_edhoc,
-                 cost_oscore_verify: float = cost_oscore_verify,
-                 exhausted: bool = exhausted):
+                 cost_oscore_verify: float = cost_oscore_verify):
         self.remaining = remaining
         self.cost_per_rx_byte = cost_per_rx_byte
         self.cost_per_msg = cost_per_msg
         self.cost_edhoc = cost_edhoc
         self.cost_oscore_verify = cost_oscore_verify
-        self.exhausted = exhausted
+        self.exhausted = False
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -284,11 +282,6 @@ class EnergyBudget:
         if event == "oscore_verify":
             return self.cost_oscore_verify
         raise ValueError(f"unknown energy event {event!r}")
-
-
-def drain_energy(budget: EnergyBudget, event: str, nbytes: int = 0) -> float:
-    """Drain the configured cost of one event class; returns drained amount."""
-    return budget.drain(budget.cost_of(event, nbytes))
 
 
 class Frame:

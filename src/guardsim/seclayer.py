@@ -49,9 +49,9 @@ class SeqExhausted(Exception):
     pass
 
 
-def fnv1a64(data: bytes, h: int = FNV_OFFSET) -> int:
-    """FNV-1a over `data`, continuing from state `h` (the offset basis by
-    default), so `fnv1a64(a + b) == fnv1a64(b, fnv1a64(a))`."""
+def fnv1a64(data: bytes) -> int:
+    """64-bit FNV-1a over `data`."""
+    h = FNV_OFFSET
     for b in data:
         h = ((h ^ b) * FNV_PRIME) & MASK64
     return h
@@ -100,11 +100,10 @@ def derive_key(master: bytes, info: bytes) -> bytes:
 class ReplayWindow:
     """Bitmap sliding window over the highest received sequence number."""
 
-    def __init__(self, size: int = DEFAULT_REPLAY_WINDOW, highest: int = -1,
-                 bitmap: int = 0):
+    def __init__(self, size: int = DEFAULT_REPLAY_WINDOW):
         self.size = size
-        self.highest = highest
-        self.bitmap = bitmap
+        self.highest = -1
+        self.bitmap = 0
 
     def check(self, seq: int) -> bool:
         """True iff `seq` would be accepted, without mutating the window."""
@@ -138,12 +137,11 @@ class ReplayWindow:
 
 class SecurityContext:
     def __init__(self, sender_id: bytes, recipient_id: bytes,
-                 master_key: bytes, sender_seq: int = 0,
-                 replay_window: ReplayWindow | None = None):
+                 master_key: bytes, replay_window: ReplayWindow | None = None):
         self.sender_id = sender_id
         self.recipient_id = recipient_id
         self.master_key = master_key
-        self.sender_seq = sender_seq
+        self.sender_seq = 0
         self.replay_window = (ReplayWindow() if replay_window is None
                               else replay_window)
 

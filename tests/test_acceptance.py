@@ -17,7 +17,7 @@ from guardsim.guard import seq_check
 from guardsim.harness import (LinkSpec, SimConfig, build_world, energy_report,
                               phase_stats, report_to_json, run_cell,
                               run_matrix, run_subrun)
-from guardsim.netsim import EnergyBudget, drain_energy
+from guardsim.netsim import EnergyBudget
 from guardsim.seclayer import (ReplayError, ReplayWindow, SecurityContext,
                                oscore_protect, oscore_unprotect)
 
@@ -82,7 +82,7 @@ def test_fullguard_attributable_energy_exactly_zero(matrix):
 def test_50000_key_exchanges_exhaust_default_budget():
     budget = EnergyBudget()
     for _ in range(50_000):
-        drain_energy(budget, "edhoc")
+        budget.drain(budget.cost_of("edhoc"))
     assert budget.remaining == 0.0
     assert budget.exhausted
 

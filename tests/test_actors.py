@@ -9,12 +9,17 @@ from guardsim.actors import (ClientTunnelGuard, FloodAttacker, GuardNode,
                              Impersonator, Interaction, Node, OnPathAttacker,
                              RendezvousEntry, RendezvousNode, ServerNode,
                              deserialize_full, serialize_full)
-from guardsim.coap_lite import SimMessage, TxState, ack, message_size
+from guardsim.coap_lite import (DEFAULT_BASE_TIMEOUT_MS,
+                                DEFAULT_RETRANSMIT_LIMIT, SimMessage, TxState,
+                                ack, message_size)
 from guardsim.guard import ALLOW_LISTED, CLASS_PRIORITY, REACHABILITY_VERIFIED
 from guardsim.harness import (SimConfig, build_world, config_from_dict,
                               derive_seed)
 from guardsim.netsim import Frame, Rng, World
 from guardsim.seclayer import DEFAULT_MAX_SEQ, SecurityContext, SeqExhausted
+
+
+NEVER = 10**12  # an attacker stop time past the end of any test
 
 
 def make_frame(msg, origin="legit"):
@@ -41,7 +46,7 @@ def test_full_serialization_deterministic():
 
 def test_register_then_lookup_round_trip():
     world = World(seed=1)
-    rd = RendezvousNode(world)
+    rd = RendezvousNode(world, "rd")
     entry = RendezvousEntry(name="srv", address="rtrS")
     rd.register(entry)
     assert rd.lookup("srv") == entry
@@ -49,7 +54,7 @@ def test_register_then_lookup_round_trip():
 
 def test_lookup_unknown_returns_nothing():
     world = World(seed=1)
-    rd = RendezvousNode(world)
+    rd = RendezvousNode(world, "rd")
     assert rd.lookup("nobody") is None
 
 
@@ -309,8 +314,9 @@ def announced_entry(as_hint, audience="aud_srv"):
 
 def test_tunnelled_server_announces_its_as_and_audience():
     server = ServerNode(World(seed=1), address="srv", audience="aud_x",
-                        rd_address="rd", as_address="as9",
-                        guard_address="rtrS", behind_tunnel=True)
+                        rd_address="rd", as_address="as9", energy=None,
+                        guard_address="rtrS", behind_tunnel=True,
+                        audience_key=b"")
     sent = []
     server.send_frame = lambda msg, origin: sent.append(msg)
     server.start()
@@ -565,7 +571,8 @@ def test_tunnel_frames_stop_at_the_sequence_bound():
     sent = []
     guard.send_frame = lambda msg, origin: sent.append(msg)
     ctx = SecurityContext(sender_id=b"\x01", recipient_id=b"\x02",
-                          master_key=b"m" * 16, sender_seq=DEFAULT_MAX_SEQ - 1)
+                          master_key=b"m" * 16)
+    ctx.sender_seq = DEFAULT_MAX_SEQ - 1
     inner = SimMessage(src="cli", dst="srv")
     guard.send_tunnel_data(ctx, inner, "rtrS", "legit")
     with pytest.raises(SeqExhausted):
@@ -753,7 +760,8 @@ def test_acked_exchange_gives_up_at_first_send_plus_lifetime():
     assert (inter.outcome, inter.t_end) == ("timed_out", lifetime)
     assert gave_up == [lifetime]
     assert node.outstanding == {} and len(world.queue) == 0
-    assert TxState().lifetime_ms == lifetime
+    assert TxState(DEFAULT_BASE_TIMEOUT_MS,
+                   DEFAULT_RETRANSMIT_LIMIT).lifetime_ms == lifetime
 
 
 def test_exchange_acked_past_its_lifetime_gives_up_at_its_next_timer():
@@ -826,7 +834,7 @@ def test_spoofed_sources_never_reach_verified():
 
 def test_attacker_blackholes_replies():
     world = World(seed=1)
-    atk = FloodAttacker(world, 20.0, targets=["srv"])
+    atk = FloodAttacker(world, 20.0, 1, ["srv"], 0, NEVER)
     atk.rng = Rng(1)
     challenge = SimMessage(src="rtrS", dst="x0", mtype="ACK", code="4.01",
                            echo=b"\x01" * 8)
@@ -868,7 +876,7 @@ def test_interceptor_idle_outside_window():
 
 def test_distributed_flood_uses_distinct_sources():
     world = World(seed=1)
-    atk = FloodAttacker(world, 20.0, n_sources=5, targets=["srv"])
+    atk = FloodAttacker(world, 20.0, 5, ["srv"], 0, NEVER)
     atk.rng = Rng(4)
     sources = set()
     for _ in range(20):
@@ -879,7 +887,7 @@ def test_distributed_flood_uses_distinct_sources():
 
 def test_blind_flood_single_spoofed_source():
     world = World(seed=1)
-    atk = FloodAttacker(world, 20.0, targets=["srv"])
+    atk = FloodAttacker(world, 20.0, 1, ["srv"], 0, NEVER)
     atk.rng = Rng(5)
     for _ in range(10):
         assert atk._build_message().src == "x0"
@@ -890,8 +898,7 @@ def test_flood_frames_draw_target_then_eph_key():
     # Each flood frame draws its target, then its eph key, from the
     # attacker's generator and nothing else; frames carry `message_size`.
     world = World(seed=1)
-    atk = FloodAttacker(world, 20.0, n_sources=3,
-                        targets=["rtrS/srv", "srv"])
+    atk = FloodAttacker(world, 20.0, 3, ["rtrS/srv", "srv"], 0, NEVER)
     atk.rng = Rng(9)
     sent = []
     atk.forward = lambda frame, from_addr: sent.append(frame)
@@ -923,8 +930,8 @@ def build_messages(atk, n):
 
 def test_impersonator_mixes_jumps_and_replays():
     world = World(seed=1)
-    atk = Impersonator(world, 2.0, victim_with(b"\x42", [3, 4]),
-                       knows_kid=True, targets=["srv"])
+    atk = Impersonator(world, 2.0, victim_with(b"\x42", [3, 4]), True,
+                       ["srv"], 0, NEVER)
     atk.rng = Rng(6)
     pivs, kids = [], set()
     for _ in range(8):
@@ -939,8 +946,8 @@ def test_impersonator_mixes_jumps_and_replays():
 
 def test_impersonator_without_the_kid_still_replays_the_victims_pivs():
     world = World(seed=1)
-    atk = Impersonator(world, 2.0, victim_with(b"\x42", [3, 4]),
-                       knows_kid=False, targets=["srv"])
+    atk = Impersonator(world, 2.0, victim_with(b"\x42", [3, 4]), False,
+                       ["srv"], 0, NEVER)
     atk.rng = Rng(6)
     msgs = build_messages(atk, 8)
     # Draw order per frame: target, kid byte, sealed bytes.
@@ -958,7 +965,7 @@ def test_impersonator_without_the_kid_still_replays_the_victims_pivs():
 
 def test_impersonator_without_a_victim_sends_piv_zero():
     world = World(seed=1)
-    atk = Impersonator(world, 2.0, knows_kid=True, targets=["srv"])
+    atk = Impersonator(world, 2.0, None, True, ["srv"], 0, NEVER)
     atk.rng = Rng(7)
     msgs = build_messages(atk, 6)
     assert [m.oscore_piv for m in msgs[1::2]] == [0, 0, 0]
@@ -968,14 +975,14 @@ def test_impersonator_without_a_victim_sends_piv_zero():
 @pytest.mark.parametrize("rate, n_sources, period_ms", [
     (20.0, 1, 50), (1.0, 50, 20), (3.0, 7, 48), (2000.0, 3, 1)])
 def test_flood_period_covers_every_source(rate, n_sources, period_ms):
-    atk = FloodAttacker(World(seed=1), rate, n_sources)
+    atk = FloodAttacker(World(seed=1), rate, n_sources, ["srv"], 0, NEVER)
     assert atk.period_ms == period_ms == \
         max(1, round(1000 / (rate * n_sources)))
 
 
 def test_flood_sends_nothing_at_or_after_stop():
     world = World(seed=1, collect_trace=True)
-    atk = FloodAttacker(world, 10.0, 4, start_ms=1000, stop_ms=3000)
+    atk = FloodAttacker(world, 10.0, 4, ["srv"], 1000, 3000)
     atk.rng = Rng(8)
     atk.start()
     world.run_until(10_000)
@@ -990,5 +997,5 @@ def test_flood_sends_nothing_at_or_after_stop():
 
 def test_on_path_attacker_start_schedules_nothing():
     world = World(seed=1)
-    OnPathAttacker(world, 4).start()
+    OnPathAttacker(world, 4, 0, NEVER).start()
     assert len(world.queue) == 0

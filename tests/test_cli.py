@@ -83,6 +83,23 @@ def test_invalid_config_field_is_config_error(tmp_path, capsys):
     assert "scenario" in capsys.readouterr().err
 
 
+def test_config_not_utf8_is_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: config is not valid UTF-8")
+
+
+def test_number_too_large_for_a_float_is_config_error(tmp_path, capsys):
+    # A JSON integer has no size limit; `float` of this one overflows.
+    path = tmp_path / "huge.json"
+    path.write_text('{"attacks": {"blind_rate": 1' + "0" * 400 + "}}")
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    assert "attacks.blind_rate: expected a number" in capsys.readouterr().err
+
+
 def test_removed_client_enabled_field_is_config_error(tmp_path, capsys):
     path = tmp_path / "noclient.json"
     path.write_text('{"client": {"enabled": false}}')
@@ -127,6 +144,8 @@ def test_removed_guard_mode_field_is_config_error(tmp_path, capsys):
      "guard.verified_bucket.per_source_burst: must be >= 1"),
     ({"guard": {"verified_bucket": {"aggregate_burst": 0}}},
      "guard.verified_bucket.aggregate_burst: must be >= 1"),
+    # `projected_exchanges_lost` divides by it.
+    ({"energy": {"cost_edhoc": 0}}, "energy.cost_edhoc: must be > 0"),
 ])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, doc, message):
     path = tmp_path / "range.json"

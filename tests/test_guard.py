@@ -10,7 +10,8 @@ from guardsim.guard import (ALLOW_LISTED, BucketSpec, CLASS_PRIORITY,
                             IMPLAUSIBLE_JUMP, KNOWN_MOBILE, NON_PROXY,
                             PLAUSIBLE, REACHABILITY_VERIFIED, SeqTracker,
                             ThrottlePolicy, TokenBucket, TUNNEL,
-                            UNKNOWN_VIA_PROXY, seq_check)
+                            UNKNOWN_VIA_PROXY, DEFAULT_JUMP_THRESHOLD,
+                            DEFAULT_SEQ_MEMORY, seq_check)
 from guardsim.netsim import Rng
 
 PROXY = "rtrS"
@@ -140,7 +141,7 @@ def test_admit_matches_tuple_keyed_reference(steps):
         else (float(specs[cls].aggregate_burst), 0) for cls in specs}
 
 
-@pytest.mark.parametrize("obj", [TokenBucket(1.0, 2), FlowRecord("s"),
+@pytest.mark.parametrize("obj", [TokenBucket(1.0, 2), FlowRecord("s", 0),
                                  SeqTracker()],
                          ids=["TokenBucket", "FlowRecord", "SeqTracker"])
 def test_per_source_records_are_slotted(obj):
@@ -266,22 +267,28 @@ def test_tentative_entry_expires_after_idle():
 
 # --- sequence plausibility ----------------------------------------------------------------
 
+def check(trackers, piv, token, source, memory=DEFAULT_SEQ_MEMORY):
+    """`seq_check` of kid 0x01 at the guard's default jump threshold."""
+    return seq_check(trackers, b"\x01", piv, token, source,
+                     DEFAULT_JUMP_THRESHOLD, memory)
+
+
 def seeded_tracker():
     trackers = {}
     for piv in range(11):  # highest becomes 10
-        assert seq_check(trackers, b"\x01", piv, b"T1", "cli") == PLAUSIBLE
+        assert check(trackers, piv, b"T1", "cli") == PLAUSIBLE
     return trackers
 
 
 def test_plausible_within_threshold():
     trackers = seeded_tracker()
-    assert seq_check(trackers, b"\x01", 11, b"T2", "cli") == PLAUSIBLE
+    assert check(trackers, 11, b"T2", "cli") == PLAUSIBLE
 
 
 def test_implausible_jump_leaves_tracker_untouched():
     trackers = seeded_tracker()
     before = dict(trackers[b"\x01"].seen)
-    assert seq_check(trackers, b"\x01", 10_000, b"T9", "cli") == IMPLAUSIBLE_JUMP
+    assert check(trackers, 10_000, b"T9", "cli") == IMPLAUSIBLE_JUMP
     assert trackers[b"\x01"].seen == before
     assert trackers[b"\x01"].highest_seen == 10
 
@@ -289,24 +296,24 @@ def test_implausible_jump_leaves_tracker_untouched():
 def test_conflict_on_reused_piv_different_token():
     trackers = seeded_tracker()
     before = dict(trackers[b"\x01"].seen)
-    assert seq_check(trackers, b"\x01", 7, b"T2", "cli") == CONFLICT
+    assert check(trackers, 7, b"T2", "cli") == CONFLICT
     assert trackers[b"\x01"].seen == before
 
 
 def test_retransmission_same_token_is_plausible():
     trackers = seeded_tracker()
-    assert seq_check(trackers, b"\x01", 7, b"T1", "cli") == PLAUSIBLE
+    assert check(trackers, 7, b"T1", "cli") == PLAUSIBLE
 
 
 def test_known_mobile_on_new_source():
     trackers = seeded_tracker()
-    assert seq_check(trackers, b"\x01", 11, b"T2", "cli-new") == KNOWN_MOBILE
+    assert check(trackers, 11, b"T2", "cli-new") == KNOWN_MOBILE
 
 
 def test_seq_memory_is_bounded():
     trackers = {}
     for piv in range(500):
-        seq_check(trackers, b"\x01", piv, b"T", "cli", memory=64)
+        check(trackers, piv, b"T", "cli", memory=64)
     assert len(trackers[b"\x01"].seen) <= 64
     assert trackers[b"\x01"].highest_seen == 499
 

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from guardsim.coap_lite import SimMessage
 from guardsim.netsim import (MASK64, EnergyBudget, EnergyLedger, EventQueue,
                              Frame, Link, Rng, SchedulingInPast, SimClock,
-                             Trace, World, drain_energy)
+                             Trace, World)
 
 
 # --- SplitMix64 -------------------------------------------------------------
@@ -432,23 +432,23 @@ def test_queue_len_matches_brute_force_count(sends):
 def test_energy_50000_edhoc_runs_exhaust_budget():
     budget = EnergyBudget()
     for _ in range(49_999):
-        drain_energy(budget, "edhoc")
+        budget.drain(budget.cost_of("edhoc"))
     assert not budget.exhausted
-    drain_energy(budget, "edhoc")
+    budget.drain(budget.cost_of("edhoc"))
     assert budget.remaining == 0.0
     assert budget.exhausted
 
 
 def test_energy_zero_byte_rx_is_free():
     budget = EnergyBudget()
-    drain_energy(budget, "rx_bytes", nbytes=0)
+    budget.drain(budget.cost_of("rx_bytes", nbytes=0))
     assert budget.remaining == EnergyBudget.remaining
     assert not budget.exhausted
 
 
 def test_energy_floors_at_zero():
     budget = EnergyBudget(remaining=10.0, cost_edhoc=25.0)
-    drained = drain_energy(budget, "edhoc")
+    drained = budget.drain(budget.cost_of("edhoc"))
     assert drained == 10.0
     assert budget.remaining == 0.0
     assert budget.exhausted
@@ -459,7 +459,8 @@ def test_energy_monotone_nonincreasing():
     last = budget.remaining
     rng = Rng(5)
     for _ in range(200):
-        drain_energy(budget, ("msg", "oscore_verify", "edhoc")[rng.randrange(3)])
+        event = ("msg", "oscore_verify", "edhoc")[rng.randrange(3)]
+        budget.drain(budget.cost_of(event))
         assert budget.remaining <= last
         last = budget.remaining
     assert budget.remaining >= 0.0

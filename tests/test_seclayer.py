@@ -31,11 +31,6 @@ def test_fnv1a64_reference_vectors():
         assert fnv1a64(data) == expected
 
 
-@given(st.binary(max_size=64), st.binary(max_size=64))
-def test_fnv1a64_continues_from_a_prefix_state(a, b):
-    assert fnv1a64(a + b) == fnv1a64(b, fnv1a64(a))
-
-
 # --- AEAD -------------------------------------------------------------------
 
 def _reference_seal(key, nonce, aad, plaintext):
