@@ -1358,7 +1358,7 @@ class FloodAttacker(SendingAttacker):
 
     def __init__(self, world, rate, n_sources, targets, start_ms, stop_ms):
         super().__init__(world, targets, rate * n_sources, start_ms, stop_ms)
-        self.sources = [f"x{i}" for i in range(n_sources)]
+        self.n_sources = n_sources
 
     def _build_message(self) -> SimMessage:
         # Split between the published address and the raw server address;
@@ -1367,7 +1367,7 @@ class FloodAttacker(SendingAttacker):
         # Positional, in SimMessage's field order (src, dst, mtype, mid,
         # token, code, payload_kind, payload, payload_len): the flood
         # builds most of a run's messages, and keywords slow the call.
-        return SimMessage(self.sources[self.sent % len(self.sources)],
+        return SimMessage(f"x{self.sent % self.n_sources}",
                           dst, "CON", self.new_mid(), self.new_token(),
                           "POST", "edhoc_m1",
                           {"eph": self.rng.bytes(8), "session": self.sent},

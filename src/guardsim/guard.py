@@ -56,10 +56,12 @@ class TokenBucket:
 
 @dataclass(eq=False, repr=False)
 class BucketSpec:
+    # A config section: its bursts declare the bound that `harness` checks.
+    # A bucket admits only whole tokens, so a burst below 1 refuses all.
     per_source_rate: float
-    per_source_burst: float
+    per_source_burst: float = field(metadata={"bound": 1})
     aggregate_rate: float
-    aggregate_burst: float
+    aggregate_burst: float = field(metadata={"bound": 1})
 
 
 class ThrottlePolicy:

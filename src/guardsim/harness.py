@@ -53,12 +53,22 @@ class ConfigError(Exception):
     """Invalid configuration; the message names the offending field."""
 
 
-# The config sections are dataclasses because `_fill_dataclass` and
-# `_check_ranges` walk their `fields()`. Nothing compares or prints them,
-# so they go without the generated `__eq__` and `__repr__`.
+# A config section is a dataclass, and each field declares its bound in
+# its `metadata` as `{"bound": b}`: a number `b` for `>= b`, `DIVISOR`, a
+# tuple of the allowed strings, or `None` for no bound. A number must be
+# finite, and >= 0 if it declares none. `_fill` reads a document through
+# `fields()`; nothing compares or prints the sections, so they go without
+# the generated `__eq__` and `__repr__`.
+DIVISOR = "divisor"  # > 0, and 1000 / value finite: the run divides by it
+
+
+def _bound(default, bound):
+    return field(default=default, metadata={"bound": bound})
+
+
 @dataclass(eq=False, repr=False)
 class LinkSpec:
-    bandwidth_bps: int = 4000
+    bandwidth_bps: int = _bound(4000, DIVISOR)
     delay_ms: int = 10
     queue_capacity: int = 8
 
@@ -76,7 +86,8 @@ class EnergyConfig:
     budget: float = EnergyBudget.remaining
     cost_per_rx_byte: float = EnergyBudget.cost_per_rx_byte
     cost_per_msg: float = EnergyBudget.cost_per_msg
-    cost_edhoc: float = EnergyBudget.cost_edhoc
+    # `projected_exchanges_lost` divides by it.
+    cost_edhoc: float = _bound(EnergyBudget.cost_edhoc, DIVISOR)
     cost_oscore_verify: float = EnergyBudget.cost_oscore_verify
 
     def make(self) -> EnergyBudget:
@@ -89,28 +100,30 @@ class EnergyConfig:
 
 @dataclass(eq=False, repr=False)
 class CoapConfig:
-    base_timeout_ms: int = DEFAULT_BASE_TIMEOUT_MS
+    base_timeout_ms: int = _bound(DEFAULT_BASE_TIMEOUT_MS, DIVISOR)
     retransmit_limit: int = DEFAULT_RETRANSMIT_LIMIT
 
 
 @dataclass(eq=False, repr=False)
 class BaselineThrottleConfig:
     rate_per_s: float = 0.1
-    burst: float = 1.0
+    # A token bucket admits only whole tokens: a burst below 1 refuses all.
+    burst: float = _bound(1.0, 1)
 
 
 @dataclass(eq=False, repr=False)
 class ClientConfig:
-    request_interval_ms: int = 10_000
+    request_interval_ms: int = _bound(10_000, DIVISOR)
     setup_pause_ms: int = 5_000
 
 
 @dataclass(eq=False, repr=False)
 class AttackConfig:
-    blind_rate: float = 20.0
-    distributed_rate: float = 1.0
-    distributed_sources: int = 50
-    impersonator_rate: float = 2.0
+    # Attack rates in messages/s: an attacker sends every 1000 / rate ms.
+    blind_rate: float = _bound(20.0, DIVISOR)
+    distributed_rate: float = _bound(1.0, DIVISOR)
+    distributed_sources: int = _bound(50, DIVISOR)
+    impersonator_rate: float = _bound(2.0, DIVISOR)
     impersonator_knows_kid: bool = True
     onpath_window_ms: int = 35_000
     onpath_budget: int = 4
@@ -137,9 +150,9 @@ class ResourceConfig:
 
 @dataclass(eq=False, repr=False)
 class SimConfig:
-    seed: int = 42
-    scenario: str = "exemptions"
-    attack: str = "none"
+    seed: int = _bound(42, None)
+    scenario: str = _bound("exemptions", SCENARIOS)
+    attack: str = _bound("none", ATTACKS)
     links: LinksConfig = field(default_factory=LinksConfig)
     energy: EnergyConfig = field(default_factory=EnergyConfig)
     coap: CoapConfig = field(default_factory=CoapConfig)
@@ -153,100 +166,60 @@ class SimConfig:
     resource: ResourceConfig = field(default_factory=ResourceConfig)
 
 
-def _fill_dataclass(obj, doc: dict, path: str):
-    """Fill config section `obj` from `doc` in place and return it; nested
-    sections are the fresh defaults `SimConfig()` built, filled likewise."""
+def _fill(obj, doc: dict, path: str):
+    """Read `doc` into config section `obj` in place and return it: each
+    value is checked for its field's kind, then for its bound, then set.
+    Nested sections are the fresh defaults `SimConfig()` built."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{path or 'config'}: expected an object")
-    # A scalar field is typed by the name of its annotation, not by its
-    # default's type: a float field may default to an int. The annotation
-    # is a string under `from __future__ import annotations`.
-    kinds = {f.name: getattr(f.type, "__name__", f.type) for f in fields(obj)}
+    declared = {f.name: f for f in fields(obj)}
     for key, value in doc.items():
         where = f"{path}.{key}" if path else key
-        if key not in kinds:
+        if key not in declared:
             raise ConfigError(f"{where}: unknown field")
         current = getattr(obj, key)
         if is_dataclass(current):
-            _fill_dataclass(current, value, where)
+            _fill(current, value, where)
+            continue
+        # A scalar field is typed by the name of its annotation, not by its
+        # default's type: a float field may default to an int. The
+        # annotation is a string under `from __future__ import annotations`.
+        kind = declared[key].type
+        bound = declared[key].metadata.get("bound", 0)
+        if kind == "bool":
+            if not isinstance(value, bool):
+                raise ConfigError(f"{where}: expected a boolean")
+        elif kind == "str":
+            if not isinstance(value, str):
+                raise ConfigError(f"{where}: expected a string")
+            if value not in bound:
+                raise ConfigError(f"{where}: must be one of {', '.join(bound)}")
         else:
-            kind = kinds[key]
-            if kind == "bool":
-                if not isinstance(value, bool):
-                    raise ConfigError(f"{where}: expected a boolean")
-            elif kind == "int":
+            if kind == "int":
                 if not isinstance(value, int) or isinstance(value, bool):
                     raise ConfigError(f"{where}: expected an integer")
-            elif kind == "float":
+            else:
                 if not isinstance(value, (int, float)) or isinstance(value, bool):
                     raise ConfigError(f"{where}: expected a number")
                 try:
                     value = float(value)
                 except OverflowError:  # an integer too large for a float
-                    raise ConfigError(f"{where}: expected a number") from None
-            elif kind == "str":
-                if not isinstance(value, str):
-                    raise ConfigError(f"{where}: expected a string")
-            setattr(obj, key, value)
+                    value = math.inf
+                if not math.isfinite(value):
+                    raise ConfigError(f"{where}: expected a number")
+            if bound == DIVISOR:
+                if not value > 0:
+                    raise ConfigError(f"{where}: must be > 0")
+                if not math.isfinite(1000 / value):
+                    raise ConfigError(f"{where}: too small to divide by")
+            elif bound is not None and not value >= bound:
+                raise ConfigError(f"{where}: must be >= {bound}")
+        setattr(obj, key, value)
     return obj
 
 
-# Fields the simulation divides by or paces itself with: zero raises
-# ZeroDivisionError (`projected_exchanges_lost` divides by
-# `energy.cost_edhoc`) or schedules without end. Token-bucket bursts (fields
-# named `*burst`) must be at least 1, because a bucket admits only whole
-# tokens. Every other number except `seed` (durations, counts, capacities,
-# costs, bucket rates, fractions) must not be negative.
-POSITIVE_FIELDS = frozenset({
-    "links.constrained.bandwidth_bps",
-    "links.internet.bandwidth_bps",
-    "coap.base_timeout_ms",
-    "client.request_interval_ms",
-    "attacks.blind_rate",
-    "attacks.distributed_rate",
-    "attacks.distributed_sources",
-    "attacks.impersonator_rate",
-    "energy.cost_edhoc",
-})
-
-
-# Attack rates in messages/s: an attacker sends every 1000 / rate ms, so a
-# positive rate that small overflows that period to infinity.
-PERIOD_FIELDS = frozenset({
-    "attacks.blind_rate",
-    "attacks.distributed_rate",
-    "attacks.impersonator_rate",
-})
-
-
-def _check_ranges(obj, path: str) -> None:
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        where = f"{path}.{f.name}" if path else f.name
-        if is_dataclass(value):
-            _check_ranges(value, where)
-        elif where in POSITIVE_FIELDS:
-            if not value > 0:
-                raise ConfigError(f"{where}: must be > 0")
-            if where in PERIOD_FIELDS and not math.isfinite(1000.0 / value):
-                raise ConfigError(f"{where}: too small, its period of "
-                                  f"1000 / rate ms is not finite")
-        elif f.name.endswith("burst"):
-            if not value >= 1:
-                raise ConfigError(f"{where}: must be >= 1")
-        elif (isinstance(value, (int, float)) and not isinstance(value, bool)
-              and where != "seed" and not value >= 0):
-            raise ConfigError(f"{where}: must be >= 0")
-
-
 def config_from_dict(doc: dict) -> SimConfig:
-    cfg = _fill_dataclass(SimConfig(), doc, "")
-    if cfg.scenario not in SCENARIOS:
-        raise ConfigError(f"scenario: must be one of {', '.join(SCENARIOS)}")
-    if cfg.attack not in ATTACKS:
-        raise ConfigError(f"attack: must be one of {', '.join(ATTACKS)}")
-    _check_ranges(cfg, "")
-    return cfg
+    return _fill(SimConfig(), doc, "")
 
 
 def load_config(path: str) -> SimConfig:

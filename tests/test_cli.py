@@ -146,6 +146,8 @@ def test_removed_guard_mode_field_is_config_error(tmp_path, capsys):
      "guard.verified_bucket.aggregate_burst: must be >= 1"),
     # `projected_exchanges_lost` divides by it.
     ({"energy": {"cost_edhoc": 0}}, "energy.cost_edhoc: must be > 0"),
+    # Positive, yet the report's division by it overflows to Infinity.
+    ({"energy": {"cost_edhoc": 1e-320}}, "energy.cost_edhoc: too small"),
 ])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, doc, message):
     path = tmp_path / "range.json"

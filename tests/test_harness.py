@@ -169,6 +169,48 @@ def test_only_config_sections_are_dataclasses():
     assert decorated and decorated <= set(sections(SimConfig()))
 
 
+def scalar_fields(obj, path=()):
+    """(dotted path as a tuple, annotation, value) of every scalar field."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from scalar_fields(value, path + (f.name,))
+        else:
+            yield path + (f.name,), f.type, value
+
+
+def nested(path, value):
+    doc = value
+    for key in reversed(path):
+        doc = {key: doc}
+    return doc
+
+
+def test_every_default_passes_its_own_bound():
+    # `config_from_dict` checks only the values a document sets, so the
+    # defaults must pass their bounds by construction.
+    doc = {}
+    for path, _, value in scalar_fields(SimConfig()):
+        section = doc
+        for key in path[:-1]:
+            section = section.setdefault(key, {})
+        section[path[-1]] = value
+    cfg = config_from_dict(json.loads(json.dumps(doc)))
+    assert ([value for _, _, value in scalar_fields(cfg)]
+            == [value for _, _, value in scalar_fields(SimConfig())])
+
+
+@pytest.mark.parametrize("path", [
+    path for path, kind, _ in scalar_fields(SimConfig()) if kind == "float"],
+    ids=".".join)
+def test_non_finite_number_is_refused(path):
+    # Python's `json` reads `Infinity`, `-Infinity` and `NaN` as these.
+    for value in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"{'.'.join(path)}: expected a number")):
+            config_from_dict(nested(path, value))
+
+
 @pytest.mark.parametrize("make, attrs", [
     (lambda: SimMessage("a", "b"), ["payload"]),
     (lambda: SecurityContext(b"s", b"r", b"k"), ["replay_window"]),
