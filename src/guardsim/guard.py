@@ -54,14 +54,23 @@ class TokenBucket:
         return False
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(init=False, eq=False, repr=False)
 class BucketSpec:
+    """One traffic class's per-source and aggregate bucket settings."""
+
     # A config section: its bursts declare the bound that `harness` checks.
     # A bucket admits only whole tokens, so a burst below 1 refuses all.
     per_source_rate: float
     per_source_burst: float = field(metadata={"bound": 1})
     aggregate_rate: float
     aggregate_burst: float = field(metadata={"bound": 1})
+
+    def __init__(self, per_source_rate: float, per_source_burst: float,
+                 aggregate_rate: float, aggregate_burst: float):
+        self.per_source_rate = per_source_rate
+        self.per_source_burst = per_source_burst
+        self.aggregate_rate = aggregate_rate
+        self.aggregate_burst = aggregate_burst
 
 
 class ThrottlePolicy:
@@ -165,11 +174,7 @@ def seq_check(trackers: dict[bytes, SeqTracker], kid: bytes, piv: int,
     return KNOWN_MOBILE if mobile else PLAUSIBLE
 
 
-def _bucket(*spec):
-    return field(default_factory=lambda: BucketSpec(*spec))
-
-
-@dataclass(eq=False, repr=False)
+@dataclass(init=False, eq=False, repr=False)
 class GuardConfig:
     """Policy settings of the exemptions guard; the `guard` config section."""
 
@@ -177,9 +182,14 @@ class GuardConfig:
     seq_memory: int = DEFAULT_SEQ_MEMORY
     echo_max_age_ms: int = 40_000
     allowlist_idle_expiry_ms: int = 600_000
-    unknown_bucket: BucketSpec = _bucket(0.2, 2, 1.0, 2)
-    non_proxy_bucket: BucketSpec = _bucket(0.05, 1, 0.1, 2)
-    verified_bucket: BucketSpec = _bucket(1.0, 2, 5.0, 8)
+    unknown_bucket: BucketSpec
+    non_proxy_bucket: BucketSpec
+    verified_bucket: BucketSpec
+
+    def __init__(self):
+        self.unknown_bucket = BucketSpec(0.2, 2, 1.0, 2)
+        self.non_proxy_bucket = BucketSpec(0.05, 1, 0.1, 2)
+        self.verified_bucket = BucketSpec(1.0, 2, 5.0, 8)
 
 
 class GuardState:

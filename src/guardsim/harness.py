@@ -53,12 +53,17 @@ class ConfigError(Exception):
     """Invalid configuration; the message names the offending field."""
 
 
-# A config section is a dataclass, and each field declares its bound in
-# its `metadata` as `{"bound": b}`: a number `b` for `>= b`, `DIVISOR`, a
-# tuple of the allowed strings, or `None` for no bound. A number must be
-# finite, and >= 0 if it declares none. `_fill` reads a document through
-# `fields()`; nothing compares or prints the sections, so they go without
-# the generated `__eq__` and `__repr__`.
+# A config section is a `@dataclass(init=False)`: the decorator compiles
+# nothing and only records `fields()`, through which `_fill` reads a
+# document. A plain default stays on the class, where an instance reads it
+# until `_fill` sets the instance's own value; a section writes out an
+# `__init__` only to build its nested sections or to take its fields. Each
+# section has a docstring, which the decorator would otherwise build with
+# `inspect.signature`, and no `__eq__` or `__repr__`: nothing compares or
+# prints one. Each field declares its bound in its `metadata` as
+# `{"bound": b}`: a number `b` for `>= b`, `DIVISOR`, a tuple of the allowed
+# strings, or `None` for no bound. A number must be finite, and >= 0 if it
+# declares none.
 DIVISOR = "divisor"  # > 0, and 1000 / value finite: the run divides by it
 
 
@@ -66,20 +71,33 @@ def _bound(default, bound):
     return field(default=default, metadata={"bound": bound})
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(init=False, eq=False, repr=False)
 class LinkSpec:
-    bandwidth_bps: int = _bound(4000, DIVISOR)
-    delay_ms: int = 10
-    queue_capacity: int = 8
+    """Both directions of one link; `LinksConfig` holds the defaults."""
+
+    bandwidth_bps: int = field(metadata={"bound": DIVISOR})
+    delay_ms: int
+    queue_capacity: int
+
+    def __init__(self, bandwidth_bps: int, delay_ms: int, queue_capacity: int):
+        self.bandwidth_bps = bandwidth_bps
+        self.delay_ms = delay_ms
+        self.queue_capacity = queue_capacity
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(init=False, eq=False, repr=False)
 class LinksConfig:
-    constrained: LinkSpec = field(default_factory=LinkSpec)
-    internet: LinkSpec = field(default_factory=lambda: LinkSpec(1_000_000, 50, 64))
+    """The constrained edge links and the fast internet links."""
+
+    constrained: LinkSpec
+    internet: LinkSpec
+
+    def __init__(self):
+        self.constrained = LinkSpec(4000, 10, 8)
+        self.internet = LinkSpec(1_000_000, 50, 64)
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(init=False, eq=False, repr=False)
 class EnergyConfig:
     """Each device's `EnergyBudget`, whose defaults these are."""
 
@@ -98,27 +116,35 @@ class EnergyConfig:
                             cost_oscore_verify=self.cost_oscore_verify)
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(init=False, eq=False, repr=False)
 class CoapConfig:
+    """Confirmable-exchange timing of every node (RFC 7252's defaults)."""
+
     base_timeout_ms: int = _bound(DEFAULT_BASE_TIMEOUT_MS, DIVISOR)
     retransmit_limit: int = DEFAULT_RETRANSMIT_LIMIT
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(init=False, eq=False, repr=False)
 class BaselineThrottleConfig:
+    """The baseline-throttled router's one token bucket."""
+
     rate_per_s: float = 0.1
     # A token bucket admits only whole tokens: a burst below 1 refuses all.
     burst: float = _bound(1.0, 1)
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(init=False, eq=False, repr=False)
 class ClientConfig:
+    """The client's request cadence and its pause between key exchanges."""
+
     request_interval_ms: int = _bound(10_000, DIVISOR)
     setup_pause_ms: int = 5_000
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(init=False, eq=False, repr=False)
 class AttackConfig:
+    """Each attacker's rate and reach."""
+
     # Attack rates in messages/s: an attacker sends every 1000 / rate ms.
     blind_rate: float = _bound(20.0, DIVISOR)
     distributed_rate: float = _bound(1.0, DIVISOR)
@@ -129,41 +155,60 @@ class AttackConfig:
     onpath_budget: int = 4
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(init=False, eq=False, repr=False)
 class DurationConfig:
+    """Simulated phase lengths of a cell's two sub-runs."""
+
     setup_ms: int = 300_000
     warmup_ms: int = 30_000
     steady_ms: int = 300_000
     grace_ms: int = 70_000
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(init=False, eq=False, repr=False)
 class ClassifyConfig:
+    """Thresholds of the behavior labels."""
+
     loss_fraction: float = 0.05
     retransmit_fraction: float = 0.10
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(init=False, eq=False, repr=False)
 class ResourceConfig:
+    """Threshold of the `high` resource label, as a share of the budget."""
+
     high_fraction: float = 0.10
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(init=False, eq=False, repr=False)
 class SimConfig:
+    """The whole config: a cell, its seed, and one section of each kind."""
+
     seed: int = _bound(42, None)
     scenario: str = _bound("exemptions", SCENARIOS)
     attack: str = _bound("none", ATTACKS)
-    links: LinksConfig = field(default_factory=LinksConfig)
-    energy: EnergyConfig = field(default_factory=EnergyConfig)
-    coap: CoapConfig = field(default_factory=CoapConfig)
-    guard: GuardConfig = field(default_factory=GuardConfig)
-    baseline_throttle: BaselineThrottleConfig = field(
-        default_factory=BaselineThrottleConfig)
-    client: ClientConfig = field(default_factory=ClientConfig)
-    attacks: AttackConfig = field(default_factory=AttackConfig)
-    durations: DurationConfig = field(default_factory=DurationConfig)
-    classify: ClassifyConfig = field(default_factory=ClassifyConfig)
-    resource: ResourceConfig = field(default_factory=ResourceConfig)
+    links: LinksConfig
+    energy: EnergyConfig
+    coap: CoapConfig
+    guard: GuardConfig
+    baseline_throttle: BaselineThrottleConfig
+    client: ClientConfig
+    attacks: AttackConfig
+    durations: DurationConfig
+    classify: ClassifyConfig
+    resource: ResourceConfig
+
+    def __init__(self):
+        self.links = LinksConfig()
+        self.energy = EnergyConfig()
+        self.coap = CoapConfig()
+        self.guard = GuardConfig()
+        self.baseline_throttle = BaselineThrottleConfig()
+        self.client = ClientConfig()
+        self.attacks = AttackConfig()
+        self.durations = DurationConfig()
+        self.classify = ClassifyConfig()
+        self.resource = ResourceConfig()
 
 
 def _fill(obj, doc: dict, path: str):
@@ -567,6 +612,10 @@ def run_cell(config: SimConfig, scenario: str, attack_kind: str,
         "attack_induced_rekeys": induced,
         "tunnel_renegotiations": renegotiations,
     }
+    # Bounded inputs can still multiply past a float; JSON has no infinity.
+    for name, value in cell["energy"].items():
+        if not math.isfinite(value):
+            raise OverflowError(f"energy.{name} is not finite")
     if collect_traces:
         cell["_traces"] = tuple(traces)
     return cell
@@ -590,7 +639,8 @@ def run_matrix(config: SimConfig) -> dict:
 
 def report_to_json(report: dict) -> str:
     clean = {k: v for k, v in report.items() if not k.startswith("_")}
-    return json.dumps(clean, sort_keys=True, indent=2) + "\n"
+    return json.dumps(clean, sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def _cell_rows(cells: list[dict]):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from guardsim import cli
-from guardsim.cli import EXIT_CONFIG, EXIT_OK, main
+from guardsim.cli import EXIT_CELL_ERROR, EXIT_CONFIG, EXIT_OK, main
 
 
 @pytest.fixture
@@ -190,6 +190,23 @@ def test_fractional_burst_is_accepted(tmp_path, capsys, doc):
                              "steady_ms": 5_000, "grace_ms": 1_000}}))
     assert main(["run", "--config", str(path)]) == EXIT_OK
     capsys.readouterr()
+
+
+def test_non_finite_energy_figure_is_cell_error(tmp_path, capsys):
+    # Every value passes its bound, but the attributable drain divided by
+    # `cost_edhoc` overflows a float, which JSON cannot carry.
+    path = tmp_path / "energy.json"
+    path.write_text(json.dumps({
+        "scenario": "baseline-open", "attack": "blind_flood",
+        "energy": {"budget": 1e308, "cost_per_msg": 1e10,
+                   "cost_edhoc": 1e-300},
+        "durations": {"setup_ms": 5_000, "warmup_ms": 1_000,
+                      "steady_ms": 5_000, "grace_ms": 1_000}}))
+    assert main(["run", "--config", str(path)]) == EXIT_CELL_ERROR
+    captured = capsys.readouterr()
+    assert "Infinity" not in captured.out
+    assert captured.err == ("cell error: OverflowError: "
+                            "energy.projected_exchanges_lost is not finite\n")
 
 
 def test_fractional_seed_is_config_error(tmp_path, capsys):

@@ -17,9 +17,8 @@ from guardsim.netsim import Rng
 PROXY = "rtrS"
 
 
-def make_guard(**cfg):
-    config = GuardConfig(**cfg)
-    return GuardState(PROXY, config, Rng(7))
+def make_guard():
+    return GuardState(PROXY, GuardConfig(), Rng(7))
 
 
 def proxied(src="cli", token=b"\x01", kid=None, piv=None, echo=None, mid=1):

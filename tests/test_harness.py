@@ -1,5 +1,6 @@
 """Configuration handling, classification rules, energy reporting, rendering."""
 
+import ast
 import gc
 import importlib
 import inspect
@@ -18,8 +19,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from guardsim.harness import (ATTACKS, ClassifyConfig, ConfigError,
-                              EnergyConfig, MATRIX_CELLS, SCENARIOS,
-                              SimConfig, build_world, cell_to_csv,
+                              EnergyConfig, LinksConfig, MATRIX_CELLS,
+                              SCENARIOS, SimConfig, build_world, cell_to_csv,
                               cell_to_markdown, classify_behavior,
                               config_from_dict, derive_seed, energy_report,
                               load_config, matrix_to_csv, matrix_to_markdown,
@@ -29,7 +30,7 @@ import guardsim
 from guardsim import harness
 from guardsim.ace import AsRegistry
 from guardsim.coap_lite import SimMessage
-from guardsim.guard import SeqTracker
+from guardsim.guard import GuardConfig, SeqTracker
 from guardsim.seclayer import SecurityContext
 from guardsim.netsim import (ATTACK_CAUSES, EnergyBudget, EnergyLedger,
                              NullTrace, Trace, World)
@@ -49,6 +50,8 @@ def test_nested_overrides():
         "seed": 7,
         "scenario": "fullguard",
         "links": {"constrained": {"bandwidth_bps": 1000}},
+        "coap": {"base_timeout_ms": 500},
+        "energy": {"budget": 10.0},
         "guard": {"unknown_bucket": {"per_source_rate": 0.5,
                                      "per_source_burst": 1,
                                      "aggregate_rate": 2,
@@ -57,11 +60,16 @@ def test_nested_overrides():
     assert cfg.seed == 7
     assert cfg.links.constrained.bandwidth_bps == 1000
     assert cfg.links.internet.bandwidth_bps == 1_000_000  # untouched
+    assert cfg.coap.base_timeout_ms == 500
+    assert cfg.energy.budget == 10.0
     assert cfg.guard.unknown_bucket.per_source_rate == 0.5
-    # Sections are filled in place; the defaults of a new config stay.
+    # Sections are filled in place; the defaults of a new config stay,
+    # those a section keeps on its class included.
     fresh = SimConfig()
     assert fresh.seed == 42 and fresh.scenario == "exemptions"
     assert fresh.links.constrained.bandwidth_bps == 4000
+    assert fresh.coap.base_timeout_ms == 2000
+    assert fresh.energy.budget == EnergyBudget.remaining
     assert fresh.guard.unknown_bucket.per_source_rate == 0.2
     assert fresh.guard.unknown_bucket.per_source_burst == 2
 
@@ -150,8 +158,11 @@ def test_every_scalar_config_field_has_a_checked_type():
 
 
 def test_only_config_sections_are_dataclasses():
-    # `@dataclass` generates and compiles its methods at import; the value
-    # types write theirs out, and only the sections `fields()` walks keep it.
+    # `@dataclass` compiles generated methods at import unless told
+    # `init=False`, and builds a missing docstring with `inspect.signature`.
+    # So every function of every guardsim class is written in its module,
+    # and only the sections `fields()` walks are dataclasses, each with its
+    # own docstring.
     def sections(obj):
         yield type(obj)
         for f in fields(obj):
@@ -162,10 +173,24 @@ def test_only_config_sections_are_dataclasses():
     decorated = set()
     for info in pkgutil.iter_modules(guardsim.__path__):
         module = importlib.import_module(f"guardsim.{info.name}")
-        decorated |= {cls for cls in vars(module).values()
-                      if isinstance(cls, type)
-                      and cls.__module__ == module.__name__
-                      and hasattr(cls, "__dataclass_fields__")}
+        tree = ast.parse(inspect.getsource(module))
+        docstrings = {node.name: ast.get_docstring(node)
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.ClassDef)}
+        for cls in vars(module).values():
+            if not (isinstance(cls, type)
+                    and cls.__module__ == module.__name__):
+                continue
+            for value in vars(cls).values():
+                value = getattr(value, "__func__", value)
+                if inspect.isfunction(value):
+                    assert value.__code__.co_filename == module.__file__, \
+                        f"{cls.__name__}.{value.__name__}"
+            if hasattr(cls, "__dataclass_fields__"):
+                decorated.add(cls)
+                doc = docstrings[cls.__name__]
+                assert doc, cls.__name__
+                assert inspect.cleandoc(cls.__doc__) == doc, cls.__name__
     assert decorated and decorated <= set(sections(SimConfig()))
 
 
@@ -216,7 +241,12 @@ def test_non_finite_number_is_refused(path):
     (lambda: SecurityContext(b"s", b"r", b"k"), ["replay_window"]),
     (AsRegistry, ["known_subjects", "audience_keys"]),
     (SeqTracker, ["seen", "known_sources"]),
-], ids=["SimMessage", "SecurityContext", "AsRegistry", "SeqTracker"])
+    (SimConfig, [f.name for f in fields(SimConfig)
+                 if is_dataclass(getattr(SimConfig(), f.name))]),
+    (LinksConfig, ["constrained", "internet"]),
+    (GuardConfig, ["unknown_bucket", "non_proxy_bucket", "verified_bucket"]),
+], ids=["SimMessage", "SecurityContext", "AsRegistry", "SeqTracker",
+        "SimConfig", "LinksConfig", "GuardConfig"])
 def test_default_built_instances_share_no_mutable_field(make, attrs):
     # A written-out `__init__` must build each default afresh, as a
     # dataclass `default_factory` does.
