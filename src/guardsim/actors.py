@@ -147,7 +147,9 @@ class Node:
         self._mid = 0
         self._token = 0
         self.outstanding: dict[bytes, "Exchange"] = {}
-        self.rng = None  # assigned by the builder
+        # The world's generator never draws, so the i-th node added gets
+        # the same stream whenever it is built.
+        self.rng = world.rng.fork(len(world.nodes) + 1)
         world.add_node(self)
 
     # --- identity / addressing -------------------------------------------
@@ -782,7 +784,8 @@ class ClientNode(Node):
                            payload_len=8)
         protected = seclayer.oscore_protect(self.ctx, inner)
         piv = protected.oscore_piv
-        self.sent_pivs.append(piv)
+        if len(self.sent_pivs) < 4:  # all that an impersonator replays
+            self.sent_pivs.append(piv)
         msg = self._server_request("oscore", {}, protected.payload_len)
         msg.sealed = protected.sealed
         msg.oscore_kid = protected.oscore_kid
@@ -830,14 +833,14 @@ class ClientNode(Node):
 
     # --- workload drivers ------------------------------------------------------
 
-    def start_setup_loop(self, pause_ms: int, fresh: bool, until_ms: int) -> None:
-        """Repeatedly perform key exchanges (the connection-setup phase)."""
+    def start_setup_loop(self, pause_ms: int, until_ms: int) -> None:
+        """Repeatedly perform key exchanges (the connection-setup phase),
+        each from a fresh identity."""
 
         def attempt() -> None:
             if self.world.clock.now >= until_ms:
                 return
-            if fresh:
-                self.fresh_identity()
+            self.fresh_identity()
             self.ctx = None
 
             def done(ok: bool) -> None:
@@ -1001,18 +1004,8 @@ class ExemptionsGuard(GuardNode):
 
     def __init__(self, world, address, constrained_prefix, config: GuardConfig,
                  key_id):
-        # The policy engine draws the Echo nonces from the node's random
-        # stream, so it must exist before `Node.__init__` sets `rng`.
-        self.gstate = GuardState(address, config, None)
         super().__init__(world, address, constrained_prefix, key_id)
-
-    @property
-    def rng(self):
-        return self.gstate.rng
-
-    @rng.setter
-    def rng(self, rng) -> None:
-        self.gstate.rng = rng
+        self.gstate = GuardState(address, config, self.rng)
 
     def inbound(self, frame: Frame, from_addr: str) -> None:
         msg = frame.msg
@@ -1034,7 +1027,7 @@ class ExemptionsGuard(GuardNode):
         elif action == "challenge":
             self.world.emit("challenge_issued", self.address, src=msg.src,
                             reason=detail.get("reason"), origin=frame.origin)
-            self.send_frame(detail["challenge"], "legit")
+            self.reply(msg, "legit", "4.01", echo=detail["echo"], payload_len=2)
         elif action == "reject":
             self.world.emit("seq_conflict", self.address, src=msg.src,
                             origin=frame.origin)
@@ -1054,10 +1047,8 @@ class ExemptionsGuard(GuardNode):
         self.relay(key, msg, frame.origin, self.send_frame)
 
     def observe_upstream(self, req: SimMessage, resp: SimMessage) -> None:
-        kind = ("ace_token_post" if req.payload_kind == "tunnel_token_post"
-                else req.payload_kind)
-        self.gstate.observe_exchange(req.src, kind, resp, self.world.clock.now)
-        if resp.is_protected:
+        if self.gstate.observe_exchange(req.src, req.payload_kind, resp,
+                                        self.world.clock.now):
             self.world.emit("allow_listed", self.address, src=req.src)
 
 
@@ -1376,8 +1367,9 @@ class FloodAttacker(SendingAttacker):
 
 class Impersonator(SendingAttacker):
     """OSCORE-shaped junk from x0: every other frame jumps the piv far past
-    any window, the rest replay pivs the victim sent. The kid is a random
-    byte unless `knows_kid` and the victim has a context."""
+    any window, the rest replay the first four pivs the victim sent in its
+    context. The kid is a random byte unless `knows_kid` and the victim
+    has a context."""
 
     def __init__(self, world, rate, victim, knows_kid, targets, start_ms,
                  stop_ms):
@@ -1395,7 +1387,7 @@ class Impersonator(SendingAttacker):
         if self.sent % 2 == 0:
             piv = 10_000_000 + self.sent
         else:
-            pivs = victim.sent_pivs[:4] if victim is not None else []
+            pivs = victim.sent_pivs if victim is not None else []
             piv = pivs[(self.sent // 2) % len(pivs)] if pivs else 0
         return SimMessage(src="x0", dst=dst, mtype="CON", mid=self.new_mid(),
                           token=self.new_token(), code="POST",

@@ -2,15 +2,17 @@
 
 Pure decision logic: traffic classes, two-level token-bucket throttling,
 Echo reachability challenges, the tentative allow-list fed by observed
-protected responses, and sequence-number plausibility tracking. Message
-forwarding itself is the owning node's job; this module only decides.
+protected responses, and sequence-number plausibility tracking. This
+module only decides and records: `GuardState.decide` returns an action
+and, for a challenge, the Echo nonce it recorded. The owning node builds
+and sends every message, the 4.01 challenges included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .coap_lite import SimMessage, ack
+from .coap_lite import SimMessage
 
 # Priority classes, highest first. Tunnel and AllowListed bypass throttling
 # entirely.
@@ -230,28 +232,6 @@ class GuardState:
                             else UNKNOWN_VIA_PROXY, now_ms)
             rec.tentative = False
 
-    def classify(self, msg: SimMessage, now_ms: int) -> str:
-        """Priority class of a message arriving from outside the network."""
-        if msg.dst != self.proxy_address:
-            return NON_PROXY
-        rec = self.flow(msg.src, now_ms)
-        self.expire_idle(rec, now_ms)
-        return rec.cls
-
-    def issue_echo_challenge(self, rec: FlowRecord, msg: SimMessage,
-                             now_ms: int) -> SimMessage:
-        """Build a 4.01 response with a fresh Echo nonce; records it on the flow."""
-        nonce = self.rng.bytes(8)
-        rec.echo_nonce = nonce
-        rec.echo_issued_ms = now_ms
-        return ack(msg, self.proxy_address, "4.01", echo=nonce, payload_len=2)
-
-    def issue_jump_challenge(self, source: str, msg: SimMessage,
-                             now_ms: int) -> SimMessage:
-        nonce = self.rng.bytes(8)
-        self.jump_challenges[source] = (nonce, now_ms)
-        return ack(msg, self.proxy_address, "4.01", echo=nonce, payload_len=2)
-
     def verify_echo(self, rec: FlowRecord, msg: SimMessage, now_ms: int) -> str:
         """Verified | stale | mismatch. Verified lifts the flow to
         reachability-verified and clears the pending nonce."""
@@ -279,21 +259,21 @@ class GuardState:
         return "verified"
 
     def observe_exchange(self, source: str, request_kind: str | None,
-                         response: SimMessage, now_ms: int) -> None:
-        """Promote a flow on an observably authenticated exchange.
+                         response: SimMessage, now_ms: int) -> bool:
+        """Promote a flow on an observably authenticated exchange; returns
+        whether it allow-listed the flow.
 
-        Only a protected response counts; ACE token POST replies indicate
-        acceptance but the token is not secret, so they never promote.
+        Only a protected response counts; a tunnel token POST's reply
+        indicates acceptance but the token is not secret, so it never
+        promotes.
         """
         rec = self.flow(source, now_ms)
-        if request_kind == "ace_token_post":
-            rec.last_update_ms = now_ms
-            return
-        if response.is_protected:
+        if response.is_protected and request_kind != "tunnel_token_post":
             rec.tentative = True
             self._set_class(rec, ALLOW_LISTED, now_ms)
-        else:
-            rec.last_update_ms = now_ms
+            return True
+        rec.last_update_ms = now_ms
+        return False
 
     # --- dispatch ---------------------------------------------------------
 
@@ -301,16 +281,17 @@ class GuardState:
         """Decide the fate of one message arriving from the outside.
 
         Returns (action, detail): action is one of "forward", "drop",
-        "challenge" or "reject"; "challenge" carries the prepared challenge
-        message in detail.
+        "challenge" or "reject"; a "challenge" carries in detail the Echo
+        nonce it recorded, which the 4.01 answer must carry.
         """
-        cls = self.classify(msg, now_ms)
-        if cls == NON_PROXY:
+        if msg.dst != self.proxy_address:
             if self.policy.admit(NON_PROXY, msg.src, now_ms):
                 return ("forward", {"cls": NON_PROXY})
             return ("drop", {"cls": NON_PROXY, "reason": "throttled"})
 
         rec = self.flow(msg.src, now_ms)
+        self.expire_idle(rec, now_ms)
+        cls = rec.cls
         verified_now = False
         if msg.echo is not None:
             result = self.verify_echo(rec, msg, now_ms)
@@ -328,9 +309,10 @@ class GuardState:
             if seq_verdict == IMPLAUSIBLE_JUMP:
                 if msg.src in self.jump_challenges:
                     return ("drop", {"reason": "jump_challenge_pending"})
-                challenge = self.issue_jump_challenge(msg.src, msg, now_ms)
+                nonce = self.rng.bytes(8)
+                self.jump_challenges[msg.src] = (nonce, now_ms)
                 return ("challenge", {"reason": "implausible_jump",
-                                      "challenge": challenge})
+                                      "echo": nonce})
             if seq_verdict == KNOWN_MOBILE:
                 rec.elevated = True
 
@@ -350,5 +332,6 @@ class GuardState:
             return ("forward", {"cls": rec.cls})
         if rec.echo_nonce is not None:
             return ("drop", {"cls": cls, "reason": "challenge_pending"})
-        challenge = self.issue_echo_challenge(rec, msg, now_ms)
-        return ("challenge", {"reason": "unknown_client", "challenge": challenge})
+        nonce = rec.echo_nonce = self.rng.bytes(8)
+        rec.echo_issued_ms = now_ms
+        return ("challenge", {"reason": "unknown_client", "echo": nonce})

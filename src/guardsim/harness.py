@@ -418,8 +418,7 @@ def build_world(config: SimConfig, scenario: str, attack_kind: str,
     if attacker is not None:
         attacker.routes = [("*", "rtrS")]
 
-    for i, node in enumerate(world.nodes.values()):
-        node.rng = world.rng.fork(i + 1)
+    for node in world.nodes.values():
         node.base_timeout_ms = config.coap.base_timeout_ms
         node.retransmit_limit = config.coap.retransmit_limit
 
@@ -460,7 +459,7 @@ def run_subrun(config: SimConfig, scenario: str, attack_kind: str,
     if client is not None:
         if subrun == "setup":
             handles.world.schedule(200, lambda: client.start_setup_loop(
-                config.client.setup_pause_ms, fresh=True, until_ms=until))
+                config.client.setup_pause_ms, until_ms=until))
         else:
             handles.world.schedule(200, lambda: client.start_steady_loop(
                 attack_start, until_ms=until))

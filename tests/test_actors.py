@@ -16,7 +16,8 @@ from guardsim.guard import ALLOW_LISTED, CLASS_PRIORITY, REACHABILITY_VERIFIED
 from guardsim.harness import (SimConfig, build_world, config_from_dict,
                               derive_seed)
 from guardsim.netsim import Frame, Rng, World
-from guardsim.seclayer import DEFAULT_MAX_SEQ, SecurityContext, SeqExhausted
+from guardsim.seclayer import (DEFAULT_MAX_SEQ, SecurityContext, SeqExhausted,
+                               edhoc_derive)
 
 
 NEVER = 10**12  # an attacker stop time past the end of any test
@@ -170,6 +171,75 @@ def test_upstream_giveup_leaves_no_proxy_table_entry():
     assert world.trace.by_kind("upstream_giveup")
     assert guard.outstanding == {}
     assert guard.relaying == set()
+
+
+def log_sent(node):
+    """Log every message `node` sends, with its origin."""
+    sent = []
+    send_frame = node.send_frame
+
+    def logged(msg, origin):
+        sent.append((msg, origin))
+        send_frame(msg, origin)
+
+    node.send_frame = logged
+    return sent
+
+
+def oscore_from(src, mid, token, piv):
+    return SimMessage(src=src, dst="rtrS", mtype="CON", mid=mid, token=token,
+                      code="POST", payload_kind="oscore", oscore_kid=b"\x01",
+                      oscore_piv=piv, payload_len=20)
+
+
+def assert_challenge(sent, req, nonce):
+    """`sent` is one 4.01 from the guard answering `req` with Echo `nonce`."""
+    ((msg, origin),) = sent
+    assert (msg.src, msg.dst, msg.mtype, msg.code, origin) == \
+        ("rtrS", req.src, "ACK", "4.01", "legit")
+    assert (msg.mid, msg.token, msg.payload_len) == (req.mid, req.token, 2)
+    assert msg.echo == nonce and len(nonce) == 8
+
+
+def test_exemptions_guard_challenges_an_unknown_client():
+    handles = run_quiet("exemptions")
+    guard = handles.server_router
+    sent = log_sent(guard)
+    req = SimMessage(src="x7", dst="rtrS", mtype="CON", mid=7, token=b"\x07",
+                     code="POST", payload_kind="edhoc_m1", payload_len=40)
+    guard.receive(make_frame(req, "attacker"), "rtrC")
+    assert_challenge(sent, req, guard.gstate.flows["x7"].echo_nonce)
+    assert handles.world.trace.by_kind("challenge_issued")[-1]["detail"] == \
+        {"src": "x7", "reason": "unknown_client", "origin": "attacker"}
+
+
+def test_exemptions_guard_challenges_an_implausible_jump():
+    handles = run_quiet("exemptions")
+    guard = handles.server_router
+    guard.receive(make_frame(oscore_from("cli", 1, b"\x01", 0)), "rtrC")
+    sent = log_sent(guard)
+    req = oscore_from("x0", 9, b"\x09", 99_999)
+    guard.receive(make_frame(req, "attacker"), "rtrC")
+    assert_challenge(sent, req, guard.gstate.jump_challenges["x0"][0])
+    assert guard.gstate.flows["x0"].echo_nonce is None
+    assert handles.world.trace.by_kind("challenge_issued")[-1]["detail"] == \
+        {"src": "x0", "reason": "implausible_jump", "origin": "attacker"}
+
+
+def test_exemptions_policy_draws_from_its_node_stream():
+    handles = build_world(SimConfig(), "exemptions", "none", 0, 1000, 1)
+    guard = handles.server_router
+    assert guard.gstate.rng is guard.rng
+
+
+@pytest.mark.parametrize("scenario, attack", [
+    ("exemptions", "distributed_flood"), ("fullguard", "impersonator"),
+    ("baseline-throttled", "none")])
+def test_each_node_forks_the_world_stream_by_insertion_index(scenario, attack):
+    world = build_world(SimConfig(), scenario, attack, 0, 1000, 11).world
+    assert world.rng.state == Rng(11).state  # the world's stream never draws
+    for i, node in enumerate(world.nodes.values()):
+        assert node.rng.state == world.rng.fork(i + 1).state
 
 
 def relay_setup(silent_server=False, cfg=None):
@@ -942,6 +1012,22 @@ def test_impersonator_mixes_jumps_and_replays():
     assert kids == {b"\x42"}
     assert any(p >= 10_000_000 for p in pivs)  # implausible jumps
     assert any(p in (3, 4) for p in pivs)  # replayed observed values
+
+
+def test_client_keeps_the_first_four_pivs_an_impersonator_replays():
+    handles = build_world(SimConfig(), "baseline-open", "none", 0, 1000, 4)
+    client = handles.client
+    client.entry = RendezvousEntry(name="srv", address="srv")
+    client.ctx = edhoc_derive(b"i" * 8, b"r" * 8)
+    for _ in range(10):
+        client.send_app_request(counted=True)
+    pivs = [ex.msg.oscore_piv for ex in client.outstanding.values()]
+    assert len(pivs) == 10
+    assert client.sent_pivs == pivs[:4]
+    atk = Impersonator(handles.world, 2.0, client, True, ["srv"], 0, NEVER)
+    msgs = build_messages(atk, 16)
+    # The pivs the impersonator picked when the client kept them all.
+    assert [m.oscore_piv for m in msgs[1::2]] == pivs[:4] * 2
 
 
 def test_impersonator_without_the_kid_still_replays_the_victims_pivs():

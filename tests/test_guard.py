@@ -36,17 +36,20 @@ def test_class_priority_total_order():
             > CLASS_PRIORITY[UNKNOWN_VIA_PROXY] > CLASS_PRIORITY[NON_PROXY])
 
 
-# --- classify --------------------------------------------------------------------
+# --- classes -----------------------------------------------------------------------
 
 def test_first_proxy_request_is_unknown():
     g = make_guard()
-    assert g.classify(proxied(), 0) == UNKNOWN_VIA_PROXY
+    action, detail = g.decide(proxied(), 0)
+    assert (action, detail["reason"]) == ("challenge", "unknown_client")
+    assert g.flows["cli"].cls == UNKNOWN_VIA_PROXY
 
 
 def test_direct_to_server_is_non_proxy():
     g = make_guard()
     msg = SimMessage(src="cli", dst="srv")
-    assert g.classify(msg, 0) == NON_PROXY
+    assert g.decide(msg, 0) == ("forward", {"cls": NON_PROXY})
+    assert g.flows == {}  # the proxy keeps no flow for traffic past it
 
 
 # --- throttling ---------------------------------------------------------------------
@@ -164,16 +167,17 @@ def test_unknown_client_gets_challenge_not_forwarded():
     g = make_guard()
     action, detail = g.decide(proxied(), 0)
     assert action == "challenge"
-    challenge = detail["challenge"]
-    assert challenge.code == "4.01"
-    assert len(challenge.echo) == 8
+    # The policy records the nonce; the node answers 4.01 with it.
+    assert len(detail["echo"]) == 8
+    assert detail["echo"] == g.flows["cli"].echo_nonce
+    assert g.flows["cli"].echo_issued_ms == 0
 
 
 def test_challenge_nonces_differ_between_flows():
     g = make_guard()
     _, d1 = g.decide(proxied(src="c1"), 0)
     _, d2 = g.decide(proxied(src="c2"), 0)
-    assert d1["challenge"].echo != d2["challenge"].echo
+    assert d1["echo"] != d2["echo"]
 
 
 def test_no_duplicate_challenge_while_pending():
@@ -188,7 +192,7 @@ def test_no_duplicate_challenge_while_pending():
 def test_correct_echo_verifies_and_forwards():
     g = make_guard()
     _, detail = g.decide(proxied(), 0)
-    nonce = detail["challenge"].echo
+    nonce = detail["echo"]
     action, detail = g.decide(proxied(token=b"\x02", echo=nonce), 30_000)
     assert action == "forward"
     assert g.flows["cli"].cls == REACHABILITY_VERIFIED
@@ -197,17 +201,17 @@ def test_correct_echo_verifies_and_forwards():
 
 def test_echo_after_max_age_is_stale():
     g = make_guard()
-    rec = g.flow("cli", 0)
-    challenge = g.issue_echo_challenge(rec, proxied(), 0)
-    late = proxied(token=b"\x02", echo=challenge.echo)
+    _, detail = g.decide(proxied(), 0)
+    rec = g.flows["cli"]
+    late = proxied(token=b"\x02", echo=detail["echo"])
     assert g.verify_echo(rec, late, 41_000) == "stale"
     assert rec.cls == UNKNOWN_VIA_PROXY
 
 
 def test_wrong_echo_is_mismatch():
     g = make_guard()
-    rec = g.flow("cli", 0)
-    g.issue_echo_challenge(rec, proxied(), 0)
+    g.decide(proxied(), 0)
+    rec = g.flows["cli"]
     bad = proxied(token=b"\x02", echo=b"\x00" * 8)
     assert g.verify_echo(rec, bad, 1000) == "mismatch"
     assert rec.cls == UNKNOWN_VIA_PROXY
@@ -226,7 +230,7 @@ def unprotected_error():
 
 def test_protected_response_promotes_tentatively():
     g = make_guard()
-    g.observe_exchange("cli", "oscore", protected_response(), 100)
+    assert g.observe_exchange("cli", "oscore", protected_response(), 100)
     rec = g.flows["cli"]
     assert rec.cls == ALLOW_LISTED
     assert rec.tentative
@@ -234,14 +238,17 @@ def test_protected_response_promotes_tentatively():
 
 def test_unprotected_error_never_promotes():
     g = make_guard()
-    g.observe_exchange("cli", "oscore", unprotected_error(), 100)
+    assert not g.observe_exchange("cli", "oscore", unprotected_error(), 100)
     assert g.flows["cli"].cls == UNKNOWN_VIA_PROXY
 
 
-def test_ace_token_post_never_promotes():
+def test_tunnel_token_post_never_promotes():
+    # The request's payload kind as it was sent: its token is not secret.
     g = make_guard()
-    g.observe_exchange("cli", "ace_token_post", protected_response(), 100)
+    assert not g.observe_exchange("cli", "tunnel_token_post",
+                                  protected_response(), 100)
     assert g.flows["cli"].cls == UNKNOWN_VIA_PROXY
+    assert g.flows["cli"].last_update_ms == 100
 
 
 def test_allow_listed_bypasses_buckets():
@@ -262,6 +269,15 @@ def test_tentative_entry_expires_after_idle():
     g.expire_idle(rec, 700_000)
     assert rec.cls == REACHABILITY_VERIFIED
     assert not rec.tentative
+
+
+def test_decide_expires_an_idle_tentative_entry_first():
+    g = make_guard()
+    g.observe_exchange("cli", "oscore", protected_response(), 0)
+    g.flows["cli"].reachable_since_ms = 0
+    action, detail = g.decide(proxied(), 700_000)
+    assert (action, detail["cls"]) == ("forward", REACHABILITY_VERIFIED)
+    assert not g.flows["cli"].tentative
 
 
 # --- sequence plausibility ----------------------------------------------------------------
@@ -352,6 +368,8 @@ def test_jump_triggers_challenge_then_drop_while_pending():
     action, detail = g.decide(proxied(src="x0", kid=b"\x01", piv=99_999,
                                       token=b"T2"), 10)
     assert (action, detail["reason"]) == ("challenge", "implausible_jump")
+    assert detail["echo"] == g.jump_challenges["x0"][0]
+    assert "x0" in g.flows and g.flows["x0"].echo_nonce is None
     action, detail = g.decide(proxied(src="x0", kid=b"\x01", piv=99_999,
                                       token=b"T3"), 20)
     assert (action, detail["reason"]) == ("drop", "jump_challenge_pending")
