@@ -24,7 +24,7 @@ import json
 from . import ace as ace_mod
 from .coap_lite import (DEFAULT_BASE_TIMEOUT_MS, DEFAULT_RETRANSMIT_LIMIT,
                         AddressTable, ProxyTable, SimMessage, TxState, ack,
-                        message_size, tx_step)
+                        exchange_lifetime_ms, message_size, tx_step)
 from .netsim import EnergyBudget, Frame, World
 from . import seclayer
 from .seclayer import (AuthError, ReplayError, SecurityContext, UnknownKid,
@@ -133,9 +133,10 @@ def deserialize_full(data: bytes) -> SimMessage:
 
 class Node:
     # The timing of this node's confirmable exchanges: RFC 7252's defaults
-    # until `build_world` sets both from `config.coap`.
+    # until `build_world` sets all three from `config.coap`.
     base_timeout_ms = DEFAULT_BASE_TIMEOUT_MS
     retransmit_limit = DEFAULT_RETRANSMIT_LIMIT
+    lifetime_ms = exchange_lifetime_ms(base_timeout_ms, retransmit_limit)
 
     def __init__(self, world: World, address: str,
                  energy: EnergyBudget | None = None):
@@ -283,8 +284,8 @@ class Node:
 class Exchange:
     """One confirmable request, retransmitted at its owner's CoAP timing
     until a response ends it or it gives up. An empty ACK stops the
-    retransmissions; it then gives up once its lifetime
-    (`TxState.lifetime_ms`) from its first send has passed.
+    retransmissions; it then gives up once its owner's `lifetime_ms` from
+    its first send has passed.
 
     `send(msg, origin)` puts the request on the wire, each time it is
     (re)sent. Until it ends, it is filed under its token in
@@ -326,7 +327,7 @@ class Exchange:
     def _timer(self) -> None:
         if self.done:
             return
-        expires = self.sent_ms + self.state.lifetime_ms
+        expires = self.sent_ms + self.owner.lifetime_ms
         if self.acked and self.owner.world.clock.now < expires:
             # Wait for the separate response until the lifetime ends; only
             # a later time is armed, as re-arming at `now` would never end.
@@ -483,6 +484,13 @@ class ServerNode(Node):
     announces its own address with the guard as proxy, `as_address` as the
     AS and its `audience`, instead of just the guard's address."""
 
+    # At most this many half-open EDHOC sessions and answers kept for
+    # duplicates; past either bound the entry written longest ago goes.
+    # At seeds 0-63 of the `matrix`, `tunnel` and `long_flood` benchmark
+    # workloads, the oldest session an m3 found was 347 m1 writes old.
+    MAX_HALF_OPEN = 1024
+    MAX_DEDUP = 256
+
     def __init__(self, world, *, address, audience, rd_address, as_address,
                  energy, guard_address, behind_tunnel, audience_key):
         super().__init__(world, address, energy)
@@ -493,8 +501,8 @@ class ServerNode(Node):
         self.rd_address = rd_address
         self.as_address = as_address
         self.contexts: dict[bytes, SecurityContext] = {}
-        # (src, session) -> (eph_i, eph_r) of each m1 answered: one tuple
-        # per half-open session, which a flood of m1s multiplies.
+        # (src, session) -> (eph_i, eph_r) of the last MAX_HALF_OPEN m1s
+        # answered, oldest first: a flood of m1s from fresh sources evicts.
         self.sessions: dict[tuple, tuple[bytes, bytes]] = {}
         self.dedup: dict[tuple, SimMessage] = {}
         self.guard_key_id: str | None = None
@@ -558,7 +566,7 @@ class ServerNode(Node):
                    payload=payload, payload_len=payload_len, sealed=sealed,
                    oscore_kid=kid, oscore_piv=piv)
         self.dedup[(req.src, req.mid)] = resp
-        if len(self.dedup) > 256:
+        if len(self.dedup) > self.MAX_DEDUP:
             self.dedup.pop(next(iter(self.dedup)))
         self.send_frame(resp, frame.origin)
 
@@ -568,11 +576,15 @@ class ServerNode(Node):
         self.charge("edhoc", frame.origin, fraction=0.5)
         self.world.emit("edhoc_msg", self.address, n=1, origin=frame.origin)
         eph_r = self.rng.bytes(8)
-        self.sessions[(msg.src, msg.payload.get("session", 0))] = (
-            msg.payload.get("eph", b""), eph_r)
+        session = msg.payload.get("session", 0)
+        sessions = self.sessions
+        key = (msg.src, session)
+        sessions.pop(key, None)  # a re-write counts as the newest
+        sessions[key] = (msg.payload.get("eph", b""), eph_r)
+        if len(sessions) > self.MAX_HALF_OPEN:
+            del sessions[next(iter(sessions))]
         self._respond(msg, frame, "2.04", "edhoc_m2",
-                      {"eph": eph_r, "session": msg.payload.get("session", 0)},
-                      EDHOC_MSG_SIZES[1])
+                      {"eph": eph_r, "session": session}, EDHOC_MSG_SIZES[1])
 
     def _edhoc_m3(self, msg: SimMessage, frame: Frame) -> None:
         sess = self.sessions.get((msg.src, msg.payload.get("session", 0)))

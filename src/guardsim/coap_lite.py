@@ -182,20 +182,20 @@ PENDING = "pending"
 TIMED_OUT = "timed_out"
 
 
+def exchange_lifetime_ms(base_timeout_ms: int, retransmit_limit: int) -> int:
+    """RFC 7252 §4.8.2 EXCHANGE_LIFETIME: MAX_TRANSMIT_SPAN b*(2^n-1)*1.5,
+    2*MAX_LATENCY (2*100 s) and PROCESSING_DELAY b; 247 s by default. Its
+    cost grows with n, so each world computes it once for all its nodes."""
+    base = base_timeout_ms
+    return base * (2 ** retransmit_limit - 1) * 3 // 2 + 200_000 + base
+
+
 class TxState:
     def __init__(self, base_timeout_ms: int, retransmit_limit: int):
-        self.base_timeout_ms = base_timeout_ms
         self.retransmit_limit = retransmit_limit
         self.attempts = 0
         self.next_timeout_ms = base_timeout_ms
         self.outcome = PENDING
-
-    @property
-    def lifetime_ms(self) -> int:
-        # RFC 7252 §4.8.2 EXCHANGE_LIFETIME: MAX_TRANSMIT_SPAN b*(2^n-1)*1.5,
-        # 2*MAX_LATENCY (2*100 s) and PROCESSING_DELAY b; 247 s by default.
-        base = self.base_timeout_ms
-        return base * (2 ** self.retransmit_limit - 1) * 3 // 2 + 200_000 + base
 
 
 def tx_step(state: TxState, event: str) -> str:

@@ -22,7 +22,8 @@ from .actors import (AsNode, AttackerNode, ClientNode, ClientTunnelGuard,
                      OnPathAttacker, RendezvousNode, RouterNode, ServerNode,
                      ServerTunnelGuard, ThrottleRouter)
 from .ace import AsRegistry
-from .coap_lite import DEFAULT_BASE_TIMEOUT_MS, DEFAULT_RETRANSMIT_LIMIT
+from .coap_lite import (DEFAULT_BASE_TIMEOUT_MS, DEFAULT_RETRANSMIT_LIMIT,
+                        exchange_lifetime_ms)
 from .guard import GuardConfig
 from .netsim import EnergyBudget, EnergyLedger, Link, World
 from .seclayer import fnv1a64
@@ -418,9 +419,14 @@ def build_world(config: SimConfig, scenario: str, attack_kind: str,
     if attacker is not None:
         attacker.routes = [("*", "rtrS")]
 
+    # One lifetime for the world's exchanges: it holds 2**retransmit_limit.
+    coap = config.coap
+    lifetime_ms = exchange_lifetime_ms(coap.base_timeout_ms,
+                                       coap.retransmit_limit)
     for node in world.nodes.values():
-        node.base_timeout_ms = config.coap.base_timeout_ms
-        node.retransmit_limit = config.coap.retransmit_limit
+        node.base_timeout_ms = coap.base_timeout_ms
+        node.retransmit_limit = coap.retransmit_limit
+        node.lifetime_ms = lifetime_ms
 
     if isinstance(attacker, OnPathAttacker):
         rtr_s.links["rtrC"].interceptor = attacker.intercept

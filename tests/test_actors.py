@@ -5,19 +5,21 @@ from types import SimpleNamespace
 
 import pytest
 
+from guardsim import actors, coap_lite, harness
 from guardsim.actors import (ClientTunnelGuard, FloodAttacker, GuardNode,
                              Impersonator, Interaction, Node, OnPathAttacker,
                              RendezvousEntry, RendezvousNode, ServerNode,
                              deserialize_full, serialize_full)
 from guardsim.coap_lite import (DEFAULT_BASE_TIMEOUT_MS,
-                                DEFAULT_RETRANSMIT_LIMIT, SimMessage, TxState,
-                                ack, message_size)
+                                DEFAULT_RETRANSMIT_LIMIT, SimMessage, ack,
+                                exchange_lifetime_ms, message_size)
 from guardsim.guard import ALLOW_LISTED, CLASS_PRIORITY, REACHABILITY_VERIFIED
 from guardsim.harness import (SimConfig, build_world, config_from_dict,
-                              derive_seed)
+                              derive_seed, report_to_json, run_cell,
+                              run_subrun)
 from guardsim.netsim import Frame, Rng, World
 from guardsim.seclayer import (DEFAULT_MAX_SEQ, SecurityContext, SeqExhausted,
-                               edhoc_derive)
+                               edhoc_confirmation, edhoc_derive, edhoc_master)
 
 
 NEVER = 10**12  # an attacker stop time past the end of any test
@@ -807,6 +809,7 @@ def acked_exchange(base_timeout_ms=2000, retransmit_limit=4, ack_at_ms=0):
     node = Node(world, "a")
     node.base_timeout_ms = base_timeout_ms
     node.retransmit_limit = retransmit_limit
+    node.lifetime_ms = exchange_lifetime_ms(base_timeout_ms, retransmit_limit)
     node.send_frame = lambda msg, origin: None
     inter = Interaction("request", 0)
     gave_up = []
@@ -830,8 +833,8 @@ def test_acked_exchange_gives_up_at_first_send_plus_lifetime():
     assert (inter.outcome, inter.t_end) == ("timed_out", lifetime)
     assert gave_up == [lifetime]
     assert node.outstanding == {} and len(world.queue) == 0
-    assert TxState(DEFAULT_BASE_TIMEOUT_MS,
-                   DEFAULT_RETRANSMIT_LIMIT).lifetime_ms == lifetime
+    assert exchange_lifetime_ms(DEFAULT_BASE_TIMEOUT_MS,
+                                DEFAULT_RETRANSMIT_LIMIT) == lifetime
 
 
 def test_exchange_acked_past_its_lifetime_gives_up_at_its_next_timer():
@@ -844,7 +847,29 @@ def test_exchange_acked_past_its_lifetime_gives_up_at_its_next_timer():
         [200_000, 600_000]
     assert gave_up == [1_400_000]
     assert inter.outcome == "timed_out" and len(world.queue) == 0
-    assert TxState(200_000, 2).lifetime_ms == 1_300_000
+    assert exchange_lifetime_ms(200_000, 2) == 1_300_000
+
+
+def test_a_run_computes_the_exchange_lifetime_at_most_once_per_node(
+        monkeypatch):
+    # At retransmit_limit n the lifetime holds 2**n, so a run that computed
+    # it per exchange timer would take time growing with n.
+    calls = []
+
+    def counted(base_timeout_ms, retransmit_limit):
+        calls.append((base_timeout_ms, retransmit_limit))
+        return exchange_lifetime_ms(base_timeout_ms, retransmit_limit)
+
+    for module in (coap_lite, actors, harness):
+        if hasattr(module, "exchange_lifetime_ms"):
+            monkeypatch.setattr(module, "exchange_lifetime_ms", counted)
+    cfg = config_from_dict({"coap": {"retransmit_limit": 10}})
+    sub = run_subrun(cfg, "baseline-throttled", "blind_flood", "setup")
+    world = sub.handles.world
+    assert 1 <= len(calls) <= len(world.nodes)
+    assert set(calls) == {(2000, 10)}
+    assert {node.lifetime_ms for node in world.nodes.values()} == \
+        {exchange_lifetime_ms(2000, 10)}
 
 
 SHORT_TIMEOUT = {"coap": {"base_timeout_ms": 500}}
@@ -884,6 +909,72 @@ def test_tunnel_exchange_retransmits_at_the_configured_timeout():
     guard.receive(make_frame(req), "cli")
     world.run_until(1000)
     assert retransmits(world, "rtrC") == [(500, "tunnel")]
+
+
+# --- the server's half-open EDHOC sessions ---------------------------------------------------
+
+def edhoc_server():
+    """A server with no guard, whose answers are kept in the list returned."""
+    server = ServerNode(World(seed=1), address="srv", audience="aud_srv",
+                        rd_address="rd", as_address="as", energy=None,
+                        guard_address=None, behind_tunnel=False,
+                        audience_key=b"")
+    sent = []
+    server.send_frame = lambda msg, origin: sent.append(msg)
+    return server, sent
+
+
+def edhoc_message(src, mid, kind, payload):
+    return make_frame(SimMessage(src=src, dst="srv", mtype="CON", mid=mid,
+                                 token=bytes([mid % 256]), code="POST",
+                                 payload_kind=kind, payload=payload,
+                                 payload_len=40))
+
+
+def test_server_keeps_at_most_max_half_open_sessions_oldest_first():
+    server, sent = edhoc_server()
+    bound = ServerNode.MAX_HALF_OPEN
+    eph_r = {}
+
+    def m1(src, mid):
+        server.handle(edhoc_message(src, mid, "edhoc_m1",
+                                    {"eph": b"i" + src.encode(), "session": 0}),
+                      "rtrS")
+        eph_r[src] = sent[-1].payload["eph"]
+
+    def m3(src, mid):
+        master = edhoc_master(b"i" + src.encode(), eph_r[src])
+        server.handle(edhoc_message(src, mid, "edhoc_m3",
+                                    {"session": 0,
+                                     "confirm": edhoc_confirmation(master)}),
+                      "rtrS")
+        return sent[-1].code, sent[-1].payload_kind
+
+    for i in range(bound):
+        m1(f"x{i}", 1)
+    m1("x0", 2)  # re-written just before the overflow: now the newest
+    m1(f"x{bound}", 1)  # the (MAX_HALF_OPEN + 1)-th fresh source
+    # x1's session, the oldest once x0's was re-written, is the one evicted.
+    assert len(server.sessions) == bound
+    assert ("x1", 0) not in server.sessions
+    assert m3("x1", 3) == ("4.01", "error")
+    assert m3("x0", 3) == ("2.04", "edhoc_done")
+    assert m3(f"x{bound}", 3) == ("2.04", "edhoc_done")
+
+
+def test_half_open_bound_moves_no_byte_where_a_quarter_of_it_would(
+        monkeypatch):
+    # Seed 7's baseline-open x blind_flood setup answers an m3 whose m1 is
+    # 347 m1 writes old: 256 sessions evict it, MAX_HALF_OPEN does not.
+    def report(bound):
+        monkeypatch.setattr(ServerNode, "MAX_HALF_OPEN", bound)
+        cfg = SimConfig()
+        cfg.seed = 7
+        return report_to_json(run_cell(cfg, "baseline-open", "blind_flood"))
+
+    shipped = report(ServerNode.MAX_HALF_OPEN)
+    assert shipped == report(10**9)
+    assert shipped != report(256)
 
 
 # --- attackers -------------------------------------------------------------------------------

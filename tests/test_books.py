@@ -12,7 +12,7 @@ Each sub-run is built once, with `run_subrun`, for its three checks.
 
 import pytest
 
-from guardsim.coap_lite import TxState
+from guardsim.coap_lite import exchange_lifetime_ms
 from guardsim.harness import MATRIX_CELLS, SimConfig, run_subrun
 
 SUBRUNS = [(seed, scenario, attack, subrun)
@@ -52,8 +52,8 @@ def test_ledger_total_is_what_the_budgets_lost(finished):
 
 def test_every_old_enough_interaction_resolved(finished):
     cfg, sub = finished
-    lifetime = TxState(cfg.coap.base_timeout_ms,
-                       cfg.coap.retransmit_limit).lifetime_ms
+    lifetime = exchange_lifetime_ms(cfg.coap.base_timeout_ms,
+                                    cfg.coap.retransmit_limit)
     old = [i for i in sub.handles.client.interactions
            if i.t_start < sub.run_end_ms - lifetime]
     assert old
