@@ -6,10 +6,10 @@ Addresses are plain strings; routing is a static table of patterns per
 node, compiled into a `coap_lite.AddressTable` when `Node.routes` is
 assigned. Every frame leaves a node through `Node.send_via`, every
 confirmable request (plain or tunneled) is one `Exchange`, every ACK is
-built by `coap_lite.ack`, and every request a server-side guard passes to
-the constrained server goes through `GuardNode.relay`. With no trace kept,
-the per-frame events (link frames, energy drains, blocks and drops) are
-not built at all.
+built by `coap_lite.ack`, every request a guard proxies goes through
+`GuardNode.relay`, and `TunnelGuard.handle_outside` opens every tunnel
+frame. With no trace kept, the per-frame events (link frames, energy
+drains, blocks and drops) are not built at all.
 Topology (built by the harness):
 
     cli* -- rtrC -- (internet) -- rtrS -- srv
@@ -911,9 +911,12 @@ class GuardNode(RouterNode):
       ClientTunnelGuard  client side: forward proxy for its clients; wraps
                          traffic into the tunnel, renegotiates on auth failures
 
-    The two server-side roles pass requests to the origin server through
-    `relay`.
+    All three relay the requests they proxy through `relay`.
     """
+
+    # At most this many answers are kept for retransmissions of relayed
+    # requests; past the bound the oldest goes.
+    MAX_ANSWERED = 64
 
     def __init__(self, world, address, constrained_prefix, key_id):
         super().__init__(world, address)
@@ -959,22 +962,32 @@ class GuardNode(RouterNode):
             world.emit("blocked", self.address, origin=frame.origin,
                        kind2=frame.msg.payload_kind, **detail)
 
-    # --- relaying to the origin server -----------------------------------------
+    # --- relaying upstream ---------------------------------------------------
 
-    def relay(self, key, req: SimMessage, origin: str, deliver) -> None:
-        """Relay `req` to the origin server once per `key` (RFC 7252 §5.7)
-        and pass the answer to `deliver(answer, origin)`. A retransmission
-        of an answered request gets the cached answer through the first
-        request's `deliver`; one still in flight gets nothing. The request
-        lives in its exchange and `relaying` until it is answered or given
-        up; an answer after that matches nothing and goes no further."""
+    def proxy_request(self, frame: Frame, dst: str) -> None:
+        """Relay a request from the wire to `dst` and answer it on the wire.
+        A CON not yet answered first gets an empty ACK (RFC 7252 §5.2.2)."""
+        msg = frame.msg
+        key = (msg.src, msg.token.hex())
+        if msg.mtype == "CON" and key not in self.answered:
+            self.reply(msg, "legit", "EMPTY", token=b"")
+        self.relay(key, msg, dst, frame.origin, self.send_frame)
+
+    def relay(self, key, req: SimMessage, dst: str, origin: str,
+              deliver) -> None:
+        """Relay `req` to `dst` once per `key` (RFC 7252 §5.7) and pass the
+        answer to `deliver(answer, origin)`, or a 5.04 on a give-up (§5.7.1).
+        A retransmission of an answered request gets the cached answer
+        through the first request's `deliver`; one still in flight gets
+        nothing. The request lives in its exchange and `relaying` until it
+        is answered or given up; an answer after that matches nothing."""
         if key in self.answered:
             first_deliver, answer = self.answered[key]
             first_deliver(answer, origin)
             return
         if key in self.relaying:
             return
-        up = self.table.rewrite_request(req, self.origin_server)
+        up = self.table.rewrite_request(req, dst)
         self.relaying.add(key)
 
         def on_response(resp: SimMessage, frame: Frame) -> None:
@@ -982,14 +995,20 @@ class GuardNode(RouterNode):
             self.observe_upstream(req, resp)
             answer = self.table.answer(resp, req)
             self.answered[key] = (deliver, answer)
-            if len(self.answered) > 64:
+            if len(self.answered) > self.MAX_ANSWERED:
                 self.answered.pop(next(iter(self.answered)))
             deliver(answer, frame.origin)
 
         def on_giveup() -> None:
             self.relaying.discard(key)
             self.world.emit("upstream_giveup", self.address, src=req.src)
+            deliver(ack(req, self.address, "5.04", payload_len=2), origin)
 
+        self.send_upstream(up, origin, on_response, on_giveup)
+
+    def send_upstream(self, up: SimMessage, origin: str, on_response,
+                      on_giveup) -> None:
+        """Hook: start the exchange that carries the relayed request `up`."""
         self.send_con(up, origin, on_response, on_giveup)
 
     def observe_upstream(self, req: SimMessage, resp: SimMessage) -> None:
@@ -1035,7 +1054,7 @@ class ExemptionsGuard(GuardNode):
             if cls == NON_PROXY:
                 self.forward(frame, from_addr)
             else:
-                self._proxy_upstream(frame)
+                self.proxy_request(frame, self.origin_server)
         elif action == "challenge":
             self.world.emit("challenge_issued", self.address, src=msg.src,
                             reason=detail.get("reason"), origin=frame.origin)
@@ -1051,13 +1070,6 @@ class ExemptionsGuard(GuardNode):
 
     handle_outside = inbound
 
-    def _proxy_upstream(self, frame: Frame) -> None:
-        msg = frame.msg
-        key = (msg.src, msg.token.hex())
-        if msg.mtype == "CON" and key not in self.answered:
-            self.reply(msg, "legit", "EMPTY", token=b"")
-        self.relay(key, msg, frame.origin, self.send_frame)
-
     def observe_upstream(self, req: SimMessage, resp: SimMessage) -> None:
         if self.gstate.observe_exchange(req.src, req.payload_kind, resp,
                                         self.world.clock.now):
@@ -1066,7 +1078,12 @@ class ExemptionsGuard(GuardNode):
 
 class TunnelGuard(GuardNode):
     """One end of the guard-to-guard tunnel. From outside, only responses
-    that `passes_inward` accepts get past it unwrapped."""
+    that `passes_inward` accepts get past it unwrapped, and tunnel frames
+    that open under `tunnel_rx`'s context for their kid, into `tunnel_in`."""
+
+    def __init__(self, world, address, constrained_prefix, key_id):
+        super().__init__(world, address, constrained_prefix, key_id)
+        self.tunnel_rx: dict[bytes, SecurityContext] = {}  # kid -> context
 
     def passes_inward(self, msg: SimMessage) -> bool:
         raise NotImplementedError
@@ -1077,21 +1094,23 @@ class TunnelGuard(GuardNode):
         else:
             self._block(frame, dst=frame.msg.dst)
 
-    def open_tunnel_frame(self, ctx: SecurityContext,
-                          frame: Frame) -> SimMessage | None:
-        """The message sealed in a tunnel frame, or None if the frame is a
-        replay or fails authentication."""
+    def handle_outside(self, frame: Frame, from_addr: str) -> None:
+        msg = frame.msg
+        ctx = self.tunnel_rx.get(msg.oscore_kid)  # None for no kid
+        if ctx is None:
+            self._block(frame)
+            return
         try:
-            data = open_sealed(ctx, frame.msg, b"tun")
+            data = open_sealed(ctx, msg, b"tun")
         except ReplayError:
             self.world.emit("tunnel_replay", self.address, origin=frame.origin)
-            return None
+            return
         except AuthError:
             self.world.emit("tunnel_auth_fail", self.address,
                             origin=frame.origin)
             self.tunnel_auth_failed()
-            return None
-        return deserialize_full(data)
+            return
+        self.tunnel_in(ctx, frame, deserialize_full(data))
 
     def tunnel_auth_failed(self) -> None:
         pass
@@ -1114,10 +1133,6 @@ class ServerTunnelGuard(TunnelGuard):
     """Server end of the tunnel: verifies tunnel tokens, unwraps tunnel
     requests and relays them to the server."""
 
-    def __init__(self, world, address, constrained_prefix, key_id):
-        super().__init__(world, address, constrained_prefix, key_id)
-        self.tunnel_ctxs: dict[bytes, SecurityContext] = {}
-
     def passes_inward(self, msg: SimMessage) -> bool:
         # Registration/authorization handshakes initiated from inside may
         # complete; everything else unsolicited is blocked outright.
@@ -1128,10 +1143,8 @@ class ServerTunnelGuard(TunnelGuard):
         msg = frame.msg
         if msg.payload_kind == "tunnel_token_post":
             self._token_post(frame)
-        elif msg.is_protected and msg.oscore_kid in self.tunnel_ctxs:
-            self._tunnel_data_in(frame)
         else:
-            self._block(frame)
+            super().handle_outside(frame, from_addr)
 
     def _token_post(self, frame: Frame) -> None:
         msg = frame.msg
@@ -1150,19 +1163,16 @@ class ServerTunnelGuard(TunnelGuard):
         bound = ace_mod.unseal_bound_key(token, self.audience_key)
         nonce_s = self.rng.bytes(8)
         _, ctx = ace_mod.tunnel_contexts(bound, msg.payload["nonce"], nonce_s)
-        self.tunnel_ctxs[ctx.recipient_id] = ctx
+        self.tunnel_rx[ctx.recipient_id] = ctx
         self.world.emit("tunnel_established", self.address,
                         subject=token.subject_key_id, origin=frame.origin)
         self.world.emit("setup_step", self.address, step=8)
         self.reply(msg, frame.origin, "2.01", payload_kind="tunnel_token_ack",
                    payload={"nonce": nonce_s}, payload_len=20)
 
-    def _tunnel_data_in(self, frame: Frame) -> None:
+    def tunnel_in(self, ctx: SecurityContext, frame: Frame,
+                  inner: SimMessage) -> None:
         msg = frame.msg
-        ctx = self.tunnel_ctxs[msg.oscore_kid]
-        inner = self.open_tunnel_frame(ctx, frame)
-        if inner is None:
-            return
         self.world.emit("guard_forward", self.address, cls=TUNNEL,
                         src=msg.src, origin=frame.origin)
         # `deliver` outlives the frame in the answered cache; it keeps only
@@ -1173,7 +1183,7 @@ class ServerTunnelGuard(TunnelGuard):
             self.send_tunnel_data(ctx, answer, peer, origin)
 
         key = (inner.src, inner.token.hex(), inner.oscore_piv)
-        self.relay(key, inner, frame.origin, deliver)
+        self.relay(key, inner, self.origin_server, frame.origin, deliver)
 
 
 class ClientTunnelGuard(TunnelGuard):
@@ -1192,7 +1202,6 @@ class ClientTunnelGuard(TunnelGuard):
         self.as_address: str | None = None  # set by the brief
         self.server_guard_address: str | None = None
         self.tunnel_ctx: SecurityContext | None = None
-        self.tunnel_rx: dict[bytes, SecurityContext] = {}
         self.tunnel_queue: dict[bytes, Exchange] = {}  # waiting for a tunnel
         self.establishing = False
         self.consec_tunnel_fail = 0
@@ -1219,17 +1228,18 @@ class ClientTunnelGuard(TunnelGuard):
         if not self._step6_done:
             self._step6_done = True
             self.world.emit("setup_step", self.address, step=6)
-        if msg.mtype == "CON":
-            self.reply(msg, "legit", "EMPTY", token=b"")
-        origin_server = msg.proxy_uri.split("://", 1)[-1]
-        up = self.table.rewrite_request(msg, origin_server)
-        Exchange(self, up, frame.origin, self._send_tunneled,
-                 on_response=lambda resp, f: self.send_frame(
-                     self.table.answer(resp, msg), f.origin),
-                 on_giveup=lambda: self.tunnel_queue.pop(up.token, None),
-                 via="tunnel").start()
+        self.proxy_request(frame, msg.proxy_uri.split("://", 1)[-1])
         if self.tunnel_ctx is None:
             self._establish_tunnel()
+
+    def send_upstream(self, up: SimMessage, origin: str, on_response,
+                      on_giveup) -> None:
+        def gave_up() -> None:
+            self.tunnel_queue.pop(up.token, None)
+            on_giveup()
+
+        Exchange(self, up, origin, self._send_tunneled, on_response, gave_up,
+                 via="tunnel").start()
 
     def _send_tunneled(self, inner: SimMessage, origin: str) -> None:
         """Wrap under the current tunnel context, so that retransmissions
@@ -1281,14 +1291,8 @@ class ClientTunnelGuard(TunnelGuard):
         self.establishing = False
         self.world.emit("tunnel_setup_failed", self.address)
 
-    def handle_outside(self, frame: Frame, from_addr: str) -> None:
-        msg = frame.msg
-        if not msg.is_protected or msg.oscore_kid not in self.tunnel_rx:
-            self._block(frame)
-            return
-        inner = self.open_tunnel_frame(self.tunnel_rx[msg.oscore_kid], frame)
-        if inner is None:
-            return
+    def tunnel_in(self, ctx: SecurityContext, frame: Frame,
+                  inner: SimMessage) -> None:
         self.consec_tunnel_fail = 0
         self.match_response(inner, frame)
 

@@ -244,9 +244,10 @@ class GuardState:
         if msg.echo != nonce:
             return "mismatch"
         if now_ms - issued > self.config.echo_max_age_ms:
-            if rec.echo_nonce is not None:
-                rec.echo_nonce = None
-                rec.echo_issued_ms = None
+            if rec.echo_nonce is None:  # the jump's: challenge the next one
+                del self.jump_challenges[msg.src]
+            rec.echo_nonce = None
+            rec.echo_issued_ms = None
             return "stale"
         rec.echo_nonce = None
         rec.echo_issued_ms = None

@@ -308,7 +308,7 @@ def test_relay_cache_keeps_the_newest_64_answers():
     delivered = []
     for i in range(65):
         req = SimMessage(src="cli", dst="g", mid=i, token=bytes([i]))
-        guard.relay(i, req, "legit",
+        guard.relay(i, req, "srv", "legit",
                     lambda answer, origin: delivered.append(answer.mid))
     for up, on_response in upstream:
         on_response(SimMessage(src="srv", dst="g", mtype="ACK", mid=up.mid,
@@ -316,11 +316,12 @@ def test_relay_cache_keeps_the_newest_64_answers():
                     make_frame(up))
     assert delivered == list(range(65))
     assert list(guard.answered) == list(range(1, 65))
+    # A cached answer goes through the first `deliver`.
     guard.relay(64, SimMessage(src="cli", dst="g", mid=64, token=b"\x40"),
-                "legit", None)  # a cached answer uses the first `deliver`
+                "srv", "legit", None)
     assert delivered[-1] == 64 and len(upstream) == 65
     guard.relay(0, SimMessage(src="cli", dst="g", mid=0, token=b"\x00"),
-                "legit", None)  # evicted: relayed again
+                "srv", "legit", None)  # evicted: relayed again
     assert len(upstream) == 66
 
 
@@ -332,7 +333,7 @@ def test_answer_matching_no_live_exchange_is_not_relayed():
     guard.send_frame = lambda msg, origin: upstream.append(msg)
     delivered = []
     req = SimMessage(src="cli", dst="g", mid=5, token=b"\x05")
-    guard.relay("k", req, "legit",
+    guard.relay("k", req, "srv", "legit",
                 lambda answer, origin: delivered.append(answer))
     (up,) = upstream
     assert list(guard.outstanding) == [up.token]
@@ -534,7 +535,7 @@ def test_wrong_as_key_refuses_tunnel_and_shields_server():
 def test_garbage_into_tunnel_rejected_without_constrained_traffic():
     handles = run_fullguard_steady()
     world, guard = handles.world, handles.server_router
-    kid = next(iter(guard.tunnel_ctxs))
+    kid = next(iter(guard.tunnel_rx))
     before = len(srv_link_frames(world.trace))
     junk = SimMessage(src="x0", dst="rtrS", mtype="NON", code="POST",
                       oscore_kid=kid, oscore_piv=999_999,
@@ -659,10 +660,15 @@ def test_tunnel_exchange_gives_up_and_leaves_no_state():
     handles = run_fullguard_steady(until_ms=150_000, mutate=corrupt)
     guard = handles.client_router
     giveups = handles.world.trace.by_kind("giveup")
+    # Each give-up answers the client's m1 5.04; the client's key exchange
+    # then fails, and it sends a new m1 2 s later.
     assert [(e["t"], e["node"], e["detail"].get("via")) for e in giveups] == \
-        [(63_282, "rtrC", "tunnel")]
-    assert guard.outstanding == {}
-    assert len(guard.tunnel_queue) == 0
+        [(63_282, "rtrC", "tunnel"), (127_442, "rtrC", "tunnel")]
+    assert [(i.t_start, i.t_end) for i in handles.client.interactions] == \
+        [(1_152, 63_312), (65_312, 127_472), (129_472, None)]
+    (live,) = guard.outstanding  # the third m1's, still without a tunnel
+    assert list(guard.tunnel_queue) == [live]
+    assert live.hex() not in [e["detail"]["token"] for e in giveups]
 
 
 def log_toward_cli(guard):
@@ -681,7 +687,9 @@ def log_toward_cli(guard):
 
 def exemptions_relay_given_up():
     """The exemptions guard relays `cli`'s request to a silent server and
-    gives up; the late answer comes from the server."""
+    gives up; the late answer comes from the server. Returns the world,
+    the guard, the relayed request's token, the codes of what the guard
+    sent back for the request, the late answer, and the codes expected."""
     world, guard, req, _ = relay_setup(silent_server=True)
     sent = log_toward_cli(guard)
     guard.receive(make_frame(req), "rtrC")
@@ -693,48 +701,118 @@ def exemptions_relay_given_up():
             src="srv", dst="rtrS", mtype="ACK", token=token, code="2.04",
             payload_kind="edhoc_m2", payload_len=40)), "srv")
 
-    return world, guard, token, sent, late_answer
+    return world, guard, token, sent, late_answer, ["EMPTY", "5.04"]
+
+
+def client_end_relay_setup(silent_server=False):
+    """A fullguard world whose client tunnel end is ready, a log of the
+    codes it sends toward `cli`, and an oscore request from `cli` for it to
+    proxy to `srv`."""
+    handles = run_fullguard_steady(until_ms=30_000)
+    if silent_server:
+        handles.server.handle = lambda frame, from_addr: None
+    guard = handles.client_router
+    req = SimMessage(src="cli", dst="rtrC", mtype="CON", mid=88,
+                     token=b"\x88", code="POST", payload_kind="oscore",
+                     proxy_uri="coap://srv", oscore_kid=b"\x01",
+                     oscore_piv=500, payload_len=20)
+    return handles, guard, req, log_toward_cli(guard)
 
 
 def client_tunnel_end_given_up():
     """The client tunnel end relays `cli`'s request through the tunnel to a
     silent server and gives up; the late answer comes through the tunnel
     from the server end."""
-    handles = run_fullguard_steady(until_ms=30_000)
-    world, guard, tunnel_in = (handles.world, handles.client_router,
-                               handles.server_router)
-    handles.server.handle = lambda frame, from_addr: None  # silent server
-    sent = log_toward_cli(guard)
+    handles, guard, req, sent = client_end_relay_setup(silent_server=True)
+    world, tunnel_in = handles.world, handles.server_router
     before = set(guard.outstanding)
-    guard.receive(make_frame(SimMessage(
-        src="cli", dst="rtrC", mtype="CON", mid=88, token=b"\x88",
-        code="POST", payload_kind="oscore", proxy_uri="coap://srv",
-        oscore_kid=b"\x01", oscore_piv=500, payload_len=20)), "cli")
+    guard.receive(make_frame(req), "cli")
     (token,) = set(guard.outstanding) - before
     world.run_until(world.clock.now + 70_000)
-    (ctx,) = tunnel_in.tunnel_ctxs.values()
+    (ctx,) = tunnel_in.tunnel_rx.values()
 
     def late_answer():
         tunnel_in.send_tunnel_data(ctx, SimMessage(
             src="rtrS", dst="rtrC", mtype="ACK", token=token, code="2.04",
             payload_kind="oscore", payload_len=20), "rtrC", "legit")
 
-    return world, guard, token, sent, late_answer
+    return world, guard, token, sent, late_answer, ["EMPTY", "5.04"]
+
+
+def server_tunnel_end_given_up():
+    """The server tunnel end relays a request from the tunnel to a silent
+    server and gives up, answering through the tunnel; the late answer
+    comes from the server."""
+    handles = run_fullguard_steady(until_ms=30_000)
+    world, tunnel_out, guard = (handles.world, handles.client_router,
+                                handles.server_router)
+    handles.server.handle = lambda frame, from_addr: None  # silent server
+    inner = SimMessage(src="rtrC", dst="srv", mtype="CON", mid=77,
+                       token=b"\x77\x77", code="POST", payload_kind="oscore",
+                       oscore_kid=b"\x01", oscore_piv=3, payload_len=20)
+    sent = []
+    send_tunnel_data = guard.send_tunnel_data
+
+    def logged(ctx, msg, dst, origin):
+        if msg.token == inner.token:
+            sent.append(msg.code)
+        send_tunnel_data(ctx, msg, dst, origin)
+
+    guard.send_tunnel_data = logged
+    before = set(guard.outstanding)
+    tunnel_out.send_tunnel_data(tunnel_out.tunnel_ctx, inner, "rtrS", "legit")
+    world.run_until(world.clock.now + 1000)
+    (token,) = set(guard.outstanding) - before
+    world.run_until(world.clock.now + 70_000)
+
+    def late_answer():
+        guard.receive(make_frame(SimMessage(
+            src="srv", dst="rtrS", mtype="ACK", token=token, code="2.05",
+            payload_kind="oscore", payload_len=20)), "srv")
+
+    return world, guard, token, sent, late_answer, ["5.04"]
 
 
 @pytest.mark.parametrize("given_up", [exemptions_relay_given_up,
-                                      client_tunnel_end_given_up])
+                                      client_tunnel_end_given_up,
+                                      server_tunnel_end_given_up])
 def test_given_up_relay_leaves_nothing_and_drops_a_late_answer(given_up):
-    world, guard, token, sent, late_answer = given_up()
+    world, guard, token, sent, late_answer, expected = given_up()
     assert [e for e in world.trace.by_kind("giveup")
             if e["node"] == guard.address
             and e["detail"]["token"] == token.hex()]
     assert token not in guard.outstanding
     assert token not in getattr(guard, "tunnel_queue", {})
-    assert sent == ["EMPTY"]  # the empty ACK, and no answer
+    assert sent == expected  # any empty ACK, then the 5.04 (RFC 7252 §5.7.1)
     late_answer()
     world.run_until(world.clock.now + 5000)
-    assert sent == ["EMPTY"]
+    assert sent == expected
+
+
+def test_client_tunnel_end_answers_retransmission_from_cache():
+    handles, guard, req, sent = client_end_relay_setup()
+    world = handles.world
+    guard.receive(make_frame(req), "cli")
+    world.run_until(world.clock.now + 1000)
+    assert sent == ["EMPTY", "4.01"]  # the server knows no kid 01
+    guard.receive(make_frame(req, "attacker"), "cli")
+    world.run_until(world.clock.now + 1000)
+    # The same answer again; no second empty ACK and nothing upstream.
+    assert sent[2:] == ["4.01"]
+    assert not [e for e in srv_link_frames(world.trace)
+                if e["detail"]["origin"] == "attacker"]
+
+
+def test_client_tunnel_end_retransmission_in_flight_is_one_exchange():
+    handles, guard, req, sent = client_end_relay_setup(silent_server=True)
+    before = set(guard.outstanding)
+    guard.receive(make_frame(req), "cli")
+    guard.receive(make_frame(req), "cli")
+    handles.world.run_until(handles.world.clock.now + 1000)
+    assert sent == ["EMPTY", "EMPTY"]
+    (token,) = set(guard.outstanding) - before
+    assert guard.outstanding[token].via == "tunnel"
+    assert ("cli", "88") in guard.relaying
 
 
 def guard_relaying_into_tunnel():

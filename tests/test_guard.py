@@ -375,6 +375,22 @@ def test_jump_triggers_challenge_then_drop_while_pending():
     assert (action, detail["reason"]) == ("drop", "jump_challenge_pending")
 
 
+def test_stale_echo_to_a_jump_challenge_lets_the_next_jump_be_challenged():
+    g = make_guard()
+    g.decide(proxied(kid=b"\x01", piv=0, token=b"T1"), 0)
+    _, first = g.decide(proxied(src="x0", kid=b"\x01", piv=99_999,
+                                token=b"T2"), 10)
+    g.flows["x0"].cls = ALLOW_LISTED
+    late = proxied(src="x0", kid=b"\x01", piv=99_999, token=b"T3",
+                   echo=first["echo"])
+    assert g.verify_echo(g.flows["x0"], late, 41_010) == "stale"
+    assert "x0" not in g.jump_challenges
+    action, detail = g.decide(proxied(src="x0", kid=b"\x01", piv=99_999,
+                                      token=b"T4"), 141_010)
+    assert (action, detail["reason"]) == ("challenge", "implausible_jump")
+    assert detail["echo"] == g.jump_challenges["x0"][0] != first["echo"]
+
+
 def test_known_mobile_is_prioritized_but_still_challenged():
     g = make_guard()
     for piv in range(3):

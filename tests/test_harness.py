@@ -434,15 +434,22 @@ def test_ledger_equals_running_sums_over_the_trace(scenario, attack):
 def test_short_network_wide_timeouts_do_not_stall_the_setup_loop(seed):
     # Every node takes this timing. rtrC empty-ACKs the client's m1, the
     # on-path attacker's garbling makes the tunnel exchange give up, and
-    # the client's acked m1 must then expire, or the setup loop stops.
+    # rtrC must then answer the acked m1 5.04, or the setup loop stops
+    # until the m1's lifetime ends.
     cfg = config_from_dict({"seed": seed, "coap": {"base_timeout_ms": 500,
                                                    "retransmit_limit": 2}})
-    sub = run_subrun(cfg, "fullguard", "on_path", "setup")
+    sub = run_subrun(cfg, "fullguard", "on_path", "setup", collect_trace=True)
     interactions = sub.handles.client.interactions
     assert all(i.outcome is not None for i in interactions)
     setup = harness.phase_stats(interactions, ("key_exchange",), cfg)
     assert setup["behavior"] != "no_traffic"
-    assert setup["n_timed_out"] >= 1
+    trace = sub.handles.world.trace
+    giveups = [e["t"] for e in trace.by_kind("upstream_giveup")
+               if e["node"] == "rtrC"]
+    assert giveups
+    assert not [e for e in trace.by_kind("giveup") if e["node"] == "cli"]
+    assert setup["n_timed_out"] == 0
+    assert any(i.t_start > giveups[0] for i in interactions)
 
 
 # --- memory ------------------------------------------------------------------------------
