@@ -2,9 +2,9 @@
 and the attackers: `FloodAttacker` (blind and distributed floods),
 `Impersonator` and `OnPathAttacker`, each an `AttackerNode`.
 
-Addresses are plain strings; routing is a static table of patterns per
-node, compiled into a `coap_lite.AddressTable` when `Node.routes` is
-assigned. Every frame leaves a node through `Node.send_via`, every
+Each node declares the address `patterns` it answers to, which its `owns`
+matches; `build_world` derives all `routes` and each router's `inside`
+from them. Every frame leaves a node through `Node.send_via`, every
 confirmable request (plain or tunneled) is one `Exchange`, every ACK is
 built by `coap_lite.ack`, every request a guard proxies goes through
 `GuardNode.relay`, and `TunnelGuard.handle_outside` opens every tunnel
@@ -14,7 +14,7 @@ Topology (built by the harness):
 
     cli* -- rtrC -- (internet) -- rtrS -- srv
                       |    |
-                     rd    as        atk (attached at rtrS)
+                     rd    as        atk, x* (attached at rtrS)
 """
 
 from __future__ import annotations
@@ -143,6 +143,8 @@ class Node:
         self.world = world
         self.address = address
         self.energy = energy
+        # True for an address matching `patterns`, None for any other.
+        self.owns = AddressTable((p, True) for p in self.patterns).get
         self.links = {}  # neighbor address -> outgoing Link
         self.routes = ()  # compiled by the property below
         self._mid = 0
@@ -155,8 +157,10 @@ class Node:
 
     # --- identity / addressing -------------------------------------------
 
-    def owns(self, addr: str) -> bool:
-        return addr == self.address
+    @property
+    def patterns(self) -> tuple[str, ...]:
+        """The address patterns this node answers to: its own address."""
+        return (self.address,)
 
     @property
     def routes(self) -> tuple[tuple[str, str], ...]:
@@ -356,6 +360,11 @@ class Exchange:
 class RouterNode(Node):
     """Plain IP-level router: forwards everything, terminates nothing."""
 
+    # True for an address in the network behind this router's constrained
+    # link, None for any other: `build_world` sets it to the `owns` of the
+    # device on that link. Until then, or with no such device, nothing is.
+    inside = {}.get
+
     def receive(self, frame: Frame, from_addr: str) -> None:
         if self.owns(frame.msg.dst):
             self.handle(frame, from_addr)
@@ -367,23 +376,19 @@ class RouterNode(Node):
 
 
 class ThrottleRouter(RouterNode):
-    """Indiscriminate single-bucket throttling of all inbound traffic.
+    """Indiscriminate single-bucket throttling of all traffic into `inside`.
 
     Sees the traffic only up to the transport layer: no flow state, no
     distinction between new and established clients.
     """
 
-    def __init__(self, world, address, protected_prefixes: tuple[str, ...],
-                 rate_per_s: float, burst: float):
+    def __init__(self, world, address, rate_per_s: float, burst: float):
         super().__init__(world, address)
-        # True for an address inside, None outside.
-        self._protected = AddressTable(
-            (p, True) for p in protected_prefixes).get
         self.bucket = TokenBucket(rate_per_s, burst)
 
     def _inbound(self, msg: SimMessage, from_addr: str) -> bool:
-        protected = self._protected
-        return protected(msg.dst) is not None and protected(from_addr) is None
+        inside = self.inside
+        return inside(msg.dst) is not None and inside(from_addr) is None
 
     def forward(self, frame: Frame, from_addr: str) -> None:
         if self._inbound(frame.msg, from_addr):
@@ -660,8 +665,10 @@ class ClientNode(Node):
         self._session = 0
         self._rekeying = False
 
-    def owns(self, addr: str) -> bool:
-        return addr == self.address or addr.startswith(self.address)
+    @property
+    def patterns(self) -> tuple[str, ...]:
+        """Every identity `fresh_identity` takes."""
+        return (f"{self.address}*",)
 
     def fresh_identity(self) -> str:
         self._ident += 1
@@ -722,21 +729,28 @@ class ClientNode(Node):
             msg.proxy_uri = f"coap://{server}"
         return msg
 
-    def _send_with_echo_retry(self, msg: SimMessage, origin: str, on_response,
-                              on_giveup, interaction) -> None:
-        """Send a CON; transparently answer one-or-more Echo challenges."""
+    def _send_with_echo_retry(self, make, origin: str, on_response,
+                              on_giveup, interaction: Interaction) -> None:
+        """Send the CON `make(None)`; answer each Echo challenge to it with
+        the CON `make(echo)`, counted as a retransmission."""
 
-        def wrapped(resp: SimMessage, frame: Frame) -> None:
+        def send(echo: bytes | None) -> None:
+            self.send_con(make(echo), origin, answered, on_giveup, interaction)
+
+        def answered(resp: SimMessage, frame: Frame) -> None:
             if resp.code == "4.01" and resp.echo is not None:
-                if interaction is not None:
-                    interaction.retransmissions += 1
-                retry = msg.copy(mid=self.new_mid(), token=self.new_token(),
-                                 echo=resp.echo)
-                self.send_con(retry, origin, wrapped, on_giveup, interaction)
+                interaction.retransmissions += 1
+                send(resp.echo)
                 return
             on_response(resp, frame)
 
-        self.send_con(msg, origin, wrapped, on_giveup, interaction)
+        send(None)
+
+    def _echo_copies(self, msg: SimMessage):
+        """A `make` for `_send_with_echo_retry`: `msg`, and for an Echo a
+        copy of it that carries the Echo under a fresh mid and token."""
+        return lambda echo: msg if echo is None else msg.copy(
+            mid=self.new_mid(), token=self.new_token(), echo=echo)
 
     # --- key exchange --------------------------------------------------------
 
@@ -776,12 +790,14 @@ class ClientNode(Node):
                 self.charge("edhoc", cause)
                 on_done(True)
 
-            self._send_with_echo_retry(m3, cause, got_done, fail, i2)
+            self._send_with_echo_retry(self._echo_copies(m3), cause, got_done,
+                                       fail, i2)
 
         m1 = self._server_request("edhoc_m1",
                                   {"eph": eph_i, "session": session_id},
                                   EDHOC_MSG_SIZES[0])
-        self._send_with_echo_retry(m1, cause, got_m2, fail, i1)
+        self._send_with_echo_retry(self._echo_copies(m1), cause, got_m2, fail,
+                                   i1)
 
     # --- steady-state requests ------------------------------------------------
 
@@ -791,18 +807,26 @@ class ClientNode(Node):
         now = self.world.clock.now
         inter = Interaction("request", now, counted)
         self.interactions.append(inter)
+        ctx = self.ctx
         inner = SimMessage(src=self.current_src, dst=self.entry.address,
                            code="GET", payload_kind="app_request",
                            payload_len=8)
-        protected = seclayer.oscore_protect(self.ctx, inner)
-        piv = protected.oscore_piv
-        if len(self.sent_pivs) < 4:  # all that an impersonator replays
-            self.sent_pivs.append(piv)
-        msg = self._server_request("oscore", {}, protected.payload_len)
-        msg.sealed = protected.sealed
-        msg.oscore_kid = protected.oscore_kid
-        msg.oscore_piv = piv
-        ctx = self.ctx
+        copies = self._echo_copies(self._server_request("oscore", {}, 0))
+        pivs = {}  # token -> piv of each request sent
+
+        def protect(echo: bytes | None) -> SimMessage:
+            """The request, or its answer to an Echo, protected anew under
+            a fresh piv; the Echo rides outside, where the guard reads it."""
+            msg = copies(echo)
+            protected = seclayer.oscore_protect(ctx, inner)
+            piv = pivs[msg.token] = protected.oscore_piv
+            if len(self.sent_pivs) < 4:  # all that an impersonator replays
+                self.sent_pivs.append(piv)
+            msg.payload_len = protected.payload_len
+            msg.sealed = protected.sealed
+            msg.oscore_kid = protected.oscore_kid
+            msg.oscore_piv = piv
+            return msg
 
         def got_response(resp: SimMessage, frame: Frame) -> None:
             inter.complete(self.world.clock.now)
@@ -810,7 +834,8 @@ class ClientNode(Node):
                 return  # unprotected error; no auth signal either way
             self.charge("oscore_verify", frame.origin)
             try:
-                seclayer.oscore_unprotect(ctx, resp, request_piv=piv)
+                seclayer.oscore_unprotect(ctx, resp,
+                                          request_piv=pivs[resp.token])
             except (AuthError, UnknownKid, ReplayError):
                 self.world.emit("oscore_auth_fail", self.address,
                                 origin=frame.origin)
@@ -824,7 +849,7 @@ class ClientNode(Node):
             self.consec_auth_fail = 0
             self.auth_fail_from_attacker = False
 
-        self._send_with_echo_retry(msg, "legit", got_response, None, inter)
+        self._send_with_echo_retry(protect, "legit", got_response, None, inter)
 
     def _trigger_rekey(self) -> None:
         attack_induced = self.auth_fail_from_attacker
@@ -899,10 +924,10 @@ class ClientNode(Node):
 
 
 class GuardNode(RouterNode):
-    """Router that additionally runs a guard proxy for the addresses matching
-    `constrained_prefix`. Traffic from inside leaves freely; each subclass is
-    one guard role and says what may come in (`inbound`) and what it serves
-    itself (`handle_outside`, `handle_inside`):
+    """Router that additionally runs a guard proxy for the network behind
+    its constrained link, its `inside`. Traffic from inside leaves freely;
+    each subclass is one guard role and says what may come in (`inbound`)
+    and what it serves itself (`handle_outside`, `handle_inside`):
 
       ExemptionsGuard    server side: throttling with reachability and
                          allow-list exemptions, reverse proxying to the server
@@ -918,10 +943,8 @@ class GuardNode(RouterNode):
     # requests; past the bound the oldest goes.
     MAX_ANSWERED = 64
 
-    def __init__(self, world, address, constrained_prefix, key_id):
+    def __init__(self, world, address, key_id):
         super().__init__(world, address)
-        # True for an address inside the guarded network, None outside.
-        self._inside = AddressTable([(constrained_prefix, True)]).get
         self.key_id = key_id
         self.table = ProxyTable(address, self.outstanding)
         self.relaying: set[tuple] = set()  # keys awaiting the server
@@ -936,9 +959,9 @@ class GuardNode(RouterNode):
         msg = frame.msg
         if self.owns(msg.dst):
             self.handle(frame, from_addr)
-        elif self._inside(from_addr):
+        elif self.inside(from_addr):
             self.forward(frame, from_addr)  # outbound from the guarded network
-        elif self._inside(msg.dst):
+        elif self.inside(msg.dst):
             self.inbound(frame, from_addr)
         else:
             self.forward(frame, from_addr)  # transit
@@ -946,7 +969,7 @@ class GuardNode(RouterNode):
     def handle(self, frame: Frame, from_addr: str) -> None:
         if self.match_response(frame.msg, frame):
             return
-        if not self._inside(from_addr):
+        if not self.inside(from_addr):
             self.handle_outside(frame, from_addr)
         elif frame.msg.payload_kind == "onboard_request":
             self._onboard(frame)
@@ -1033,9 +1056,8 @@ class ExemptionsGuard(GuardNode):
     through the `GuardState` policy, whether addressed to the guard or past
     it to the server."""
 
-    def __init__(self, world, address, constrained_prefix, config: GuardConfig,
-                 key_id):
-        super().__init__(world, address, constrained_prefix, key_id)
+    def __init__(self, world, address, config: GuardConfig, key_id):
+        super().__init__(world, address, key_id)
         self.gstate = GuardState(address, config, self.rng)
 
     def inbound(self, frame: Frame, from_addr: str) -> None:
@@ -1081,8 +1103,8 @@ class TunnelGuard(GuardNode):
     that `passes_inward` accepts get past it unwrapped, and tunnel frames
     that open under `tunnel_rx`'s context for their kid, into `tunnel_in`."""
 
-    def __init__(self, world, address, constrained_prefix, key_id):
-        super().__init__(world, address, constrained_prefix, key_id)
+    def __init__(self, world, address, key_id):
+        super().__init__(world, address, key_id)
         self.tunnel_rx: dict[bytes, SecurityContext] = {}  # kid -> context
 
     def passes_inward(self, msg: SimMessage) -> bool:
@@ -1196,8 +1218,8 @@ class ClientTunnelGuard(TunnelGuard):
     tunnel tokens for the entry's `audience`; until then it cannot set up
     a tunnel."""
 
-    def __init__(self, world, address, constrained_prefix, key_id, key):
-        super().__init__(world, address, constrained_prefix, key_id)
+    def __init__(self, world, address, key_id, key):
+        super().__init__(world, address, key_id)
         self.key = key
         self.as_address: str | None = None  # set by the brief
         self.server_guard_address: str | None = None
@@ -1324,8 +1346,10 @@ class AttackerNode(Node):
         self.start_ms = start_ms
         self.stop_ms = stop_ms
 
-    def owns(self, addr: str) -> bool:
-        return addr == self.address or addr.startswith("x")
+    @property
+    def patterns(self) -> tuple[str, ...]:
+        """Its own address, and the "x*" sources it spoofs."""
+        return (self.address, "x*")
 
     def handle(self, frame: Frame, from_addr: str) -> None:
         pass  # blind to replies by design

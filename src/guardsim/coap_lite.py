@@ -5,7 +5,8 @@ Message sizes are synthetic (fixed header + token + per-option overhead +
 payload length), good enough for bandwidth and energy modeling but not
 wire-accurate. Addresses are plain strings; an `AddressTable` maps address
 patterns, where one ending in `*` matches every address with that prefix,
-to values such as next hops.
+to values: next hops for a node's routes, and True for the patterns a node
+answers to, which is how `Node.owns` answers ownership.
 """
 
 from __future__ import annotations

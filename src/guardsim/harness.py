@@ -341,20 +341,19 @@ def build_world(config: SimConfig, scenario: str, attack_kind: str,
     fullguard = scenario == "fullguard"
 
     if fullguard:
-        rtr_c = ClientTunnelGuard(world, "rtrC", "cli*", key_id="key_cgp",
+        rtr_c = ClientTunnelGuard(world, "rtrC", key_id="key_cgp",
                                   key=keys["key_cgp"])
     else:
         rtr_c = RouterNode(world, "rtrC")
 
     if scenario == "baseline-throttled":
-        rtr_s = ThrottleRouter(world, "rtrS", ("srv",),
+        rtr_s = ThrottleRouter(world, "rtrS",
                                config.baseline_throttle.rate_per_s,
                                config.baseline_throttle.burst)
     elif scenario == "exemptions":
-        rtr_s = ExemptionsGuard(world, "rtrS", "srv", config.guard,
-                                key_id="key_sgp")
+        rtr_s = ExemptionsGuard(world, "rtrS", config.guard, key_id="key_sgp")
     elif scenario == "fullguard":
-        rtr_s = ServerTunnelGuard(world, "rtrS", "srv", key_id="key_sgp")
+        rtr_s = ServerTunnelGuard(world, "rtrS", key_id="key_sgp")
     else:
         rtr_s = RouterNode(world, "rtrS")
 
@@ -393,31 +392,27 @@ def build_world(config: SimConfig, scenario: str, attack_kind: str,
         attacker = OnPathAttacker(world, attacks.onpath_budget, start,
                                   start + attacks.onpath_window_ms)
 
-    # Wiring: constrained device links at the edges, fast internet inside.
-    cl, il = config.links.constrained, config.links.internet
-    if client is not None:
-        _connect(world, client, rtr_c, cl, "constrained")
-    _connect(world, rtr_s, server, cl, "constrained")
-    _connect(world, rtr_c, rtr_s, il, "internet")
-    _connect(world, rtr_s, rendezvous, il, "internet")
-    _connect(world, rtr_s, authorization, il, "internet")
-    if attacker is not None:
-        _connect(world, rtr_s, attacker, il, "internet")
-
-    if client is not None:
-        client.routes = [("*", "rtrC")]
-    rtr_c.routes = ([("cli*", "cli")] if client is not None else []) + \
-        [("*", "rtrS")]
-    rtr_s.routes = ([("srv", "srv"), ("rd", "rd"), (as_address, as_address)]
-                    + ([("x*", attacker.address),
-                        (attacker.address, attacker.address)]
-                       if attacker is not None else [])
-                    + [("*", "rtrC")])
-    server.routes = [("*", "rtrS")]
-    rendezvous.routes = [("*", "rtrS")]
-    authorization.routes = [("*", "rtrS")]
-    if attacker is not None:
-        attacker.routes = [("*", "rtrS")]
+    # Wiring: the two routers meet over the internet, and every device
+    # hangs off one of them, the constrained ones by a constrained link. A
+    # device routes everything to its router; a router routes each of its
+    # devices' patterns to that device and everything else to the other
+    # router. The device on a router's constrained link is its `inside`.
+    _connect(world, rtr_c, rtr_s, config.links.internet, "internet")
+    routes = {rtr_c: [], rtr_s: []}
+    for router, device, tag in ((rtr_c, client, "constrained"),
+                                (rtr_s, server, "constrained"),
+                                (rtr_s, rendezvous, "internet"),
+                                (rtr_s, authorization, "internet"),
+                                (rtr_s, attacker, "internet")):
+        if device is None:
+            continue
+        _connect(world, router, device, getattr(config.links, tag), tag)
+        device.routes = [("*", router.address)]
+        routes[router] += [(p, device.address) for p in device.patterns]
+        if tag == "constrained":
+            router.inside = device.owns
+    rtr_c.routes = routes[rtr_c] + [("*", rtr_s.address)]
+    rtr_s.routes = routes[rtr_s] + [("*", rtr_c.address)]
 
     # One lifetime for the world's exchanges: it holds 2**retransmit_limit.
     coap = config.coap

@@ -228,6 +228,34 @@ def test_exemptions_guard_challenges_an_implausible_jump():
         {"src": "x0", "reason": "implausible_jump", "origin": "attacker"}
 
 
+def test_challenged_protected_request_is_protected_anew():
+    # A client that roams is an unknown source at the guard, which
+    # challenges its next protected request. The answer to the challenge
+    # is a new protected request under a fresh piv: a copy would reuse the
+    # challenged request's piv under a new token, a seq conflict.
+    until = 90_000
+    handles = build_world(SimConfig(), "exemptions", "none", 0, until, 3,
+                          collect_trace=True)
+    world, client = handles.world, handles.client
+    handles.server.start()
+    world.schedule(200, lambda: client.start_steady_loop(0, until))
+    world.schedule(75_000, lambda: (client.fresh_identity(),
+                                    client.send_app_request(counted=True)))
+    world.run_until(until)
+    trace = world.trace
+    (roamed,) = [i for i in client.interactions if i.t_start == 75_000]
+    assert (roamed.outcome, roamed.retransmissions) == ("completed", 1)
+    window = [e for e in trace.events if 75_000 <= e["t"] <= roamed.t_end]
+    kinds = [(e["kind"], e["node"]) for e in window]
+    challenge = kinds.index(("challenge_issued", "rtrS"))
+    assert window[challenge]["detail"]["src"] == "cli1"
+    assert challenge < kinds.index(("guard_forward", "rtrS")) < \
+        kinds.index(("oscore_ok", "srv"))
+    assert not trace.by_kind("seq_conflict")
+    assert not trace.by_kind("oscore_auth_fail")
+    assert client.consec_auth_fail == 0
+
+
 def test_exemptions_policy_draws_from_its_node_stream():
     handles = build_world(SimConfig(), "exemptions", "none", 0, 1000, 1)
     guard = handles.server_router
@@ -300,7 +328,7 @@ def test_exemptions_retransmission_in_flight_gets_only_an_empty_ack():
 
 def test_relay_cache_keeps_the_newest_64_answers():
     world = World(seed=1)
-    guard = GuardNode(world, "g", "srv", key_id="key_g")
+    guard = GuardNode(world, "g", key_id="key_g")
     guard.origin_server = "srv"
     upstream = []
     guard.send_con = lambda up, origin, on_response, on_giveup: \
@@ -327,7 +355,8 @@ def test_relay_cache_keeps_the_newest_64_answers():
 
 def test_answer_matching_no_live_exchange_is_not_relayed():
     world = World(seed=1)
-    guard = GuardNode(world, "g", "srv", key_id="key_g")
+    guard = GuardNode(world, "g", key_id="key_g")
+    guard.inside = Node(world, "srv").owns
     guard.origin_server = "srv"
     upstream = []
     guard.send_frame = lambda msg, origin: upstream.append(msg)
@@ -821,8 +850,7 @@ def guard_relaying_into_tunnel():
     own mid 1. Returns the world, the guard, both exchanges and the codes
     the guard sent toward `cli`."""
     world = World(seed=1, collect_trace=True)
-    guard = ClientTunnelGuard(world, "rtrC", "cli*", key_id="key_cgp",
-                              key=b"k" * 16)
+    guard = ClientTunnelGuard(world, "rtrC", key_id="key_cgp", key=b"k" * 16)
     sent = []
     guard.send_frame = lambda msg, origin: (
         sent.append(msg.code) if msg.dst == "cli" else None)

@@ -255,6 +255,56 @@ def test_default_built_instances_share_no_mutable_field(make, attrs):
         assert getattr(a, attr) is not getattr(b, attr)
 
 
+# --- wiring ------------------------------------------------------------------------
+
+# Who owns each address: the client every "cli*" identity, the attacker
+# its own address and every "x*" source it spoofs.
+OWNERS = {"cli": "cli", "cli7": "cli", "x0": "atk", "x1999": "atk",
+          "atk": "atk", "srv": "srv", "rd": "rd", "as": "as",
+          "rtrS": "rtrS", "rtrC": "rtrC"}
+
+
+@pytest.mark.parametrize("client_enabled", [True, False])
+@pytest.mark.parametrize("attack", ATTACKS)
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_build_world_wires_the_address_plan(scenario, attack, client_enabled):
+    handles = build_world(SimConfig(), scenario, attack, 0, 1000, 1,
+                          client_enabled=client_enabled)
+    nodes = handles.world.nodes
+    has_attacker = attack != "none"
+    expected = {
+        "rtrC": ([("cli*", "cli")] if client_enabled else []) +
+                [("*", "rtrS")],
+        "rtrS": [("srv", "srv"), ("rd", "rd"), ("as", "as")] +
+                ([("x*", "atk"), ("atk", "atk")] if has_attacker else []) +
+                [("*", "rtrC")],
+        "srv": [("*", "rtrS")], "rd": [("*", "rtrS")], "as": [("*", "rtrS")],
+    }
+    if client_enabled:
+        expected["cli"] = [("*", "rtrC")]
+    if has_attacker:
+        expected["atk"] = [("*", "rtrS")]
+    assert set(nodes) == set(expected)
+    for address, routes in expected.items():
+        # Apart from the final "*", no two patterns match one address, so
+        # their order does not matter.
+        assert nodes[address].routes[-1] == tuple(routes[-1]), address
+        assert set(nodes[address].routes) == set(routes), address
+    for node in nodes.values():
+        for addr, owner in OWNERS.items():
+            assert bool(node.owns(addr)) == (owner == node.address), \
+                (node.address, addr)
+    # Each router's inside is the device behind its constrained link.
+    rtr_c, rtr_s = handles.client_router, handles.server_router
+    assert rtr_s.inside == handles.server.owns
+    if client_enabled:
+        assert rtr_c.inside == handles.client.owns
+    inside_c = {"cli", "cli7"} if client_enabled else set()
+    for addr in OWNERS:
+        assert bool(rtr_s.inside(addr)) == (addr == "srv"), addr
+        assert bool(rtr_c.inside(addr)) == (addr in inside_c), addr
+
+
 # --- classification -----------------------------------------------------------------
 
 def test_first_attempt_fast_is_good():
