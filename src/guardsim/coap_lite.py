@@ -6,7 +6,8 @@ payload length), good enough for bandwidth and energy modeling but not
 wire-accurate. Addresses are plain strings; an `AddressTable` maps address
 patterns, where one ending in `*` matches every address with that prefix,
 to values: next hops for a node's routes, and True for the patterns a node
-answers to, which is how `Node.owns` answers ownership.
+answers to, which is how `Node.owns` answers ownership. A table without a
+prefix pattern answers through its dict's own lookup.
 """
 
 from __future__ import annotations
@@ -91,7 +92,10 @@ class AddressTable:
     first entry that matches `addr`, or None, so values must not be None.
     Exact patterns go in a dict and prefixes in a list kept in order; an
     exact entry that an earlier prefix covers, or that repeats an earlier
-    one, can never be first to match and is left out.
+    one, can never be first to match and is left out. A table without a
+    prefix pattern answers through the dict's own `get`, one C-level call;
+    the `owns` of every node but the client and the attacker is such a
+    table.
     """
 
     def __init__(self, entries):
@@ -106,6 +110,8 @@ class AddressTable:
             elif pattern not in self._exact and not any(
                     pattern.startswith(p) for p, _ in self._prefixes):
                 self._exact[pattern] = value
+        if not self._prefixes:
+            self.get = self._exact.get
 
     def get(self, addr: str):
         value = self._exact.get(addr)

@@ -46,13 +46,18 @@ class TokenBucket:
         self.last_ms = 0
 
     def admit(self, now_ms: int) -> bool:
+        # One comparison caps the refill where `min()` would: the same float
+        # for every finite sum, without a builtin call per admit.
+        tokens = self.tokens
         if now_ms > self.last_ms:
-            self.tokens = min(self.burst,
-                              self.tokens + (now_ms - self.last_ms) * self.rate / 1000.0)
+            tokens += (now_ms - self.last_ms) * self.rate / 1000.0
+            if tokens > self.burst:
+                tokens = self.burst
             self.last_ms = now_ms
-        if self.tokens >= 1.0:
-            self.tokens -= 1.0
+        if tokens >= 1.0:
+            self.tokens = tokens - 1.0
             return True
+        self.tokens = tokens
         return False
 
 
@@ -115,12 +120,10 @@ class FlowRecord:
     its allow-listing is tentative, and whether a known kid showed up from
     it as a new source (`elevated`)."""
 
-    __slots__ = ("source", "cls", "echo_nonce", "echo_issued_ms",
-                 "reachable_since_ms", "tentative", "elevated",
-                 "last_update_ms")
+    __slots__ = ("cls", "echo_nonce", "echo_issued_ms", "reachable_since_ms",
+                 "tentative", "elevated", "last_update_ms")
 
-    def __init__(self, source: str, now_ms: int):
-        self.source = source
+    def __init__(self, now_ms: int):
         self.cls = UNKNOWN_VIA_PROXY
         self.echo_nonce: bytes | None = None
         self.echo_issued_ms: int | None = None
@@ -210,18 +213,15 @@ class GuardState:
         })
         # Challenges issued on implausible jumps, kept off the flow record.
         self.jump_challenges: dict[str, tuple[bytes, int]] = {}
-        self.class_changes: list[tuple[int, str, str, str]] = []
 
     def flow(self, source: str, now_ms: int) -> FlowRecord:
         rec = self.flows.get(source)
         if rec is None:
-            rec = self.flows[source] = FlowRecord(source, now_ms)
+            rec = self.flows[source] = FlowRecord(now_ms)
         return rec
 
     def _set_class(self, rec: FlowRecord, cls: str, now_ms: int) -> None:
-        if rec.cls != cls:
-            self.class_changes.append((now_ms, rec.source, rec.cls, cls))
-            rec.cls = cls
+        rec.cls = cls
         rec.last_update_ms = now_ms
 
     def expire_idle(self, rec: FlowRecord, now_ms: int) -> None:
@@ -291,7 +291,10 @@ class GuardState:
             return ("drop", {"cls": NON_PROXY, "reason": "throttled"})
 
         rec = self.flow(msg.src, now_ms)
-        self.expire_idle(rec, now_ms)
+        # Only an allow-listed flow is ever tentative, and only a tentative
+        # one can expire.
+        if rec.tentative:
+            self.expire_idle(rec, now_ms)
         cls = rec.cls
         verified_now = False
         if msg.echo is not None:

@@ -63,6 +63,7 @@ PATTERNS = st.builds(lambda body, star: body + "*" * star,
 @given(st.lists(PATTERNS, max_size=8),
        st.lists(st.text("abx", max_size=4), max_size=8))
 @example(["x*", "x1", "a", "a", "srv", "*"], ["x1", "a", "srv1", "zz"])
+@example(["srv", "rd", "srv"], ["srv", "srv1", ""])  # no prefix: the dict's get
 def test_address_table_returns_the_first_matching_entry(patterns, addrs):
     # Each value is its entry's index (0 included), so the test sees which
     # of several matching entries answered.

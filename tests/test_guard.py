@@ -91,9 +91,49 @@ def test_starved_aggregate_still_consumes_per_source():
     assert policy._per_source[UNKNOWN_VIA_PROXY]["b"].tokens < 1.0
 
 
+class MinBucket:
+    """Reference: `TokenBucket` with its refill capped by `min()`."""
+
+    def __init__(self, rate_per_s, burst):
+        self.rate = rate_per_s
+        self.burst = float(burst)
+        self.tokens = float(burst)
+        self.last_ms = 0
+
+    def admit(self, now_ms):
+        if now_ms > self.last_ms:
+            self.tokens = min(self.burst,
+                              self.tokens + (now_ms - self.last_ms) * self.rate / 1000.0)
+            self.last_ms = now_ms
+        if self.tokens >= 1.0:
+            self.tokens -= 1.0
+            return True
+        return False
+
+
+def _bits(bucket):
+    return (bucket.tokens.hex(), bucket.last_ms)
+
+
+# Rates and bursts near the guard's, and up to 1e300; steps of 0 repeat a
+# time, where a bucket spends without refilling, and long steps refill it
+# to its burst.
+@given(st.one_of(st.floats(0, 10), st.floats(0, 1e300)),
+       st.one_of(st.integers(1, 8), st.floats(1, 1e300)),
+       st.lists(st.one_of(st.just(0), st.integers(0, 3_000),
+                          st.integers(0, 10**9)), max_size=40))
+def test_bucket_admit_matches_min_reference(rate, burst, steps):
+    bucket, ref = TokenBucket(rate, burst), MinBucket(rate, burst)
+    now = 0
+    for dt in steps:
+        now += dt
+        assert bucket.admit(now) == ref.admit(now)
+        assert _bits(bucket) == _bits(ref)
+
+
 class TupleKeyedPolicy:
-    """Reference: `ThrottlePolicy.admit` with one bucket per (class, source)
-    tuple, each converting its own burst."""
+    """Reference: `ThrottlePolicy.admit` with one `MinBucket` per (class,
+    source) tuple, each converting its own burst."""
 
     def __init__(self, specs):
         self.specs = specs
@@ -104,12 +144,12 @@ class TupleKeyedPolicy:
         spec = self.specs[cls]
         key = (cls, source)
         if key not in self.per_source:
-            self.per_source[key] = TokenBucket(spec.per_source_rate,
-                                               spec.per_source_burst)
+            self.per_source[key] = MinBucket(spec.per_source_rate,
+                                             spec.per_source_burst)
             self.per_source[key].last_ms = now_ms
         if cls not in self.aggregate:
-            self.aggregate[cls] = TokenBucket(spec.aggregate_rate,
-                                              spec.aggregate_burst)
+            self.aggregate[cls] = MinBucket(spec.aggregate_rate,
+                                            spec.aggregate_burst)
         return (self.per_source[key].admit(now_ms)
                 and self.aggregate[cls].admit(now_ms))
 
@@ -143,7 +183,7 @@ def test_admit_matches_tuple_keyed_reference(steps):
         else (float(specs[cls].aggregate_burst), 0) for cls in specs}
 
 
-@pytest.mark.parametrize("obj", [TokenBucket(1.0, 2), FlowRecord("s", 0),
+@pytest.mark.parametrize("obj", [TokenBucket(1.0, 2), FlowRecord(0),
                                  SeqTracker()],
                          ids=["TokenBucket", "FlowRecord", "SeqTracker"])
 def test_per_source_records_are_slotted(obj):
@@ -278,6 +318,24 @@ def test_decide_expires_an_idle_tentative_entry_first():
     action, detail = g.decide(proxied(), 700_000)
     assert (action, detail["cls"]) == ("forward", REACHABILITY_VERIFIED)
     assert not g.flows["cli"].tentative
+
+
+def test_decide_expires_an_unreachable_idle_tentative_entry_to_unknown():
+    g = make_guard()
+    g.observe_exchange("cli", "oscore", protected_response(), 0)
+    action, detail = g.decide(proxied(), 700_000)
+    assert (action, detail["reason"]) == ("challenge", "unknown_client")
+    assert g.flows["cli"].cls == UNKNOWN_VIA_PROXY
+    assert not g.flows["cli"].tentative
+
+
+def test_decide_never_expires_an_allow_listed_entry_that_is_not_tentative():
+    g = make_guard()
+    g.observe_exchange("cli", "oscore", protected_response(), 0)
+    g.flows["cli"].tentative = False
+    action, detail = g.decide(proxied(), 700_000)
+    assert (action, detail["cls"]) == ("forward", ALLOW_LISTED)
+    assert g.flows["cli"].cls == ALLOW_LISTED
 
 
 # --- sequence plausibility ----------------------------------------------------------------
