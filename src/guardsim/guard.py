@@ -6,10 +6,15 @@ protected responses, and sequence-number plausibility tracking. This
 module only decides and records: `GuardState.decide` returns an action
 and, for a challenge, the Echo nonce it recorded. The owning node builds
 and sends every message, the 4.01 challenges included.
+
+A source holds one pending Echo nonce, for an unknown client or a piv jump
+alike, until it is answered or `echo_max_age_ms` old. A verified Echo moves
+the sequence tracker past a jump (RFC 8613 Appendix B.1.2).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .coap_lite import SimMessage
@@ -116,9 +121,9 @@ class ThrottlePolicy:
 
 class FlowRecord:
     """Per-source guard state, keyed by source address alone: the flow's
-    class, its pending Echo challenge, when it proved reachable, whether
-    its allow-listing is tentative, and whether a known kid showed up from
-    it as a new source (`elevated`)."""
+    class, its one pending Echo nonce and when it was issued, when it
+    proved reachable, whether its allow-listing is tentative, and whether
+    a known kid showed up from it as a new source (`elevated`)."""
 
     __slots__ = ("cls", "echo_nonce", "echo_issued_ms", "reachable_since_ms",
                  "tentative", "elevated", "last_update_ms")
@@ -157,7 +162,9 @@ def seq_check(trackers: dict[bytes, SeqTracker], kid: bytes, piv: int,
 
     Conflicts (piv reused under a different token) and implausible jumps
     leave the tracker untouched, so traffic forged under a guessed kid can
-    never advance or pollute the legitimate context's record.
+    never advance or pollute the legitimate context's record. Only a
+    source that just answered an Echo moves the tracker past a jump:
+    `GuardState.decide` then passes `math.inf` as `jump_threshold`.
     """
     tracker = trackers.get(kid)
     if tracker is None:
@@ -211,8 +218,6 @@ class GuardState:
             NON_PROXY: config.non_proxy_bucket,
             REACHABILITY_VERIFIED: config.verified_bucket,
         })
-        # Challenges issued on implausible jumps, kept off the flow record.
-        self.jump_challenges: dict[str, tuple[bytes, int]] = {}
 
     def flow(self, source: str, now_ms: int) -> FlowRecord:
         rec = self.flows.get(source)
@@ -233,31 +238,30 @@ class GuardState:
             rec.tentative = False
 
     def verify_echo(self, rec: FlowRecord, msg: SimMessage, now_ms: int) -> str:
-        """Verified | stale | mismatch. Verified lifts the flow to
-        reachability-verified and clears the pending nonce."""
-        nonce, issued = rec.echo_nonce, rec.echo_issued_ms
-        if nonce is None:
-            jump = self.jump_challenges.get(msg.src)
-            if jump is None:
-                return "mismatch"
-            nonce, issued = jump
-        if msg.echo != nonce:
+        """Verified | stale | mismatch, against the flow's one pending nonce,
+        which verified and stale clear; verified lifts the flow's class."""
+        if rec.echo_nonce is None or msg.echo != rec.echo_nonce:
             return "mismatch"
+        issued = rec.echo_issued_ms
+        rec.echo_nonce = rec.echo_issued_ms = None
         if now_ms - issued > self.config.echo_max_age_ms:
-            if rec.echo_nonce is None:  # the jump's: challenge the next one
-                del self.jump_challenges[msg.src]
-            rec.echo_nonce = None
-            rec.echo_issued_ms = None
             return "stale"
-        rec.echo_nonce = None
-        rec.echo_issued_ms = None
-        self.jump_challenges.pop(msg.src, None)
         if rec.reachable_since_ms is None:
             rec.reachable_since_ms = issued
         if CLASS_PRIORITY[rec.cls] < CLASS_PRIORITY[REACHABILITY_VERIFIED]:
             self._set_class(rec, REACHABILITY_VERIFIED, now_ms)
         rec.elevated = False
         return "verified"
+
+    def _challenge(self, rec: FlowRecord, now_ms: int, reason: str,
+                   pending: dict) -> tuple[str, dict]:
+        """A fresh Echo challenge, or a `pending` drop while one can verify."""
+        if (rec.echo_nonce is not None
+                and now_ms - rec.echo_issued_ms <= self.config.echo_max_age_ms):
+            return ("drop", pending)
+        nonce = rec.echo_nonce = self.rng.bytes(8)
+        rec.echo_issued_ms = now_ms
+        return ("challenge", {"reason": reason, "echo": nonce})
 
     def observe_exchange(self, source: str, request_kind: str | None,
                          response: SimMessage, now_ms: int) -> bool:
@@ -295,28 +299,21 @@ class GuardState:
         # one can expire.
         if rec.tentative:
             self.expire_idle(rec, now_ms)
+        verified_now = (msg.echo is not None
+                        and self.verify_echo(rec, msg, now_ms) == "verified")
         cls = rec.cls
-        verified_now = False
-        if msg.echo is not None:
-            result = self.verify_echo(rec, msg, now_ms)
-            verified_now = result == "verified"
-            cls = rec.cls
 
-        seq_verdict = None
         if msg.is_protected and not msg.is_response:
             seq_verdict = seq_check(self.trackers, msg.oscore_kid,
                                     msg.oscore_piv or 0, msg.token, msg.src,
-                                    self.config.jump_threshold,
+                                    math.inf if verified_now
+                                    else self.config.jump_threshold,
                                     self.config.seq_memory)
             if seq_verdict == CONFLICT:
                 return ("reject", {"reason": "seq_conflict"})
             if seq_verdict == IMPLAUSIBLE_JUMP:
-                if msg.src in self.jump_challenges:
-                    return ("drop", {"reason": "jump_challenge_pending"})
-                nonce = self.rng.bytes(8)
-                self.jump_challenges[msg.src] = (nonce, now_ms)
-                return ("challenge", {"reason": "implausible_jump",
-                                      "echo": nonce})
+                return self._challenge(rec, now_ms, "implausible_jump",
+                                       {"reason": "jump_challenge_pending"})
             if seq_verdict == KNOWN_MOBILE:
                 rec.elevated = True
 
@@ -332,10 +329,5 @@ class GuardState:
         bucket_cls = REACHABILITY_VERIFIED if rec.elevated else UNKNOWN_VIA_PROXY
         if not self.policy.admit(bucket_cls, msg.src, now_ms):
             return ("drop", {"cls": cls, "reason": "throttled"})
-        if verified_now:
-            return ("forward", {"cls": rec.cls})
-        if rec.echo_nonce is not None:
-            return ("drop", {"cls": cls, "reason": "challenge_pending"})
-        nonce = rec.echo_nonce = self.rng.bytes(8)
-        rec.echo_issued_ms = now_ms
-        return ("challenge", {"reason": "unknown_client", "echo": nonce})
+        return self._challenge(rec, now_ms, "unknown_client",
+                               {"cls": cls, "reason": "challenge_pending"})

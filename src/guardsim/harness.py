@@ -265,7 +265,17 @@ def _fill(obj, doc: dict, path: str):
 
 
 def config_from_dict(doc: dict) -> SimConfig:
-    return _fill(SimConfig(), doc, "")
+    config = _fill(SimConfig(), doc, "")
+    a = config.attacks
+    # An attacker sends at most one frame per 1 ms tick: a faster rate is
+    # refused, not clamped. `rate > 1000 / count` cannot overflow a float.
+    for where, rate, count in (("blind_rate", a.blind_rate, 1),
+                               ("impersonator_rate", a.impersonator_rate, 1),
+                               ("distributed_rate * attacks.distributed_sources",
+                                a.distributed_rate, a.distributed_sources)):
+        if rate > 1000 / count:
+            raise ConfigError(f"attacks.{where}: must be <= 1000")
+    return config
 
 
 def load_config(path: str) -> SimConfig:

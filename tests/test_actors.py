@@ -222,10 +222,34 @@ def test_exemptions_guard_challenges_an_implausible_jump():
     sent = log_sent(guard)
     req = oscore_from("x0", 9, b"\x09", 99_999)
     guard.receive(make_frame(req, "attacker"), "rtrC")
-    assert_challenge(sent, req, guard.gstate.jump_challenges["x0"][0])
-    assert guard.gstate.flows["x0"].echo_nonce is None
+    assert_challenge(sent, req, guard.gstate.flows["x0"].echo_nonce)
     assert handles.world.trace.by_kind("challenge_issued")[-1]["detail"] == \
         {"src": "x0", "reason": "implausible_jump", "origin": "attacker"}
+
+
+def test_impersonator_is_challenged_again_once_its_nonce_expires():
+    # x0 never answers: each of its Echo nonces holds it off for
+    # `echo_max_age_ms`, then its next request is challenged afresh,
+    # whether it comes as an unknown client or as a piv jump.
+    cfg = SimConfig()
+    cfg.seed = 7
+    max_age = cfg.guard.echo_max_age_ms
+    cell = run_cell(cfg, "exemptions", "impersonator", collect_traces=True)
+    for trace in cell["_traces"]:
+        events = [(e["t"], e["kind"]) for e in trace.events
+                  if e["detail"].get("src") == "x0"
+                  and (e["kind"] == "challenge_issued"
+                       or e["kind"] == "guard_drop"
+                       and e["detail"]["reason"].endswith("challenge_pending"))]
+        challenges = [t for t, kind in events if kind == "challenge_issued"]
+        assert len(challenges) >= 2
+        latest = None
+        for t, kind in events:
+            if kind == "challenge_issued":
+                assert latest is None or t - latest > max_age
+                latest = t
+            else:
+                assert latest is not None and t - latest <= max_age
 
 
 def test_challenged_protected_request_is_protected_anew():

@@ -148,6 +148,15 @@ def test_removed_guard_mode_field_is_config_error(tmp_path, capsys):
     ({"energy": {"cost_edhoc": 0}}, "energy.cost_edhoc: must be > 0"),
     # Positive, yet the report's division by it overflows to Infinity.
     ({"energy": {"cost_edhoc": 1e-320}}, "energy.cost_edhoc: too small"),
+    # An attacker sends at most one frame per ms: a faster rate is refused,
+    # not clamped to 1,000/s.
+    ({"attacks": {"blind_rate": 1000.5}}, "attacks.blind_rate: must be <= 1000"),
+    ({"attacks": {"impersonator_rate": 100_000}},
+     "attacks.impersonator_rate: must be <= 1000"),
+    ({"attacks": {"distributed_rate": 21, "distributed_sources": 50}},
+     "attacks.distributed_rate * attacks.distributed_sources: must be <= 1000"),
+    ({"attacks": {"distributed_sources": 10**400}},
+     "attacks.distributed_rate * attacks.distributed_sources: must be <= 1000"),
 ])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, doc, message):
     path = tmp_path / "range.json"
@@ -176,6 +185,18 @@ def test_rate_with_overflowing_period_is_config_error(tmp_path, capsys,
     assert out == ""
     assert f"attacks.{field}: too small" in err
     assert ran == []
+
+
+@pytest.mark.parametrize("attacks", [
+    {"blind_rate": 1000}, {"impersonator_rate": 1000},
+    {"distributed_rate": 20, "distributed_sources": 50},
+])
+def test_attack_rate_at_the_ceiling_is_accepted(tmp_path, attacks):
+    # 1,000 frames/s is one frame per 1 ms tick, which an attacker sends.
+    path = tmp_path / "rate.json"
+    path.write_text(json.dumps({"attacks": attacks}))
+    config = cli.load_config(str(path))
+    assert {f: getattr(config.attacks, f) for f in attacks} == attacks
 
 
 @pytest.mark.parametrize("doc", [

@@ -227,6 +227,15 @@ def test_no_duplicate_challenge_while_pending():
     action, detail = g.decide(proxied(token=b"\x02"), 10)
     assert action == "drop"
     assert detail["reason"] == "challenge_pending"
+    # The nonce holds the source off up to `echo_max_age_ms`; past it, the
+    # next request draws a fresh challenge.
+    action, detail = g.decide(proxied(token=b"\x03"), 40_000)
+    assert (action, detail["reason"]) == ("drop", "challenge_pending")
+    first = g.flows["cli"].echo_nonce
+    action, detail = g.decide(proxied(token=b"\x04"), 40_001)
+    assert (action, detail["reason"]) == ("challenge", "unknown_client")
+    assert detail["echo"] == g.flows["cli"].echo_nonce != first
+    assert g.flows["cli"].echo_issued_ms == 40_001
 
 
 def test_correct_echo_verifies_and_forwards():
@@ -426,11 +435,21 @@ def test_jump_triggers_challenge_then_drop_while_pending():
     action, detail = g.decide(proxied(src="x0", kid=b"\x01", piv=99_999,
                                       token=b"T2"), 10)
     assert (action, detail["reason"]) == ("challenge", "implausible_jump")
-    assert detail["echo"] == g.jump_challenges["x0"][0]
-    assert "x0" in g.flows and g.flows["x0"].echo_nonce is None
+    # The jump's nonce is the flow's one pending nonce.
+    assert detail["echo"] == g.flows["x0"].echo_nonce
+    assert g.flows["x0"].echo_issued_ms == 10
     action, detail = g.decide(proxied(src="x0", kid=b"\x01", piv=99_999,
                                       token=b"T3"), 20)
     assert (action, detail["reason"]) == ("drop", "jump_challenge_pending")
+    # Still pending at exactly `echo_max_age_ms`; past it, challenged anew.
+    action, detail = g.decide(proxied(src="x0", kid=b"\x01", piv=99_999,
+                                      token=b"T4"), 40_010)
+    assert (action, detail["reason"]) == ("drop", "jump_challenge_pending")
+    action, detail = g.decide(proxied(src="x0", kid=b"\x01", piv=99_999,
+                                      token=b"T5"), 40_011)
+    assert (action, detail["reason"]) == ("challenge", "implausible_jump")
+    assert detail["echo"] == g.flows["x0"].echo_nonce
+    assert g.flows["x0"].echo_issued_ms == 40_011
 
 
 def test_stale_echo_to_a_jump_challenge_lets_the_next_jump_be_challenged():
@@ -442,18 +461,68 @@ def test_stale_echo_to_a_jump_challenge_lets_the_next_jump_be_challenged():
     late = proxied(src="x0", kid=b"\x01", piv=99_999, token=b"T3",
                    echo=first["echo"])
     assert g.verify_echo(g.flows["x0"], late, 41_010) == "stale"
-    assert "x0" not in g.jump_challenges
+    assert g.flows["x0"].echo_nonce is None
     action, detail = g.decide(proxied(src="x0", kid=b"\x01", piv=99_999,
                                       token=b"T4"), 141_010)
     assert (action, detail["reason"]) == ("challenge", "implausible_jump")
-    assert detail["echo"] == g.jump_challenges["x0"][0] != first["echo"]
+    assert detail["echo"] == g.flows["x0"].echo_nonce != first["echo"]
 
 
 def test_known_mobile_is_prioritized_but_still_challenged():
     g = make_guard()
     for piv in range(3):
         g.decide(proxied(kid=b"\x01", piv=piv, token=bytes([piv])), 0)
-    action, _ = g.decide(proxied(src="cli-roam", kid=b"\x01", piv=3,
-                                 token=b"\x09"), 100)
+    action, detail = g.decide(proxied(src="cli-roam", kid=b"\x01", piv=3,
+                                      token=b"\x09"), 100)
     assert action == "challenge"
     assert g.flows["cli-roam"].elevated
+    # Answered in time under a fresh piv, the challenge lets it through,
+    # and so does an answered jump past `jump_threshold`, which moves the
+    # tracker up to the client's piv.
+    action, _ = g.decide(proxied(src="cli-roam", kid=b"\x01", piv=4,
+                                 token=b"\x0a", echo=detail["echo"]), 1_100)
+    assert action == "forward"
+    jump = 5 + DEFAULT_JUMP_THRESHOLD
+    action, detail = g.decide(proxied(src="cli-roam", kid=b"\x01", piv=jump,
+                                      token=b"\x0b"), 2_100)
+    assert (action, detail["reason"]) == ("challenge", "implausible_jump")
+    action, _ = g.decide(proxied(src="cli-roam", kid=b"\x01", piv=jump + 1,
+                                 token=b"\x0c", echo=detail["echo"]), 3_100)
+    assert action == "forward"
+    assert g.trackers[b"\x01"].highest_seen == jump + 1
+
+
+# One step of a legitimate client: which of four sources it sends from,
+# how many pivs it lost since its last request (up to three times
+# `jump_threshold`), the gap since its last try, and how long it takes to
+# answer a challenge. Every try comes at least 1 s after the one before,
+# so that no bucket refuses it, and every answer comes in time.
+CLIENT_STEPS = st.lists(st.tuples(
+    st.integers(0, 3), st.integers(0, 3 * DEFAULT_JUMP_THRESHOLD),
+    st.integers(1_000, 100_000),
+    st.integers(1_000, GuardConfig.echo_max_age_ms)), min_size=1, max_size=12)
+
+
+@given(CLIENT_STEPS)
+def test_legitimate_client_is_forwarded_within_two_tries(steps):
+    # A client that roams and loses pivs past `jump_threshold` is
+    # challenged at most once per request: its Echo answer, a new
+    # protected request under a fresh piv, is forwarded.
+    g = make_guard()
+    now, piv, n = 0, 0, 0
+    for source, lost, gap, answer_after in steps:
+        src = f"cli{source}"
+        piv += lost
+        now += gap
+        echo = None
+        for _ in range(2):
+            n += 1
+            action, detail = g.decide(
+                proxied(src=src, kid=b"\x01", piv=piv,
+                        token=n.to_bytes(2, "big"), echo=echo), now)
+            piv += 1
+            if action != "challenge":
+                break
+            echo = detail["echo"]
+            now += answer_after
+        assert action == "forward", (src, piv, detail)

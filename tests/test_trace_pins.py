@@ -24,8 +24,10 @@ PINS = {
     ("exemptions", "distributed_flood"): (
         "d1543aa116cd04d4e3757a408a37603608a46a305bf607116d9d1effc60a9e12",
         "a42d2edda30733e40f5516fa8a81b5e6264c79b8b509793bcd75f0542307f186"),
+    # In setup, x0's jumps all find its unknown-client nonce pending: no
+    # `implausible_jump` challenge, three `jump_challenge_pending` drops.
     ("exemptions", "impersonator"): (
-        "3611aed0fb59eb708a665291edeed5e4bf0978de419ecfc9b03253a8d5f8034c",
+        "f4519fafb21d0dc9db1dc764f52d54a4edec2a3e39cc1f83f7f7792f53212189",
         "5c8efebd0d2e74f76755589c44f427ab98756cdd998c73f346939a0ba86a8834"),
     ("fullguard", "on_path"): (
         "019d3c89afa3b5506dbeb5e3b0993837fbad06c2c6dc31fee7213ca17bb02c7c",
