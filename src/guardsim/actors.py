@@ -3,13 +3,15 @@ and the attackers: `FloodAttacker` (blind and distributed floods),
 `Impersonator` and `OnPathAttacker`, each an `AttackerNode`.
 
 Each node declares the address `patterns` it answers to, which its `owns`
-matches; `build_world` derives all `routes` and each router's `inside`
-from them. Every frame leaves a node through `Node.send_via`, every
-confirmable request (plain or tunneled) is one `Exchange`, every ACK is
-built by `coap_lite.ack`, every request a guard proxies goes through
-`GuardNode.relay`, and `TunnelGuard.handle_outside` opens every tunnel
-frame. With no trace kept, the per-frame events (link frames, energy
-drains, blocks and drops) are not built at all.
+matches; `build_world` derives all `routes` (none for an undeclared
+address) and each router's `inside` from them. Every guard lets in the
+`GuardNode.AWAITED` answers, and `Node.match_response` ends every answer
+that reaches a client, server or guard. Every frame leaves a node through
+`Node.send_via`, every confirmable request (plain or tunneled) is one
+`Exchange`, every ACK is built by `coap_lite.ack`, every request a guard
+proxies goes through `GuardNode.relay`, and `TunnelGuard.handle_outside`
+opens every tunnel frame. With no trace kept, the per-frame events (link
+frames, energy drains, blocks and drops) are not built at all.
 Topology (built by the harness):
 
     cli* -- rtrC -- (internet) -- rtrS -- srv
@@ -264,8 +266,9 @@ class Node:
         return ex
 
     def match_response(self, msg: SimMessage, frame: Frame) -> bool:
-        """Consume `msg`, carried by `frame`, if it belongs to one of our
-        exchanges. An exchange inside a tunnel (`via` set) matches only a
+        """Consume `msg`, carried by `frame`, unless it is a request. An
+        answer none of our exchanges awaits is dropped as `unsolicited` (RFC
+        7252 §5.3.2). An exchange inside a tunnel (`via` set) matches only a
         message opened from the tunnel, any other only `frame.msg` itself:
         a tunnel's answer must pass the tunnel's authentication, and proxy
         mids may equal the node's own."""
@@ -276,9 +279,13 @@ class Node:
                     ex.acked = True
                     return True
             return True  # stray ACK; swallow
-        ex = self.outstanding.get(msg.token) if msg.is_response else None
-        if ex is None or (ex.via is None) != on_wire:
+        if not msg.is_response:
             return False
+        ex = self.outstanding.get(msg.token)
+        if ex is None or (ex.via is None) != on_wire:
+            self.world.emit("drop", self.address, reason="unsolicited",
+                            code=msg.code)
+            return True
         del self.outstanding[msg.token]
         ex.finish()
         ex.on_response(msg, frame)
@@ -916,6 +923,7 @@ class ClientNode(Node):
     def handle(self, frame: Frame, from_addr: str) -> None:
         if self.match_response(frame.msg, frame):
             return
+        # A request: the client serves none.
         self.world.emit("drop", self.address, reason="unsolicited",
                         code=frame.msg.code)
 
@@ -925,19 +933,23 @@ class ClientNode(Node):
 
 class GuardNode(RouterNode):
     """Router that additionally runs a guard proxy for the network behind
-    its constrained link, its `inside`. Traffic from inside leaves freely;
-    each subclass is one guard role and says what may come in (`inbound`)
-    and what it serves itself (`handle_outside`, `handle_inside`):
+    its constrained link, its `inside`. Traffic from inside leaves freely,
+    and the `AWAITED` answers come in; each guard role says what else may
+    (`inbound`) and what it serves itself (`handle_outside`, `handle_inside`):
 
       ExemptionsGuard    server side: throttling with reachability and
                          allow-list exemptions, reverse proxying to the server
-      ServerTunnelGuard  server side: only tunnel traffic (and registration
-                         responses) may enter; unwraps and forwards
+      ServerTunnelGuard  server side: only tunnel traffic may enter; unwraps
+                         and forwards
       ClientTunnelGuard  client side: forward proxy for its clients; wraps
                          traffic into the tunnel, renegotiates on auth failures
 
     All three relay the requests they proxy through `relay`.
     """
+
+    # The answers a device inside waits for from outside: to its
+    # registration, lookup and authorization requests.
+    AWAITED = frozenset(("rd_ack", "rd_entry", "as_response"))
 
     # At most this many answers are kept for retransmissions of relayed
     # requests; past the bound the oldest goes.
@@ -959,12 +971,11 @@ class GuardNode(RouterNode):
         msg = frame.msg
         if self.owns(msg.dst):
             self.handle(frame, from_addr)
-        elif self.inside(from_addr):
-            self.forward(frame, from_addr)  # outbound from the guarded network
-        elif self.inside(msg.dst):
+        elif (self.inside(msg.dst) and not self.inside(from_addr)
+              and not (msg.payload_kind in self.AWAITED and msg.is_response)):
             self.inbound(frame, from_addr)
         else:
-            self.forward(frame, from_addr)  # transit
+            self.forward(frame, from_addr)  # outbound, awaited or transit
 
     def handle(self, frame: Frame, from_addr: str) -> None:
         if self.match_response(frame.msg, frame):
@@ -1062,13 +1073,7 @@ class ExemptionsGuard(GuardNode):
 
     def inbound(self, frame: Frame, from_addr: str) -> None:
         msg = frame.msg
-        now = self.world.clock.now
-        if msg.is_response:
-            # Responses toward the inside belong to server-initiated
-            # exchanges (registration); pass them.
-            self.forward(frame, from_addr)
-            return
-        action, detail = self.gstate.decide(msg, now)
+        action, detail = self.gstate.decide(msg, self.world.clock.now)
         if action == "forward":
             cls = detail.get("cls")
             self.world.emit("guard_forward", self.address, cls=cls,
@@ -1099,22 +1104,16 @@ class ExemptionsGuard(GuardNode):
 
 
 class TunnelGuard(GuardNode):
-    """One end of the guard-to-guard tunnel. From outside, only responses
-    that `passes_inward` accepts get past it unwrapped, and tunnel frames
-    that open under `tunnel_rx`'s context for their kid, into `tunnel_in`."""
+    """One end of the guard-to-guard tunnel. From outside, only the
+    `AWAITED` answers get past it unwrapped, and tunnel frames that open
+    under `tunnel_rx`'s context for their kid, into `tunnel_in`."""
 
     def __init__(self, world, address, key_id):
         super().__init__(world, address, key_id)
         self.tunnel_rx: dict[bytes, SecurityContext] = {}  # kid -> context
 
-    def passes_inward(self, msg: SimMessage) -> bool:
-        raise NotImplementedError
-
     def inbound(self, frame: Frame, from_addr: str) -> None:
-        if self.passes_inward(frame.msg):
-            self.forward(frame, from_addr)
-        else:
-            self._block(frame, dst=frame.msg.dst)
+        self._block(frame, dst=frame.msg.dst)
 
     def handle_outside(self, frame: Frame, from_addr: str) -> None:
         msg = frame.msg
@@ -1154,12 +1153,6 @@ class TunnelGuard(GuardNode):
 class ServerTunnelGuard(TunnelGuard):
     """Server end of the tunnel: verifies tunnel tokens, unwraps tunnel
     requests and relays them to the server."""
-
-    def passes_inward(self, msg: SimMessage) -> bool:
-        # Registration/authorization handshakes initiated from inside may
-        # complete; everything else unsolicited is blocked outright.
-        return msg.is_response and msg.payload_kind in ("rd_ack", "rd_entry",
-                                                        "as_response")
 
     def handle_outside(self, frame: Frame, from_addr: str) -> None:
         msg = frame.msg
@@ -1229,9 +1222,6 @@ class ClientTunnelGuard(TunnelGuard):
         self.consec_tunnel_fail = 0
         self.renegotiations = 0
         self._step6_done = False
-
-    def passes_inward(self, msg: SimMessage) -> bool:
-        return msg.is_response  # protect the client network
 
     def handle_inside(self, frame: Frame) -> None:
         msg = frame.msg

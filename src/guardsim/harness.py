@@ -405,8 +405,10 @@ def build_world(config: SimConfig, scenario: str, attack_kind: str,
     # Wiring: the two routers meet over the internet, and every device
     # hangs off one of them, the constrained ones by a constrained link. A
     # device routes everything to its router; a router routes each of its
-    # devices' patterns to that device and everything else to the other
-    # router. The device on a router's constrained link is its `inside`.
+    # devices' patterns to that device, and the other router's address and
+    # patterns to the other router, so it has no route to an address that
+    # no node declares. The device on a router's constrained link is its
+    # `inside`.
     _connect(world, rtr_c, rtr_s, config.links.internet, "internet")
     routes = {rtr_c: [], rtr_s: []}
     for router, device, tag in ((rtr_c, client, "constrained"),
@@ -421,8 +423,9 @@ def build_world(config: SimConfig, scenario: str, attack_kind: str,
         routes[router] += [(p, device.address) for p in device.patterns]
         if tag == "constrained":
             router.inside = device.owns
-    rtr_c.routes = routes[rtr_c] + [("*", rtr_s.address)]
-    rtr_s.routes = routes[rtr_s] + [("*", rtr_c.address)]
+    for router, peer in ((rtr_c, rtr_s), (rtr_s, rtr_c)):
+        patterns = [peer.address] + [p for p, _ in routes[peer]]
+        router.routes = routes[router] + [(p, peer.address) for p in patterns]
 
     # One lifetime for the world's exchanges: it holds 2**retransmit_limit.
     coap = config.coap

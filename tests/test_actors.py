@@ -542,6 +542,55 @@ def test_fresh_identity_changes_source():
 
 # --- fullguard tunnel ----------------------------------------------------------------------
 
+@pytest.mark.parametrize("scenario, node, from_addr", [
+    ("baseline-open", "srv", "rtrS"), ("baseline-throttled", "srv", "rtrS"),
+    ("exemptions", "srv", "rtrS"), ("fullguard", "srv", "rtrS"),
+    ("exemptions", "rtrS", "rtrC"), ("fullguard", "rtrS", "rtrC"),
+    ("fullguard", "rtrC", "rtrS"), ("baseline-open", "cli", "rtrC")])
+def test_answer_no_exchange_awaits_is_dropped_where_it_lands(scenario, node,
+                                                             from_addr):
+    # An answer is never served as a request (RFC 7252 §5.3.2): the node
+    # it is addressed to drops it and sends nothing for it.
+    handles = build_world(SimConfig(), scenario, "none", 0, 1000, 3,
+                          collect_trace=True)
+    world = handles.world
+    answer = SimMessage(src="x0", dst=node, mtype="ACK", mid=9, token=b"\x09",
+                        code="2.05", payload_kind="app_response",
+                        payload_len=16)
+    world.nodes[node].receive(make_frame(answer, "attacker"), from_addr)
+    world.run_until(60_000)
+    assert [(e["node"], e["detail"])
+            for e in world.trace.by_kind("drop", "blocked")] == \
+        [(node, {"reason": "unsolicited", "code": "2.05"})]
+    assert sum(link.n_sent for n in world.nodes.values()
+               for link in n.links.values()) == 0
+
+
+def test_spoofed_answers_toward_the_server_meet_the_non_proxy_buckets():
+    # One spoofed answer from each of 100 fresh sources within a second:
+    # like any traffic not sent through the proxy, only what the non-proxy
+    # aggregate bucket admits reaches the server, and it answers none.
+    cfg = SimConfig()
+    handles = build_world(cfg, "exemptions", "blind_flood", 0, NEVER, 3,
+                          collect_trace=True)
+    world, attacker = handles.world, handles.attacker
+    for i in range(100):
+        answer = SimMessage(src=f"x{i}", dst="srv", mtype="ACK", mid=i,
+                            token=bytes([i]), code="2.05",
+                            payload_kind="app_response", payload_len=16)
+        world.schedule(10 * i, lambda m=answer: attacker.send_frame(
+            m, "attacker"))
+    world.run_until(60_000)
+    spec = cfg.guard.non_proxy_bucket
+    admitted = int(spec.aggregate_burst + spec.aggregate_rate * 1.0)
+    assert [e["detail"]["src"] for e in world.trace.by_kind("link_frame")
+            if e["node"] == "rtrS->srv"] == [f"x{i}" for i in range(admitted)]
+    assert not [e for e in world.trace.by_kind("link_frame")
+                if e["node"] == "srv->rtrS"]
+    assert [e["detail"]["reason"] for e in world.trace.by_kind("drop")
+            if e["node"] == "srv"] == ["unsolicited"] * admitted
+
+
 def run_fullguard_steady(until_ms=60_000, mutate=None):
     cfg = SimConfig()
     handles = build_world(cfg, "fullguard", "none", 0, until_ms,
@@ -675,20 +724,35 @@ def test_client_tunnel_end_blocks_requests_and_passes_responses_inward():
             if e["node"] == "rtrC->cli"] == ["rd_entry"]
 
 
-@pytest.mark.parametrize("kind, passes", [
-    ("rd_ack", True), ("rd_entry", True), ("as_response", True),
-    ("app_response", False)])
-def test_server_tunnel_end_passes_only_handshake_responses_inward(kind, passes):
-    handles = build_world(SimConfig(), "fullguard", "none", 0, 1000, 3,
+@pytest.mark.parametrize("kind", ["rd_ack", "rd_entry", "as_response",
+                                  "app_response"])
+@pytest.mark.parametrize("scenario, end", [("exemptions", "server"),
+                                           ("fullguard", "server"),
+                                           ("fullguard", "client")])
+def test_every_guard_passes_only_awaited_responses_inward(scenario, end,
+                                                          kind):
+    # The answers to a device's registration, lookup and authorization
+    # requests pass every guard role. Any other answer from outside is
+    # blocked at a tunnel end, and meets the policy at the exemptions
+    # guard like any traffic not sent through the proxy.
+    handles = build_world(SimConfig(), scenario, "none", 0, 1000, 3,
                           collect_trace=True)
-    world, guard = handles.world, handles.server_router
-    response = SimMessage(src="rd", dst="srv", mtype="ACK", code="2.01",
+    world = handles.world
+    guard = getattr(handles, f"{end}_router")
+    inside, outside = ("srv", "rd") if end == "server" else ("cli", "rtrS")
+    response = SimMessage(src="rd", dst=inside, mtype="ACK", code="2.01",
                           payload_kind=kind, payload_len=2)
-    guard.receive(make_frame(response), "rd")
+    guard.receive(make_frame(response), outside)
     world.run_until(1000)
-    assert [e["detail"]["payload_kind"] for e in srv_link_frames(world.trace)
-            if e["node"] == "rtrS->srv"] == ([kind] if passes else [])
-    assert bool(world.trace.by_kind("blocked")) is not passes
+    awaited = kind != "app_response"
+    decided = not awaited and scenario == "exemptions"
+    assert [e["detail"]["payload_kind"] for e in world.trace.by_kind(
+        "link_frame") if e["node"] == f"{guard.address}->{inside}"] == \
+        ([kind] if awaited or decided else [])
+    assert bool(world.trace.by_kind("blocked")) is not (awaited or decided)
+    assert [(e["kind"], e["detail"].get("cls")) for e in world.trace.by_kind(
+        "guard_forward", "guard_drop")] == \
+        ([("guard_forward", "non_proxy")] if decided else [])
 
 
 def test_tunnel_frames_stop_at_the_sequence_bound():
@@ -895,14 +959,16 @@ def test_empty_ack_skips_exchanges_inside_the_tunnel():
 
 
 def test_unprotected_answer_with_a_tunnel_token_is_blocked():
+    # Off the wire it matches no exchange (the tunneled one awaits an
+    # answer from the tunnel), so it is dropped as unsolicited.
     world, guard, tunneled, _, sent = guard_relaying_into_tunnel()
     token = tunneled.msg.token
     forged = make_frame(SimMessage(
         src="x0", dst="rtrC", mtype="ACK", mid=tunneled.msg.mid, token=token,
         code="2.04", payload_kind="oscore", payload_len=20), origin="attack")
     guard.handle(forged, "x0")
-    assert [e["detail"]["origin"] for e in world.trace.by_kind("blocked")] \
-        == ["attack"]
+    assert [(e["node"], e["detail"]) for e in world.trace.by_kind("drop")] \
+        == [("rtrC", {"reason": "unsolicited", "code": "2.04"})]
     assert guard.outstanding[token] is tunneled and not tunneled.done
     assert sent == ["EMPTY"]  # the empty ACK to cli's request, no answer
 

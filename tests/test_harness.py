@@ -272,12 +272,16 @@ def test_build_world_wires_the_address_plan(scenario, attack, client_enabled):
                           client_enabled=client_enabled)
     nodes = handles.world.nodes
     has_attacker = attack != "none"
+    behind_c = ["cli*"] if client_enabled else []
+    behind_s = ["srv", "rd", "as"] + (["x*", "atk"] if has_attacker else [])
+    # Each router routes its own devices' patterns to them, and the other
+    # router's address and its devices' patterns to the other router.
     expected = {
-        "rtrC": ([("cli*", "cli")] if client_enabled else []) +
-                [("*", "rtrS")],
+        "rtrC": [(p, "cli") for p in behind_c] +
+                [(p, "rtrS") for p in ["rtrS"] + behind_s],
         "rtrS": [("srv", "srv"), ("rd", "rd"), ("as", "as")] +
                 ([("x*", "atk"), ("atk", "atk")] if has_attacker else []) +
-                [("*", "rtrC")],
+                [(p, "rtrC") for p in ["rtrC"] + behind_c],
         "srv": [("*", "rtrS")], "rd": [("*", "rtrS")], "as": [("*", "rtrS")],
     }
     if client_enabled:
@@ -286,10 +290,12 @@ def test_build_world_wires_the_address_plan(scenario, attack, client_enabled):
         expected["atk"] = [("*", "rtrS")]
     assert set(nodes) == set(expected)
     for address, routes in expected.items():
-        # Apart from the final "*", no two patterns match one address, so
-        # their order does not matter.
-        assert nodes[address].routes[-1] == tuple(routes[-1]), address
+        # No two patterns match one address, so their order does not
+        # matter.
         assert set(nodes[address].routes) == set(routes), address
+    # An address that no node declares has no route at either router.
+    for router in ("rtrC", "rtrS"):
+        assert nodes[router].route_to("nobody") is None
     for node in nodes.values():
         for addr, owner in OWNERS.items():
             assert bool(node.owns(addr)) == (owner == node.address), \
@@ -303,6 +309,25 @@ def test_build_world_wires_the_address_plan(scenario, attack, client_enabled):
     for addr in OWNERS:
         assert bool(rtr_s.inside(addr)) == (addr == "srv"), addr
         assert bool(rtr_c.inside(addr)) == (addr in inside_c), addr
+
+
+@pytest.mark.parametrize("sender, first_router", [("cli", "rtrC"),
+                                                   ("rd", "rtrS")])
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_frame_to_an_undeclared_address_ends_at_the_first_router(
+        scenario, sender, first_router):
+    handles = build_world(SimConfig(), scenario, "none", 0, 1000, 3,
+                          collect_trace=True)
+    world = handles.world
+    frame = SimMessage(src=sender, dst="nobody", mtype="CON", mid=1,
+                       token=b"\x01", code="POST", payload_kind="edhoc_m1",
+                       payload_len=40)
+    world.nodes[sender].send_frame(frame, "legit")
+    world.run_until(60_000)
+    assert [(e["node"], e["detail"]) for e in world.trace.by_kind("drop")] \
+        == [(first_router, {"reason": "no_route", "dst": "nobody"})]
+    rtr_c, rtr_s = handles.client_router, handles.server_router
+    assert rtr_c.links["rtrS"].n_sent == rtr_s.links["rtrC"].n_sent == 0
 
 
 # --- classification -----------------------------------------------------------------
@@ -414,6 +439,31 @@ def test_resource_labels():
     assert resource_label(40.0, 600_000, 50_000, 0.10) == "high"
     # 20 units over 600 s projects to 2880/day: below the threshold.
     assert resource_label(20.0, 600_000, 50_000, 0.10) == "low"
+
+
+# The (setup, steady, resource) labels of the six scenario x attack pairs
+# that the 14-cell matrix leaves out.
+PAIRS_OUTSIDE_THE_MATRIX = {
+    ("baseline-open", "impersonator"): ("good", "good", "low"),
+    ("baseline-open", "on_path"): ("good", "good", "low"),
+    ("baseline-throttled", "impersonator"): ("losses", "losses", "low"),
+    ("baseline-throttled", "on_path"): ("throttled", "throttled", "low"),
+    ("exemptions", "impersonator"): ("throttled", "good", "low"),
+    ("exemptions", "on_path"): ("throttled", "good", "low"),
+}
+
+
+def test_the_pairs_outside_the_matrix_are_the_other_six():
+    every = {(s, a) for s in SCENARIOS for a in ATTACKS}
+    assert set(PAIRS_OUTSIDE_THE_MATRIX) == every - set(MATRIX_CELLS)
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("scenario, attack", sorted(PAIRS_OUTSIDE_THE_MATRIX))
+def test_pairs_outside_the_matrix_keep_their_labels(scenario, attack, seed):
+    cell = run_cell(config_from_dict({"seed": seed}), scenario, attack)
+    assert (cell["setup"]["behavior"], cell["steady"]["behavior"],
+            cell["resource"]) == PAIRS_OUTSIDE_THE_MATRIX[(scenario, attack)]
 
 
 # --- the trace is off unless asked for -------------------------------------------------
