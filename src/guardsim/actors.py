@@ -3,15 +3,19 @@ and the attackers: `FloodAttacker` (blind and distributed floods),
 `Impersonator` and `OnPathAttacker`, each an `AttackerNode`.
 
 Each node declares the address `patterns` it answers to, which its `owns`
-matches; `build_world` derives all `routes` (none for an undeclared
-address) and each router's `inside` from them. Every guard lets in the
+matches; `build_world` derives the routers' `routes` (none for an
+undeclared address) and each router's `inside` from them, and gives each
+device its one link, to its router, as its `uplink`: a device sends every
+frame there and routes nothing. Every guard lets in the
 `GuardNode.AWAITED` answers, and `Node.match_response` ends every answer
-that reaches a client, server or guard. Every frame leaves a node through
-`Node.send_via`, every confirmable request (plain or tunneled) is one
-`Exchange`, every ACK is built by `coap_lite.ack`, every request a guard
-proxies goes through `GuardNode.relay`, and `TunnelGuard.handle_outside`
-opens every tunnel frame. With no trace kept, the per-frame events (link
-frames, energy drains, blocks and drops) are not built at all.
+that reaches a client, server, guard, rendezvous or AS. Every frame
+leaves a node through `Node.send_via` on one of its links, every
+confirmable request (plain or tunneled) is one `Exchange`, every ACK is
+built by `coap_lite.ack`, every request a guard proxies goes through
+`GuardNode.relay`, and `TunnelGuard.handle_outside` opens every tunnel
+frame. With no trace kept, the per-frame events (link frames, energy
+drains, blocks and drops, the server's handshake messages) are not built
+at all.
 Topology (built by the harness):
 
     cli* -- rtrC -- (internet) -- rtrS -- srv
@@ -27,7 +31,7 @@ from . import ace as ace_mod
 from .coap_lite import (DEFAULT_BASE_TIMEOUT_MS, DEFAULT_RETRANSMIT_LIMIT,
                         AddressTable, ProxyTable, SimMessage, TxState, ack,
                         exchange_lifetime_ms, message_size, tx_step)
-from .netsim import EnergyBudget, Frame, World
+from .netsim import EnergyBudget, Frame, Link, World
 from . import seclayer
 from .seclayer import (AuthError, ReplayError, SecurityContext, UnknownKid,
                        aead_nonce, aead_seal, next_piv, open_sealed,
@@ -140,6 +144,10 @@ class Node:
     retransmit_limit = DEFAULT_RETRANSMIT_LIMIT
     lifetime_ms = exchange_lifetime_ms(base_timeout_ms, retransmit_limit)
 
+    # The one link a device sends on, to its router: `build_world` sets it.
+    # A node without one, a router, routes each frame it sends.
+    uplink = None
+
     def __init__(self, world: World, address: str,
                  energy: EnergyBudget | None = None):
         self.world = world
@@ -197,8 +205,14 @@ class Node:
     # --- transmission ------------------------------------------------------
 
     def send_frame(self, msg: SimMessage, origin: str) -> None:
-        """Originate `msg` on behalf of `origin`."""
-        self.forward(Frame(msg, origin, message_size(msg)), self.address)
+        """Originate `msg` on behalf of `origin`: straight onto the uplink,
+        or routed where there is none."""
+        frame = Frame(msg, origin, message_size(msg))
+        uplink = self.uplink
+        if uplink is None:
+            self.forward(frame, self.address)
+        else:
+            self.send_via(frame, uplink)
 
     def reply(self, req: SimMessage, origin: str, code: str, **fields) -> None:
         """Answer `req` with an ACK (see `coap_lite.ack`)."""
@@ -219,20 +233,24 @@ class Node:
             self.forward(frame, from_addr)
 
     def forward(self, frame: Frame, from_addr: str) -> None:
-        neighbor = self.route_to(frame.msg.dst)
-        if neighbor is None:
-            self.world.emit("drop", self.address, reason="no_route",
-                            dst=frame.msg.dst)
-            return
-        self.send_via(frame, neighbor)
+        """Send `frame` on: on the uplink, or else on the link to the
+        neighbour its route names."""
+        link = self.uplink
+        if link is None:
+            neighbor = self.route_to(frame.msg.dst)
+            if neighbor is None:
+                self.world.emit("drop", self.address, reason="no_route",
+                                dst=frame.msg.dst)
+                return
+            link = self.links[neighbor]
+        self.send_via(frame, link)
 
-    def send_via(self, frame: Frame, neighbor: str) -> None:
-        """Put `frame` on the link to `neighbor`; the only way out of a node.
+    def send_via(self, frame: Frame, link: Link) -> None:
+        """Put `frame` on `link`, one of ours; the only way out of a node.
 
         Frames on a "constrained" link are traced as `link_frame`. The link
         delivers to its `receiver`, the neighbour's `receive` from us.
         """
-        link = self.links[neighbor]
         if link.tag == "constrained" and self.world.collect_trace:
             msg = frame.msg
             self.world.emit("link_frame", link.name, dst=msg.dst, src=msg.src,
@@ -425,6 +443,8 @@ class RendezvousNode(Node):
 
     def handle(self, frame: Frame, from_addr: str) -> None:
         msg = frame.msg
+        if self.match_response(msg, frame):
+            return
         if msg.payload_kind == "rd_register":
             self.register(RendezvousEntry.from_doc(msg.payload["entry"]))
             self.reply(msg, "legit", "2.01", payload_kind="rd_ack",
@@ -450,6 +470,8 @@ class AsNode(Node):
 
     def handle(self, frame: Frame, from_addr: str) -> None:
         msg = frame.msg
+        if self.match_response(msg, frame):
+            return
         if msg.payload_kind != "as_token_request":
             self.world.emit("drop", self.address, reason="unknown_request")
             return
@@ -561,15 +583,11 @@ class ServerNode(Node):
         if key in self.dedup:
             self.send_frame(self.dedup[key], frame.origin)
             return
-        handler = {
-            "edhoc_m1": self._edhoc_m1,
-            "edhoc_m3": self._edhoc_m3,
-            "oscore": self._oscore_request,
-        }.get(msg.payload_kind)
+        handler = self.HANDLERS.get(msg.payload_kind)
         if handler is None:
             self._respond(msg, frame, "4.00", "error", {}, 2)
             return
-        handler(msg, frame)
+        handler(self, msg, frame)
 
     def _respond(self, req: SimMessage, frame: Frame, code: str, kind: str,
                  payload: dict, payload_len: int, sealed=None, kid=None,
@@ -586,7 +604,9 @@ class ServerNode(Node):
         # Responder work starts here: half the handshake cost is sunk even
         # if the initiator never completes (the drain-attack vector).
         self.charge("edhoc", frame.origin, fraction=0.5)
-        self.world.emit("edhoc_msg", self.address, n=1, origin=frame.origin)
+        world = self.world
+        if world.collect_trace:
+            world.emit("edhoc_msg", self.address, n=1, origin=frame.origin)
         eph_r = self.rng.bytes(8)
         session = msg.payload.get("session", 0)
         sessions = self.sessions
@@ -611,7 +631,9 @@ class ServerNode(Node):
         ctx = seclayer.edhoc_derive(eph_r, eph_i)
         self.contexts[ctx.recipient_id] = ctx
         self.charge("edhoc", frame.origin, fraction=0.5)
-        self.world.emit("edhoc_msg", self.address, n=3, origin=frame.origin)
+        world = self.world
+        if world.collect_trace:
+            world.emit("edhoc_msg", self.address, n=3, origin=frame.origin)
         self._respond(msg, frame, "2.04", "edhoc_done", {}, 10)
 
     def _oscore_request(self, msg: SimMessage, frame: Frame) -> None:
@@ -642,6 +664,11 @@ class ServerNode(Node):
         self._respond(msg, frame, "2.05", "oscore", {},
                       protected.payload_len, sealed=protected.sealed,
                       kid=protected.oscore_kid, piv=protected.oscore_piv)
+
+    # The request kinds the server serves, each by its method; any other
+    # request is answered 4.00.
+    HANDLERS = {"edhoc_m1": _edhoc_m1, "edhoc_m3": _edhoc_m3,
+                "oscore": _oscore_request}
 
 
 class ClientNode(Node):

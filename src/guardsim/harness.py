@@ -404,11 +404,11 @@ def build_world(config: SimConfig, scenario: str, attack_kind: str,
 
     # Wiring: the two routers meet over the internet, and every device
     # hangs off one of them, the constrained ones by a constrained link. A
-    # device routes everything to its router; a router routes each of its
-    # devices' patterns to that device, and the other router's address and
-    # patterns to the other router, so it has no route to an address that
-    # no node declares. The device on a router's constrained link is its
-    # `inside`.
+    # device sends every frame on its one link, its `uplink`, and has no
+    # routes; a router routes each of its devices' patterns to that device,
+    # and the other router's address and patterns to the other router, so
+    # it has no route to an address that no node declares. The device on a
+    # router's constrained link is its `inside`.
     _connect(world, rtr_c, rtr_s, config.links.internet, "internet")
     routes = {rtr_c: [], rtr_s: []}
     for router, device, tag in ((rtr_c, client, "constrained"),
@@ -419,7 +419,7 @@ def build_world(config: SimConfig, scenario: str, attack_kind: str,
         if device is None:
             continue
         _connect(world, router, device, getattr(config.links, tag), tag)
-        device.routes = [("*", router.address)]
+        device.uplink = device.links[router.address]
         routes[router] += [(p, device.address) for p in device.patterns]
         if tag == "constrained":
             router.inside = device.owns
@@ -582,29 +582,44 @@ def run_cell(config: SimConfig, scenario: str, attack_kind: str,
     phases = {}
     total = attributable = exposure = rekeys = induced = renegotiations = 0
     traces = []
-    for subrun, kinds in (("setup", ("key_exchange",)),
-                          ("steady", ("request",))):
-        sub = run_subrun(config, scenario, attack_kind, subrun, collect_traces)
-        handles = sub.handles
-        phases[subrun] = phase_stats(handles.client.interactions, kinds,
-                                     config)
-        energy = energy_report(handles.world.ledger, config.energy.cost_edhoc)
-        total += energy["total_drained"]
-        attributable += energy["attack_attributable"]
-        if attack_kind != "none":
-            exposure += sub.measured_until_ms - sub.attack_start_ms
-        rekeys += handles.client.rekeys
-        induced += handles.client.attack_induced_rekeys
-        # Only the client tunnel end renegotiates.
-        renegotiations += getattr(handles.client_router, "renegotiations", 0)
-        if collect_traces:
-            traces.append(handles.world.trace)
-        # The world is cyclic garbage (each node refers to its world and the
-        # world to its nodes) that has reached the oldest generation, which
-        # automatic collection seldom reaches. Free it before the next
-        # sub-run builds its own, so a cell holds one world at a time.
-        del sub, handles
-        gc.collect()
+    # Everything alive before the cell is frozen out of collection for its
+    # length, so that the collection after each sub-run walks only what
+    # the cell built. A caller's own frozen objects stay frozen: with any,
+    # the cell runs unbracketed.
+    bracket = gc.get_freeze_count() == 0
+    if bracket:
+        gc.freeze()
+    try:
+        for subrun, kinds in (("setup", ("key_exchange",)),
+                              ("steady", ("request",))):
+            sub = run_subrun(config, scenario, attack_kind, subrun,
+                             collect_traces)
+            handles = sub.handles
+            phases[subrun] = phase_stats(handles.client.interactions, kinds,
+                                         config)
+            energy = energy_report(handles.world.ledger,
+                                   config.energy.cost_edhoc)
+            total += energy["total_drained"]
+            attributable += energy["attack_attributable"]
+            if attack_kind != "none":
+                exposure += sub.measured_until_ms - sub.attack_start_ms
+            rekeys += handles.client.rekeys
+            induced += handles.client.attack_induced_rekeys
+            # Only the client tunnel end renegotiates.
+            renegotiations += getattr(handles.client_router,
+                                      "renegotiations", 0)
+            if collect_traces:
+                traces.append(handles.world.trace)
+            # The world is cyclic garbage (each node refers to its world and
+            # the world to its nodes) that has reached the oldest
+            # generation, which automatic collection seldom reaches. Free it
+            # before the next sub-run builds its own, so a cell holds one
+            # world at a time.
+            del sub, handles
+            gc.collect()
+    finally:
+        if bracket:
+            gc.unfreeze()
 
     cell = {
         "scenario": scenario,

@@ -301,9 +301,10 @@ class Link:
     `queue_capacity` frames are still serializing are dropped. An optional
     interceptor, a `frame -> frame` callable, models an on-path attacker:
     it may pass or replace frames at delivery time. `tag` marks the link's
-    segment; `Node.send_via` traces every frame on a "constrained" link.
-    `receiver`, a `frame -> None` callable set when the link is wired, is
-    the far end's way in; `Node.send_via` passes it to `transmit`.
+    segment; `Node.send_via`, which takes the link to send on, traces
+    every frame on a "constrained" link. `receiver`, a `frame -> None`
+    callable set when the link is wired, is the far end's way in;
+    `Node.send_via` passes it to `transmit`.
 
     A link delivers its frames in the order it sent them: each delivery
     time is a serialization end, which never decreases, plus the fixed
@@ -382,8 +383,9 @@ class World:
     The trace keeps events only with `collect_trace=True`; otherwise it is
     a `NullTrace`, and `emit` returns without forwarding to it. The
     per-frame call sites (`Link.transmit`'s tail drop, and in `actors`
-    link frames, energy drains, guard blocks and drops, throttled drops)
-    test `collect_trace` themselves and skip building the event. Energy
+    `Node.send_via`'s link frames, energy drains, guard blocks and drops,
+    throttled drops, the server's `edhoc_msg` per m1 and m3) test
+    `collect_trace` themselves and skip building the event. Energy
     figures come from `ledger`, which does not depend on the trace.
     """
 

@@ -566,6 +566,27 @@ def test_answer_no_exchange_awaits_is_dropped_where_it_lands(scenario, node,
                for link in n.links.values()) == 0
 
 
+@pytest.mark.parametrize("node", ["rd", "as"])
+def test_rendezvous_and_as_end_answers_like_every_other_node(node):
+    # An answer no exchange awaits is dropped as unsolicited, not served as
+    # an unknown request; a stray empty ACK is swallowed without a trace.
+    handles = build_world(SimConfig(), "exemptions", "none", 0, 1000, 3,
+                          collect_trace=True)
+    world = handles.world
+    answer = SimMessage(src="x0", dst=node, mtype="ACK", mid=9, token=b"\x09",
+                        code="2.05", payload_kind="app_response",
+                        payload_len=16)
+    empty = SimMessage(src="x0", dst=node, mtype="ACK", mid=10, token=b"",
+                       code="EMPTY")
+    for msg in (answer, empty):
+        world.nodes[node].receive(make_frame(msg, "attacker"), "rtrS")
+    world.run_until(60_000)
+    assert [(e["node"], e["detail"]) for e in world.trace.by_kind("drop")] \
+        == [(node, {"reason": "unsolicited", "code": "2.05"})]
+    assert sum(link.n_sent for n in world.nodes.values()
+               for link in n.links.values()) == 0
+
+
 def test_spoofed_answers_toward_the_server_meet_the_non_proxy_buckets():
     # One spoofed answer from each of 100 fresh sources within a second:
     # like any traffic not sent through the proxy, only what the non-proxy

@@ -282,17 +282,24 @@ def test_build_world_wires_the_address_plan(scenario, attack, client_enabled):
         "rtrS": [("srv", "srv"), ("rd", "rd"), ("as", "as")] +
                 ([("x*", "atk"), ("atk", "atk")] if has_attacker else []) +
                 [(p, "rtrC") for p in ["rtrC"] + behind_c],
-        "srv": [("*", "rtrS")], "rd": [("*", "rtrS")], "as": [("*", "rtrS")],
     }
+    # Each device has no routes and one link, its uplink to its own router.
+    routers = {"srv": "rtrS", "rd": "rtrS", "as": "rtrS"}
     if client_enabled:
-        expected["cli"] = [("*", "rtrC")]
+        routers["cli"] = "rtrC"
     if has_attacker:
-        expected["atk"] = [("*", "rtrS")]
-    assert set(nodes) == set(expected)
+        routers["atk"] = "rtrS"
+    assert set(nodes) == set(expected) | set(routers)
     for address, routes in expected.items():
         # No two patterns match one address, so their order does not
         # matter.
         assert set(nodes[address].routes) == set(routes), address
+        assert nodes[address].uplink is None, address
+    for address, router in routers.items():
+        device = nodes[address]
+        assert device.routes == (), address
+        assert device.links == {router: device.uplink}, address
+        assert device.uplink.name == f"{address}->{router}"
     # An address that no node declares has no route at either router.
     for router in ("rtrC", "rtrS"):
         assert nodes[router].route_to("nobody") is None
@@ -613,6 +620,51 @@ def test_run_cell_frees_its_own_worlds(monkeypatch):
     assert overlaps == []
 
 
+def test_run_cell_freezes_what_was_alive_only_while_it_runs(monkeypatch):
+    # The collection after each sub-run walks only what the cell built:
+    # everything alive before it is frozen while it runs, and thawed after.
+    seen = []
+    build = harness.build_world
+
+    def counting_build_world(*args, **kwargs):
+        seen.append(gc.get_freeze_count())
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "build_world", counting_build_world)
+    assert gc.get_freeze_count() == 0
+    run_cell(SHORT, "fullguard", "none")
+    assert len(seen) == 2 and min(seen) > 0
+    assert gc.get_freeze_count() == 0
+
+
+def test_run_cell_thaws_when_a_sub_run_raises(monkeypatch):
+    def failing_build_world(*args, **kwargs):
+        assert gc.get_freeze_count() > 0
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(harness, "build_world", failing_build_world)
+    with pytest.raises(RuntimeError, match="boom"):
+        run_cell(SHORT, "exemptions", "blind_flood")
+    assert gc.get_freeze_count() == 0
+
+
+def test_run_cell_leaves_a_callers_frozen_objects_frozen(monkeypatch):
+    mine = [[]]
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        _, built, alive, overlaps = worlds_left_alive(
+            monkeypatch, lambda: run_cell(SHORT, "fullguard", "on_path"))
+        assert gc.get_freeze_count() == frozen
+        assert not any(obj is mine for obj in gc.get_objects())
+    finally:
+        gc.unfreeze()
+    # Unbracketed, the cell still frees each world before the next.
+    assert built == 2
+    assert alive == []
+    assert overlaps == []
+
+
 # --- untraced runs ---------------------------------------------------------------
 
 # The per-frame events whose call sites test `World.collect_trace` before
@@ -648,6 +700,16 @@ def test_untraced_runs_skip_the_hot_events(monkeypatch):
         traced |= emitted_events(monkeypatch, scenario, attack, True)
     # The same cells, traced, reach every one of those call sites.
     assert HOT_EVENTS <= traced
+
+
+def test_untraced_runs_skip_the_servers_handshake_events(monkeypatch):
+    # The server's per-m1 event follows the per-frame rule: a flood of m1s
+    # builds none without a trace.
+    edhoc = {("edhoc_msg", None)}
+    assert not emitted_events(monkeypatch, "baseline-open",
+                              "distributed_flood", False) & edhoc
+    assert edhoc <= emitted_events(monkeypatch, "baseline-open",
+                                   "distributed_flood", True)
 
 
 # --- rendering -------------------------------------------------------------------------
