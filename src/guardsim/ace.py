@@ -25,9 +25,6 @@ class InvalidToken(Exception):
     def __init__(self, reason: str):
         self.reason = reason  # "bad_tag" | "wrong_audience" | "expired"
 
-    def __str__(self):
-        return self.reason
-
 
 class AccessToken:
     def __init__(self, audience: str, subject_key_id: str, scope: str,

@@ -259,6 +259,7 @@ class Node:
         link.transmit(frame, link.receiver)
 
     def handle(self, frame: Frame, from_addr: str) -> None:
+        """Serve `frame`, addressed to us: by default, drop it."""
         self.world.emit("drop", self.address, reason="unhandled",
                         kind2=frame.msg.payload_kind)
 
@@ -383,7 +384,8 @@ class Exchange:
 
 
 class RouterNode(Node):
-    """Plain IP-level router: forwards everything, terminates nothing."""
+    """Plain IP-level router: forwards everything, terminates nothing; a
+    frame addressed to it meets `Node.handle`'s default drop."""
 
     # True for an address in the network behind this router's constrained
     # link, None for any other: `build_world` sets it to the `owns` of the
@@ -395,9 +397,6 @@ class RouterNode(Node):
             self.handle(frame, from_addr)
         else:
             self.forward(frame, from_addr)
-
-    def handle(self, frame: Frame, from_addr: str) -> None:
-        self.world.emit("drop", self.address, reason="router_no_service")
 
 
 class ThrottleRouter(RouterNode):
@@ -971,7 +970,9 @@ class GuardNode(RouterNode):
       ClientTunnelGuard  client side: forward proxy for its clients; wraps
                          traffic into the tunnel, renegotiates on auth failures
 
-    All three relay the requests they proxy through `relay`.
+    All three relay the requests they proxy through `relay`. Only the
+    client end serves requests from inside beyond onboarding; at the other
+    two they meet `handle_inside`'s default drop.
     """
 
     # The answers a device inside waits for from outside: to its
@@ -1015,6 +1016,7 @@ class GuardNode(RouterNode):
             self.handle_inside(frame)
 
     def handle_inside(self, frame: Frame) -> None:
+        """Serve a request from inside: by default, drop it."""
         self.world.emit("drop", self.address, reason="unhandled_inside")
 
     def _block(self, frame: Frame, **detail) -> None:
@@ -1437,14 +1439,14 @@ class Impersonator(SendingAttacker):
     def _build_message(self) -> SimMessage:
         dst = self.targets[self.rng.randrange(len(self.targets))]
         victim = self.victim
-        if self.knows_kid and victim is not None and victim.ctx is not None:
+        if self.knows_kid and victim.ctx is not None:
             kid = victim.ctx.sender_id
         else:
             kid = self.rng.bytes(1)
         if self.sent % 2 == 0:
             piv = 10_000_000 + self.sent
         else:
-            pivs = victim.sent_pivs if victim is not None else []
+            pivs = victim.sent_pivs
             piv = pivs[(self.sent // 2) % len(pivs)] if pivs else 0
         return SimMessage(src="x0", dst=dst, mtype="CON", mid=self.new_mid(),
                           token=self.new_token(), code="POST",

@@ -1,11 +1,11 @@
 """Guard proxy policy engine.
 
 Pure decision logic: traffic classes, two-level token-bucket throttling,
-Echo reachability challenges, the tentative allow-list fed by observed
-protected responses, and sequence-number plausibility tracking. This
-module only decides and records: `GuardState.decide` returns an action
-and, for a challenge, the Echo nonce it recorded. The owning node builds
-and sends every message, the 4.01 challenges included.
+Echo reachability challenges, the allow-list fed by observed protected
+responses, whose idle entries expire, and sequence-number plausibility
+tracking. This module only decides and records: `GuardState.decide`
+returns an action and, for a challenge, the Echo nonce it recorded. The
+owning node builds and sends every message, the 4.01 challenges included.
 
 A source holds one pending Echo nonce, for an unknown client or a piv jump
 alike, until it is answered or `echo_max_age_ms` old. A verified Echo moves
@@ -122,18 +122,18 @@ class ThrottlePolicy:
 class FlowRecord:
     """Per-source guard state, keyed by source address alone: the flow's
     class, its one pending Echo nonce and when it was issued, when it
-    proved reachable, whether its allow-listing is tentative, and whether
-    a known kid showed up from it as a new source (`elevated`)."""
+    proved reachable, whether a known kid showed up from it as a new source
+    (`elevated`), and when it was last updated: an allow-listed flow idle
+    longer than `allowlist_idle_expiry_ms` falls back (`expire_idle`)."""
 
     __slots__ = ("cls", "echo_nonce", "echo_issued_ms", "reachable_since_ms",
-                 "tentative", "elevated", "last_update_ms")
+                 "elevated", "last_update_ms")
 
     def __init__(self, now_ms: int):
         self.cls = UNKNOWN_VIA_PROXY
         self.echo_nonce: bytes | None = None
         self.echo_issued_ms: int | None = None
         self.reachable_since_ms: int | None = None
-        self.tentative = False
         self.elevated = False
         self.last_update_ms = now_ms
 
@@ -230,12 +230,11 @@ class GuardState:
         rec.last_update_ms = now_ms
 
     def expire_idle(self, rec: FlowRecord, now_ms: int) -> None:
-        if (rec.cls == ALLOW_LISTED and rec.tentative
+        if (rec.cls == ALLOW_LISTED
                 and now_ms - rec.last_update_ms > self.config.allowlist_idle_expiry_ms):
             self._set_class(rec, REACHABILITY_VERIFIED
                             if rec.reachable_since_ms is not None
                             else UNKNOWN_VIA_PROXY, now_ms)
-            rec.tentative = False
 
     def verify_echo(self, rec: FlowRecord, msg: SimMessage, now_ms: int) -> str:
         """Verified | stale | mismatch, against the flow's one pending nonce,
@@ -274,7 +273,6 @@ class GuardState:
         """
         rec = self.flow(source, now_ms)
         if response.is_protected and request_kind != "tunnel_token_post":
-            rec.tentative = True
             self._set_class(rec, ALLOW_LISTED, now_ms)
             return True
         rec.last_update_ms = now_ms
@@ -295,9 +293,9 @@ class GuardState:
             return ("drop", {"cls": NON_PROXY, "reason": "throttled"})
 
         rec = self.flow(msg.src, now_ms)
-        # Only an allow-listed flow is ever tentative, and only a tentative
-        # one can expire.
-        if rec.tentative:
+        # Only an allow-listed flow can expire; before `verify_echo`, which
+        # sets the `reachable_since_ms` that the expiry reads.
+        if rec.cls == ALLOW_LISTED:
             self.expire_idle(rec, now_ms)
         verified_now = (msg.echo is not None
                         and self.verify_echo(rec, msg, now_ms) == "verified")

@@ -299,7 +299,7 @@ def derive_seed(seed: int, scenario: str, attack: str, subrun: str) -> int:
 
 
 class Handles:
-    def __init__(self, world: World, client: ClientNode | None,
+    def __init__(self, world: World, client: ClientNode,
                  server: ServerNode, client_router: object,
                  server_router: object, attacker: AttackerNode | None,
                  rendezvous: RendezvousNode, authorization: AsNode):
@@ -328,7 +328,6 @@ def _connect(world: World, a, b, spec: LinkSpec, tag: str) -> None:
 
 def build_world(config: SimConfig, scenario: str, attack_kind: str,
                 attack_start_ms: int, attack_stop_ms: int, seed: int,
-                client_enabled: bool = True,
                 collect_trace: bool = False) -> Handles:
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
@@ -373,14 +372,12 @@ def build_world(config: SimConfig, scenario: str, attack_kind: str,
                         energy=config.energy.make(), behind_tunnel=fullguard,
                         guard_address="rtrS" if guarded else None,
                         audience_key=keys["aud_srv"])
-    client = None
-    if client_enabled:
-        client = ClientNode(world, address="cli", rd_address="rd",
-                            server_name="srv", key_id="key_cli",
-                            guard_key_id="key_cgp" if fullguard else None,
-                            energy=config.energy.make(),
-                            guard_address="rtrC" if fullguard else None,
-                            request_interval_ms=config.client.request_interval_ms)
+    client = ClientNode(world, address="cli", rd_address="rd",
+                        server_name="srv", key_id="key_cli",
+                        guard_key_id="key_cgp" if fullguard else None,
+                        energy=config.energy.make(),
+                        guard_address="rtrC" if fullguard else None,
+                        request_interval_ms=config.client.request_interval_ms)
     rendezvous = RendezvousNode(world, "rd")
     authorization = AsNode(world, registry, address=as_address)
 
@@ -470,13 +467,12 @@ def run_subrun(config: SimConfig, scenario: str, attack_kind: str,
                           seed, collect_trace=collect_trace)
     handles.server.start()
     client = handles.client
-    if client is not None:
-        if subrun == "setup":
-            handles.world.schedule(200, lambda: client.start_setup_loop(
-                config.client.setup_pause_ms, until_ms=until))
-        else:
-            handles.world.schedule(200, lambda: client.start_steady_loop(
-                attack_start, until_ms=until))
+    if subrun == "setup":
+        handles.world.schedule(200, lambda: client.start_setup_loop(
+            config.client.setup_pause_ms, until_ms=until))
+    else:
+        handles.world.schedule(200, lambda: client.start_steady_loop(
+            attack_start, until_ms=until))
     if handles.attacker is not None:
         handles.attacker.start()
     run_end = until + config.durations.grace_ms

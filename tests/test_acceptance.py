@@ -97,8 +97,9 @@ def test_flood_drain_matches_bandwidth_bound_hand_computation():
                                      queue_capacity=8)
     cfg.attacks.blind_rate = 5.0  # comfortably saturates 1 kbit/s
 
+    # The client is built but never started: the flood is the only load.
     handles = build_world(cfg, "baseline-open", "blind_flood", 0, hour_ms,
-                          seed=42, client_enabled=False)
+                          seed=42)
     handles.server.start()
     handles.attacker.start()
     handles.world.run_until(hour_ms)

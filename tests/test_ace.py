@@ -97,6 +97,7 @@ def test_expiry_boundary_is_exclusive():
     with pytest.raises(InvalidToken) as e:
         verify_token(token, AUD_KEY, "aud_srv", now=TOKEN_LIFETIME_MS)
     assert e.value.reason == "expired"
+    assert str(e.value) == "expired"  # the constructor argument, in `args`
 
 
 def test_forged_token_never_verifies():

@@ -1357,9 +1357,10 @@ def test_impersonator_without_the_kid_still_replays_the_victims_pivs():
         10_000_000, 3, 10_000_002, 4, 10_000_004, 3, 10_000_006, 4]
 
 
-def test_impersonator_without_a_victim_sends_piv_zero():
-    world = World(seed=1)
-    atk = Impersonator(world, 2.0, None, True, ["srv"], 0, NEVER)
+def test_impersonator_sends_piv_zero_before_its_victim_sends():
+    # A client that has sent no request: no context, no pivs.
+    victim = build_world(SimConfig(), "baseline-open", "none", 0, 1000, 1).client
+    atk = Impersonator(victim.world, 2.0, victim, True, ["srv"], 0, NEVER)
     atk.rng = Rng(7)
     msgs = build_messages(atk, 6)
     assert [m.oscore_piv for m in msgs[1::2]] == [0, 0, 0]

@@ -282,7 +282,7 @@ def test_protected_response_promotes_tentatively():
     assert g.observe_exchange("cli", "oscore", protected_response(), 100)
     rec = g.flows["cli"]
     assert rec.cls == ALLOW_LISTED
-    assert rec.tentative
+    assert rec.last_update_ms == 100  # the idle expiry counts from here
 
 
 def test_unprotected_error_never_promotes():
@@ -317,7 +317,7 @@ def test_tentative_entry_expires_after_idle():
     rec.reachable_since_ms = 0
     g.expire_idle(rec, 700_000)
     assert rec.cls == REACHABILITY_VERIFIED
-    assert not rec.tentative
+    assert rec.last_update_ms == 700_000
 
 
 def test_decide_expires_an_idle_tentative_entry_first():
@@ -326,7 +326,7 @@ def test_decide_expires_an_idle_tentative_entry_first():
     g.flows["cli"].reachable_since_ms = 0
     action, detail = g.decide(proxied(), 700_000)
     assert (action, detail["cls"]) == ("forward", REACHABILITY_VERIFIED)
-    assert not g.flows["cli"].tentative
+    assert g.flows["cli"].cls == REACHABILITY_VERIFIED
 
 
 def test_decide_expires_an_unreachable_idle_tentative_entry_to_unknown():
@@ -335,16 +335,6 @@ def test_decide_expires_an_unreachable_idle_tentative_entry_to_unknown():
     action, detail = g.decide(proxied(), 700_000)
     assert (action, detail["reason"]) == ("challenge", "unknown_client")
     assert g.flows["cli"].cls == UNKNOWN_VIA_PROXY
-    assert not g.flows["cli"].tentative
-
-
-def test_decide_never_expires_an_allow_listed_entry_that_is_not_tentative():
-    g = make_guard()
-    g.observe_exchange("cli", "oscore", protected_response(), 0)
-    g.flows["cli"].tentative = False
-    action, detail = g.decide(proxied(), 700_000)
-    assert (action, detail["cls"]) == ("forward", ALLOW_LISTED)
-    assert g.flows["cli"].cls == ALLOW_LISTED
 
 
 # --- sequence plausibility ----------------------------------------------------------------

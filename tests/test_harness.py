@@ -264,29 +264,24 @@ OWNERS = {"cli": "cli", "cli7": "cli", "x0": "atk", "x1999": "atk",
           "rtrS": "rtrS", "rtrC": "rtrC"}
 
 
-@pytest.mark.parametrize("client_enabled", [True, False])
 @pytest.mark.parametrize("attack", ATTACKS)
 @pytest.mark.parametrize("scenario", SCENARIOS)
-def test_build_world_wires_the_address_plan(scenario, attack, client_enabled):
-    handles = build_world(SimConfig(), scenario, attack, 0, 1000, 1,
-                          client_enabled=client_enabled)
+def test_build_world_wires_the_address_plan(scenario, attack):
+    handles = build_world(SimConfig(), scenario, attack, 0, 1000, 1)
     nodes = handles.world.nodes
     has_attacker = attack != "none"
-    behind_c = ["cli*"] if client_enabled else []
     behind_s = ["srv", "rd", "as"] + (["x*", "atk"] if has_attacker else [])
     # Each router routes its own devices' patterns to them, and the other
     # router's address and its devices' patterns to the other router.
     expected = {
-        "rtrC": [(p, "cli") for p in behind_c] +
+        "rtrC": [("cli*", "cli")] +
                 [(p, "rtrS") for p in ["rtrS"] + behind_s],
         "rtrS": [("srv", "srv"), ("rd", "rd"), ("as", "as")] +
                 ([("x*", "atk"), ("atk", "atk")] if has_attacker else []) +
-                [(p, "rtrC") for p in ["rtrC"] + behind_c],
+                [("rtrC", "rtrC"), ("cli*", "rtrC")],
     }
     # Each device has no routes and one link, its uplink to its own router.
-    routers = {"srv": "rtrS", "rd": "rtrS", "as": "rtrS"}
-    if client_enabled:
-        routers["cli"] = "rtrC"
+    routers = {"cli": "rtrC", "srv": "rtrS", "rd": "rtrS", "as": "rtrS"}
     if has_attacker:
         routers["atk"] = "rtrS"
     assert set(nodes) == set(expected) | set(routers)
@@ -310,12 +305,10 @@ def test_build_world_wires_the_address_plan(scenario, attack, client_enabled):
     # Each router's inside is the device behind its constrained link.
     rtr_c, rtr_s = handles.client_router, handles.server_router
     assert rtr_s.inside == handles.server.owns
-    if client_enabled:
-        assert rtr_c.inside == handles.client.owns
-    inside_c = {"cli", "cli7"} if client_enabled else set()
+    assert rtr_c.inside == handles.client.owns
     for addr in OWNERS:
         assert bool(rtr_s.inside(addr)) == (addr == "srv"), addr
-        assert bool(rtr_c.inside(addr)) == (addr in inside_c), addr
+        assert bool(rtr_c.inside(addr)) == (addr in {"cli", "cli7"}), addr
 
 
 @pytest.mark.parametrize("sender, first_router", [("cli", "rtrC"),
@@ -335,6 +328,32 @@ def test_frame_to_an_undeclared_address_ends_at_the_first_router(
         == [(first_router, {"reason": "no_route", "dst": "nobody"})]
     rtr_c, rtr_s = handles.client_router, handles.server_router
     assert rtr_c.links["rtrS"].n_sent == rtr_s.links["rtrC"].n_sent == 0
+
+
+UNHANDLED = {"reason": "unhandled", "kind2": "edhoc_m1"}
+
+
+@pytest.mark.parametrize("scenario, sender, router, detail", [
+    # A plain or throttle router serves nothing: `Node.handle`'s drop.
+    ("baseline-open", "cli", "rtrC", UNHANDLED),
+    ("baseline-open", "rd", "rtrS", UNHANDLED),
+    ("baseline-throttled", "rd", "rtrS", UNHANDLED),
+    # A server-side guard serves its server only onboarding.
+    ("exemptions", "srv", "rtrS", {"reason": "unhandled_inside"}),
+    ("fullguard", "srv", "rtrS", {"reason": "unhandled_inside"}),
+])
+def test_request_a_router_does_not_serve_ends_as_a_drop_there(
+        scenario, sender, router, detail):
+    handles = build_world(SimConfig(), scenario, "none", 0, 1000, 3,
+                          collect_trace=True)
+    world = handles.world
+    frame = SimMessage(src=sender, dst=router, mtype="CON", mid=1,
+                       token=b"\x01", code="POST", payload_kind="edhoc_m1",
+                       payload_len=40)
+    world.nodes[sender].send_frame(frame, "legit")
+    world.run_until(60_000)
+    assert [(e["node"], e["detail"]) for e in world.trace.by_kind("drop")] \
+        == [(router, detail)]
 
 
 # --- classification -----------------------------------------------------------------
