@@ -15,7 +15,6 @@ the sequence tracker past a jump (RFC 8613 Appendix B.1.2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .coap_lite import SimMessage
 
@@ -66,16 +65,16 @@ class TokenBucket:
         return False
 
 
-@dataclass(init=False, eq=False, repr=False)
 class BucketSpec:
     """One traffic class's per-source and aggregate bucket settings."""
 
-    # A config section: its bursts declare the bound that `harness` checks.
+    # A config section: `bounds` declares the bound that `harness` checks.
     # A bucket admits only whole tokens, so a burst below 1 refuses all.
     per_source_rate: float
-    per_source_burst: float = field(metadata={"bound": 1})
+    per_source_burst: float
     aggregate_rate: float
-    aggregate_burst: float = field(metadata={"bound": 1})
+    aggregate_burst: float
+    bounds = {"per_source_burst": 1, "aggregate_burst": 1}
 
     def __init__(self, per_source_rate: float, per_source_burst: float,
                  aggregate_rate: float, aggregate_burst: float):
@@ -186,7 +185,6 @@ def seq_check(trackers: dict[bytes, SeqTracker], kid: bytes, piv: int,
     return KNOWN_MOBILE if mobile else PLAUSIBLE
 
 
-@dataclass(init=False, eq=False, repr=False)
 class GuardConfig:
     """Policy settings of the exemptions guard; the `guard` config section."""
 

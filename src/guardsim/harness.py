@@ -15,7 +15,6 @@ import gc
 import io
 import json
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
 
 from .actors import (AsNode, AttackerNode, ClientNode, ClientTunnelGuard,
                      ExemptionsGuard, FloodAttacker, Impersonator,
@@ -54,31 +53,26 @@ class ConfigError(Exception):
     """Invalid configuration; the message names the offending field."""
 
 
-# A config section is a `@dataclass(init=False)`: the decorator compiles
-# nothing and only records `fields()`, through which `_fill` reads a
-# document. A plain default stays on the class, where an instance reads it
-# until `_fill` sets the instance's own value; a section writes out an
-# `__init__` only to build its nested sections or to take its fields. Each
-# section has a docstring, which the decorator would otherwise build with
-# `inspect.signature`, and no `__eq__` or `__repr__`: nothing compares or
-# prints one. Each field declares its bound in its `metadata` as
-# `{"bound": b}`: a number `b` for `>= b`, `DIVISOR`, a tuple of the allowed
-# strings, or `None` for no bound. A number must be finite, and >= 0 if it
-# declares none.
+# A config section is a plain class. Its annotations are its fields, in
+# order, and name each field's kind: `bool`, `int`, `float` or `str` for a
+# value, any other name for a nested section. Under `from __future__ import
+# annotations` they stay strings that nothing evaluates. A plain default
+# stays on the class, where an instance reads it until `_fill` sets the
+# instance's own value; a section writes out an `__init__` only to build its
+# nested sections or to take its fields. A number field must be finite, and
+# >= 0 unless the class's `bounds` dict declares its bound otherwise: a
+# number `b` for `>= b`, `DIVISOR`, or `None` for no bound. A string field's
+# bound there is the tuple of its allowed values.
 DIVISOR = "divisor"  # > 0, and 1000 / value finite: the run divides by it
 
 
-def _bound(default, bound):
-    return field(default=default, metadata={"bound": bound})
-
-
-@dataclass(init=False, eq=False, repr=False)
 class LinkSpec:
     """Both directions of one link; `LinksConfig` holds the defaults."""
 
-    bandwidth_bps: int = field(metadata={"bound": DIVISOR})
+    bandwidth_bps: int
     delay_ms: int
     queue_capacity: int
+    bounds = {"bandwidth_bps": DIVISOR}
 
     def __init__(self, bandwidth_bps: int, delay_ms: int, queue_capacity: int):
         self.bandwidth_bps = bandwidth_bps
@@ -86,7 +80,6 @@ class LinkSpec:
         self.queue_capacity = queue_capacity
 
 
-@dataclass(init=False, eq=False, repr=False)
 class LinksConfig:
     """The constrained edge links and the fast internet links."""
 
@@ -98,16 +91,16 @@ class LinksConfig:
         self.internet = LinkSpec(1_000_000, 50, 64)
 
 
-@dataclass(init=False, eq=False, repr=False)
 class EnergyConfig:
     """Each device's `EnergyBudget`, whose defaults these are."""
 
     budget: float = EnergyBudget.remaining
     cost_per_rx_byte: float = EnergyBudget.cost_per_rx_byte
     cost_per_msg: float = EnergyBudget.cost_per_msg
-    # `projected_exchanges_lost` divides by it.
-    cost_edhoc: float = _bound(EnergyBudget.cost_edhoc, DIVISOR)
+    cost_edhoc: float = EnergyBudget.cost_edhoc
     cost_oscore_verify: float = EnergyBudget.cost_oscore_verify
+    # `projected_exchanges_lost` divides by `cost_edhoc`.
+    bounds = {"cost_edhoc": DIVISOR}
 
     def make(self) -> EnergyBudget:
         return EnergyBudget(remaining=self.budget,
@@ -117,46 +110,46 @@ class EnergyConfig:
                             cost_oscore_verify=self.cost_oscore_verify)
 
 
-@dataclass(init=False, eq=False, repr=False)
 class CoapConfig:
     """Confirmable-exchange timing of every node (RFC 7252's defaults)."""
 
-    base_timeout_ms: int = _bound(DEFAULT_BASE_TIMEOUT_MS, DIVISOR)
+    base_timeout_ms: int = DEFAULT_BASE_TIMEOUT_MS
     retransmit_limit: int = DEFAULT_RETRANSMIT_LIMIT
+    bounds = {"base_timeout_ms": DIVISOR}
 
 
-@dataclass(init=False, eq=False, repr=False)
 class BaselineThrottleConfig:
     """The baseline-throttled router's one token bucket."""
 
     rate_per_s: float = 0.1
+    burst: float = 1.0
     # A token bucket admits only whole tokens: a burst below 1 refuses all.
-    burst: float = _bound(1.0, 1)
+    bounds = {"burst": 1}
 
 
-@dataclass(init=False, eq=False, repr=False)
 class ClientConfig:
     """The client's request cadence and its pause between key exchanges."""
 
-    request_interval_ms: int = _bound(10_000, DIVISOR)
+    request_interval_ms: int = 10_000
     setup_pause_ms: int = 5_000
+    bounds = {"request_interval_ms": DIVISOR}
 
 
-@dataclass(init=False, eq=False, repr=False)
 class AttackConfig:
     """Each attacker's rate and reach."""
 
     # Attack rates in messages/s: an attacker sends every 1000 / rate ms.
-    blind_rate: float = _bound(20.0, DIVISOR)
-    distributed_rate: float = _bound(1.0, DIVISOR)
-    distributed_sources: int = _bound(50, DIVISOR)
-    impersonator_rate: float = _bound(2.0, DIVISOR)
+    blind_rate: float = 20.0
+    distributed_rate: float = 1.0
+    distributed_sources: int = 50
+    impersonator_rate: float = 2.0
     impersonator_knows_kid: bool = True
     onpath_window_ms: int = 35_000
     onpath_budget: int = 4
+    bounds = {"blind_rate": DIVISOR, "distributed_rate": DIVISOR,
+              "distributed_sources": DIVISOR, "impersonator_rate": DIVISOR}
 
 
-@dataclass(init=False, eq=False, repr=False)
 class DurationConfig:
     """Simulated phase lengths of a cell's two sub-runs."""
 
@@ -166,7 +159,6 @@ class DurationConfig:
     grace_ms: int = 70_000
 
 
-@dataclass(init=False, eq=False, repr=False)
 class ClassifyConfig:
     """Thresholds of the behavior labels."""
 
@@ -174,20 +166,18 @@ class ClassifyConfig:
     retransmit_fraction: float = 0.10
 
 
-@dataclass(init=False, eq=False, repr=False)
 class ResourceConfig:
     """Threshold of the `high` resource label, as a share of the budget."""
 
     high_fraction: float = 0.10
 
 
-@dataclass(init=False, eq=False, repr=False)
 class SimConfig:
     """The whole config: a cell, its seed, and one section of each kind."""
 
-    seed: int = _bound(42, None)
-    scenario: str = _bound("exemptions", SCENARIOS)
-    attack: str = _bound("none", ATTACKS)
+    seed: int = 42
+    scenario: str = "exemptions"
+    attack: str = "none"
     links: LinksConfig
     energy: EnergyConfig
     coap: CoapConfig
@@ -198,6 +188,7 @@ class SimConfig:
     durations: DurationConfig
     classify: ClassifyConfig
     resource: ResourceConfig
+    bounds = {"seed": None, "scenario": SCENARIOS, "attack": ATTACKS}
 
     def __init__(self):
         self.links = LinksConfig()
@@ -218,20 +209,19 @@ def _fill(obj, doc: dict, path: str):
     Nested sections are the fresh defaults `SimConfig()` built."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{path or 'config'}: expected an object")
-    declared = {f.name: f for f in fields(obj)}
+    # A field is typed by the name of its annotation, not by its default's
+    # type: a float field may default to an int.
+    declared = type(obj).__annotations__
+    bounds = getattr(obj, "bounds", {})
     for key, value in doc.items():
         where = f"{path}.{key}" if path else key
         if key not in declared:
             raise ConfigError(f"{where}: unknown field")
-        current = getattr(obj, key)
-        if is_dataclass(current):
-            _fill(current, value, where)
+        kind = declared[key]
+        if kind not in ("bool", "int", "float", "str"):
+            _fill(getattr(obj, key), value, where)
             continue
-        # A scalar field is typed by the name of its annotation, not by its
-        # default's type: a float field may default to an int. The
-        # annotation is a string under `from __future__ import annotations`.
-        kind = declared[key].type
-        bound = declared[key].metadata.get("bound", 0)
+        bound = bounds.get(key, 0)
         if kind == "bool":
             if not isinstance(value, bool):
                 raise ConfigError(f"{where}: expected a boolean")

@@ -114,6 +114,23 @@ def test_removed_guard_mode_field_is_config_error(tmp_path, capsys):
     assert "guard.mode: unknown field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, path", [
+    ({"energy": {"make": 1}}, "energy.make"),
+    ({"bounds": 1}, "bounds"),
+    ({"links": {"constrained": {"bounds": {}}}}, "links.constrained.bounds"),
+])
+def test_a_sections_other_class_attributes_are_unknown_fields(tmp_path, capsys,
+                                                               doc, path):
+    # Only a section's annotated names are fields: its methods and its
+    # `bounds` declaration are not.
+    config = tmp_path / "attr.json"
+    config.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"config error: {path}: unknown field\n"
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"links": {"constrained": {"bandwidth_bps": 0}}},
      "links.constrained.bandwidth_bps: must be > 0"),

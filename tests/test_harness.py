@@ -1,6 +1,5 @@
 """Configuration handling, classification rules, energy reporting, rendering."""
 
-import ast
 import gc
 import importlib
 import inspect
@@ -13,7 +12,6 @@ import statistics
 import subprocess
 import sys
 import weakref
-from dataclasses import fields, is_dataclass
 
 import pytest
 from hypothesis import given, strategies as st
@@ -143,40 +141,154 @@ def test_matrix_covers_all_scenarios():
     assert ("fullguard", "impersonator") in MATRIX_CELLS
 
 
-def test_every_scalar_config_field_has_a_checked_type():
-    # `config_from_dict` checks a value by its field's annotation name; a
-    # field annotated otherwise would take any JSON value unchecked.
-    def scalar_types(obj):
-        for f in fields(obj):
-            value = getattr(obj, f.name)
-            if is_dataclass(value):
-                yield from scalar_types(value)
+SCALAR_KINDS = {"bool", "int", "float", "str"}
+
+# Every scalar config field as (dotted path, kind, bound, default), in
+# declaration order, with the bound that `config_from_dict` checks: 0 for
+# `>= 0` where a section's `bounds` does not name the field, a number `b` for
+# `>= b`, "divisor" (`harness.DIVISOR`), the tuple of allowed strings, or
+# None for no bound.
+CONFIG_FIELDS = [
+    ('seed', 'int', None, 42),
+    ('scenario', 'str',
+     ('baseline-open', 'baseline-throttled', 'exemptions', 'fullguard'),
+     'exemptions'),
+    ('attack', 'str',
+     ('none', 'blind_flood', 'distributed_flood', 'impersonator', 'on_path'),
+     'none'),
+    ('links.constrained.bandwidth_bps', 'int', 'divisor', 4000),
+    ('links.constrained.delay_ms', 'int', 0, 10),
+    ('links.constrained.queue_capacity', 'int', 0, 8),
+    ('links.internet.bandwidth_bps', 'int', 'divisor', 1000000),
+    ('links.internet.delay_ms', 'int', 0, 50),
+    ('links.internet.queue_capacity', 'int', 0, 64),
+    ('energy.budget', 'float', 0, 50000.0),
+    ('energy.cost_per_rx_byte', 'float', 0, 2e-05),
+    ('energy.cost_per_msg', 'float', 0, 0.002),
+    ('energy.cost_edhoc', 'float', 'divisor', 1.0),
+    ('energy.cost_oscore_verify', 'float', 0, 0.01),
+    ('coap.base_timeout_ms', 'int', 'divisor', 2000),
+    ('coap.retransmit_limit', 'int', 0, 4),
+    ('guard.jump_threshold', 'int', 0, 128),
+    ('guard.seq_memory', 'int', 0, 64),
+    ('guard.echo_max_age_ms', 'int', 0, 40000),
+    ('guard.allowlist_idle_expiry_ms', 'int', 0, 600000),
+    ('guard.unknown_bucket.per_source_rate', 'float', 0, 0.2),
+    ('guard.unknown_bucket.per_source_burst', 'float', 1, 2),
+    ('guard.unknown_bucket.aggregate_rate', 'float', 0, 1.0),
+    ('guard.unknown_bucket.aggregate_burst', 'float', 1, 2),
+    ('guard.non_proxy_bucket.per_source_rate', 'float', 0, 0.05),
+    ('guard.non_proxy_bucket.per_source_burst', 'float', 1, 1),
+    ('guard.non_proxy_bucket.aggregate_rate', 'float', 0, 0.1),
+    ('guard.non_proxy_bucket.aggregate_burst', 'float', 1, 2),
+    ('guard.verified_bucket.per_source_rate', 'float', 0, 1.0),
+    ('guard.verified_bucket.per_source_burst', 'float', 1, 2),
+    ('guard.verified_bucket.aggregate_rate', 'float', 0, 5.0),
+    ('guard.verified_bucket.aggregate_burst', 'float', 1, 8),
+    ('baseline_throttle.rate_per_s', 'float', 0, 0.1),
+    ('baseline_throttle.burst', 'float', 1, 1.0),
+    ('client.request_interval_ms', 'int', 'divisor', 10000),
+    ('client.setup_pause_ms', 'int', 0, 5000),
+    ('attacks.blind_rate', 'float', 'divisor', 20.0),
+    ('attacks.distributed_rate', 'float', 'divisor', 1.0),
+    ('attacks.distributed_sources', 'int', 'divisor', 50),
+    ('attacks.impersonator_rate', 'float', 'divisor', 2.0),
+    ('attacks.impersonator_knows_kid', 'bool', 0, True),
+    ('attacks.onpath_window_ms', 'int', 0, 35000),
+    ('attacks.onpath_budget', 'int', 0, 4),
+    ('durations.setup_ms', 'int', 0, 300000),
+    ('durations.warmup_ms', 'int', 0, 30000),
+    ('durations.steady_ms', 'int', 0, 300000),
+    ('durations.grace_ms', 'int', 0, 70000),
+    ('classify.loss_fraction', 'float', 0, 0.05),
+    ('classify.retransmit_fraction', 'float', 0, 0.1),
+    ('resource.high_fraction', 'float', 0, 0.1),
+]
+
+
+def config_fields(obj, path=""):
+    """(dotted path, kind, bound, value) of every scalar field of config
+    section `obj` and its nested sections, read as `config_from_dict` reads
+    them."""
+    bounds = getattr(obj, "bounds", {})
+    for name, kind in type(obj).__annotations__.items():
+        value = getattr(obj, name)
+        if kind in SCALAR_KINDS:
+            yield path + name, kind, bounds.get(name, 0), value
+        else:
+            yield from config_fields(value, f"{path}{name}.")
+
+
+def test_every_config_field_keeps_its_kind_bound_and_default():
+    # `repr` tells an int default from an equal float one.
+    assert ([repr(row) for row in config_fields(SimConfig())]
+            == [repr(row) for row in CONFIG_FIELDS])
+
+
+def test_every_config_field_is_a_checked_scalar_or_a_section():
+    # `config_from_dict` checks a value by its field's annotation name, and
+    # takes a field whose annotation names no scalar kind for a nested
+    # section: its default must be an instance of the section class that
+    # the annotation names, or a document would reach a value it cannot
+    # walk.
+    def kinds(obj):
+        for name, kind in type(obj).__annotations__.items():
+            value = getattr(obj, name)
+            if kind not in SCALAR_KINDS:
+                assert type(value).__name__ == kind, name
+                assert "__annotations__" in vars(type(value)), name
+                yield from kinds(value)
             else:
-                yield f.type
+                yield kind
 
-    assert set(scalar_types(SimConfig())) == {"bool", "int", "float", "str"}
+    assert set(kinds(SimConfig())) == SCALAR_KINDS
 
 
-def test_only_config_sections_are_dataclasses():
-    # `@dataclass` compiles generated methods at import unless told
-    # `init=False`, and builds a missing docstring with `inspect.signature`.
-    # So every function of every guardsim class is written in its module,
-    # and only the sections `fields()` walks are dataclasses, each with its
-    # own docstring.
-    def sections(obj):
-        yield type(obj)
-        for f in fields(obj):
-            value = getattr(obj, f.name)
-            if is_dataclass(value):
-                yield from sections(value)
+def fresh_interpreter(code):
+    """What `code` prints in a new interpreter that imports this guardsim."""
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    return subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": src}).stdout
 
-    decorated = set()
+
+def modules_loaded_by(imports):
+    """Modules that `imports` adds to a new interpreter's `sys.modules`:
+    those the bare interpreter already has (through site hooks, say) do not
+    count."""
+    return set(fresh_interpreter(
+        f"import sys; before = set(sys.modules); {imports}; "
+        "print(' '.join(sorted(set(sys.modules) - before)))").split())
+
+
+# Prints the file of each module whose body, as the innermost module body
+# running, compiles source from a string: code generated at import. A
+# module that guardsim imports may generate its own code; only guardsim's
+# own bodies count.
+GENERATED_AT_IMPORT = """
+import os, sys
+generating = []
+
+def hook(event, args):
+    if event == "compile" and not os.path.isfile(str(args[1])):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name != "<module>":
+            frame = frame.f_back
+        generating.append(frame.f_code.co_filename)
+
+sys.addaudithook(hook)
+import guardsim.cli, guardsim.harness
+print("\\n".join(generating))
+"""
+
+
+def test_every_guardsim_function_is_written_in_its_module():
+    # A decorator that generates methods (`@dataclass` does, with `exec`)
+    # costs import time and hides the code from its module. So every
+    # function of every guardsim class is written in its module, and
+    # importing guardsim compiles no generated source.
     for info in pkgutil.iter_modules(guardsim.__path__):
         module = importlib.import_module(f"guardsim.{info.name}")
-        tree = ast.parse(inspect.getsource(module))
-        docstrings = {node.name: ast.get_docstring(node)
-                      for node in ast.walk(tree)
-                      if isinstance(node, ast.ClassDef)}
         for cls in vars(module).values():
             if not (isinstance(cls, type)
                     and cls.__module__ == module.__name__):
@@ -186,27 +298,22 @@ def test_only_config_sections_are_dataclasses():
                 if inspect.isfunction(value):
                     assert value.__code__.co_filename == module.__file__, \
                         f"{cls.__name__}.{value.__name__}"
-            if hasattr(cls, "__dataclass_fields__"):
-                decorated.add(cls)
-                doc = docstrings[cls.__name__]
-                assert doc, cls.__name__
-                assert inspect.cleandoc(cls.__doc__) == doc, cls.__name__
-    assert decorated and decorated <= set(sections(SimConfig()))
+    package = os.path.dirname(guardsim.__file__)
+    generating = fresh_interpreter(GENERATED_AT_IMPORT).splitlines()
+    assert not [f for f in generating if os.path.dirname(f) == package]
 
 
-def scalar_fields(obj, path=()):
-    """(dotted path as a tuple, annotation, value) of every scalar field."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if is_dataclass(value):
-            yield from scalar_fields(value, path + (f.name,))
-        else:
-            yield path + (f.name,), f.type, value
+def test_importing_guardsim_loads_none_of_dataclasses_modules():
+    """`dataclasses` and the modules it loads took about half of guardsim's
+    import time; the config sections declare their fields without it."""
+    added = modules_loaded_by("import guardsim.harness")
+    assert "guardsim.harness" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
 def nested(path, value):
     doc = value
-    for key in reversed(path):
+    for key in reversed(path.split(".")):
         doc = {key: doc}
     return doc
 
@@ -215,24 +322,24 @@ def test_every_default_passes_its_own_bound():
     # `config_from_dict` checks only the values a document sets, so the
     # defaults must pass their bounds by construction.
     doc = {}
-    for path, _, value in scalar_fields(SimConfig()):
+    for path, _, _, value in config_fields(SimConfig()):
+        *sections, name = path.split(".")
         section = doc
-        for key in path[:-1]:
+        for key in sections:
             section = section.setdefault(key, {})
-        section[path[-1]] = value
+        section[name] = value
     cfg = config_from_dict(json.loads(json.dumps(doc)))
-    assert ([value for _, _, value in scalar_fields(cfg)]
-            == [value for _, _, value in scalar_fields(SimConfig())])
+    assert ([value for *_, value in config_fields(cfg)]
+            == [value for *_, value in config_fields(SimConfig())])
 
 
 @pytest.mark.parametrize("path", [
-    path for path, kind, _ in scalar_fields(SimConfig()) if kind == "float"],
-    ids=".".join)
+    path for path, kind, *_ in config_fields(SimConfig()) if kind == "float"])
 def test_non_finite_number_is_refused(path):
     # Python's `json` reads `Infinity`, `-Infinity` and `NaN` as these.
     for value in (float("inf"), float("-inf"), float("nan")):
         with pytest.raises(ConfigError,
-                           match=re.escape(f"{'.'.join(path)}: expected a number")):
+                           match=re.escape(f"{path}: expected a number")):
             config_from_dict(nested(path, value))
 
 
@@ -241,15 +348,14 @@ def test_non_finite_number_is_refused(path):
     (lambda: SecurityContext(b"s", b"r", b"k"), ["replay_window"]),
     (AsRegistry, ["known_subjects", "audience_keys"]),
     (SeqTracker, ["seen", "known_sources"]),
-    (SimConfig, [f.name for f in fields(SimConfig)
-                 if is_dataclass(getattr(SimConfig(), f.name))]),
+    (SimConfig, [name for name, kind in SimConfig.__annotations__.items()
+                 if kind not in SCALAR_KINDS]),
     (LinksConfig, ["constrained", "internet"]),
     (GuardConfig, ["unknown_bucket", "non_proxy_bucket", "verified_bucket"]),
 ], ids=["SimMessage", "SecurityContext", "AsRegistry", "SeqTracker",
         "SimConfig", "LinksConfig", "GuardConfig"])
 def test_default_built_instances_share_no_mutable_field(make, attrs):
-    # A written-out `__init__` must build each default afresh, as a
-    # dataclass `default_factory` does.
+    # A written-out `__init__` must build each default afresh.
     a, b = make(), make()
     for attr in attrs:
         assert getattr(a, attr) is not getattr(b, attr)
@@ -401,18 +507,8 @@ def test_median_matches_statistics(values):
 
 def test_importing_guardsim_loads_no_statistics():
     """`statistics` loads `decimal` and `fractions`, about half a MB of
-    resident memory in every run. Modules a bare interpreter already has
-    (through site hooks, say) do not count."""
-    src = os.path.dirname(os.path.dirname(harness.__file__))
-    code = "import sys; {}print(' '.join(sorted(sys.modules)))"
-
-    def loaded(imports):
-        return set(subprocess.run(
-            [sys.executable, "-c", code.format(imports)], check=True,
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": src}).stdout.split())
-
-    added = loaded("import guardsim, guardsim.harness; ") - loaded("")
+    resident memory in every run."""
+    added = modules_loaded_by("import guardsim, guardsim.harness")
     assert "guardsim.harness" in added
     assert not added & {"statistics", "decimal", "_decimal", "fractions"}
 
