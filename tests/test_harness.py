@@ -1,6 +1,7 @@
 """Configuration handling, classification rules, energy reporting, rendering."""
 
 import gc
+import hashlib
 import importlib
 import inspect
 import json
@@ -580,12 +581,45 @@ def test_the_pairs_outside_the_matrix_are_the_other_six():
     assert set(PAIRS_OUTSIDE_THE_MATRIX) == every - set(MATRIX_CELLS)
 
 
+# The sha256 of each pair's `report_to_json` at the default config. No
+# benchmark workload runs these pairs; exemptions x {impersonator, on_path}
+# relay through `GuardNode.relay` and ask the AS.
+PAIR_REPORT_DIGESTS = {
+    ("baseline-open", "impersonator", 42):
+        "93d7bf8920044044e96b523e4ae72fb56767ad81fd6388a39498d21d8f11edab",
+    ("baseline-open", "on_path", 42):
+        "a082d7b410e44d0ed4de83d0c48d3f6a939e8141d5e2c49c16ba9a779bc495a7",
+    ("baseline-throttled", "impersonator", 42):
+        "dcadbffb3808bacb8a88515620d776cb61a9dd7d48975332d5277dc75504cd7c",
+    ("baseline-throttled", "on_path", 42):
+        "748d9cc911951d8f4c35e7f8ad9210c31d4743029ed69683a594707fd4faca37",
+    ("exemptions", "impersonator", 42):
+        "0bfc7ce25d3341e231ce86f68240d9c440e3e48d492bcb5cccddf215b691c3d2",
+    ("exemptions", "on_path", 42):
+        "077494e87f2699477c20a4cca0e33a0fda852cd7ef6df2497e045632df0cf010",
+    ("baseline-open", "impersonator", 7):
+        "7aacfc3806ea7c39ac06d65a100113aa0d251f8d38bc7470cd82155110892285",
+    ("baseline-open", "on_path", 7):
+        "8b872169f100e0d52bbe5ed61e1ad2c61bb7d038901c5501efe768be1f153cb1",
+    ("baseline-throttled", "impersonator", 7):
+        "41113bdd74ea07adb6944c47e35a12141f270f3daed9eb60a3111b1ea3f6cb99",
+    ("baseline-throttled", "on_path", 7):
+        "2885eceffc012d0ce2f562e56fc42c8bfa12bad687e442271a3871dbd8da5b8b",
+    ("exemptions", "impersonator", 7):
+        "da37763ff7788aadc110be9a9ecf9e034dcd0094514f5fce310c10dc6bbfba2f",
+    ("exemptions", "on_path", 7):
+        "20fe65de7b187586a93473ab224d28a6afcec3508cbd69bcc32b81f6501f5d9d",
+}
+
+
 @pytest.mark.parametrize("seed", [42, 7])
 @pytest.mark.parametrize("scenario, attack", sorted(PAIRS_OUTSIDE_THE_MATRIX))
 def test_pairs_outside_the_matrix_keep_their_labels(scenario, attack, seed):
     cell = run_cell(config_from_dict({"seed": seed}), scenario, attack)
     assert (cell["setup"]["behavior"], cell["steady"]["behavior"],
             cell["resource"]) == PAIRS_OUTSIDE_THE_MATRIX[(scenario, attack)]
+    digest = hashlib.sha256(report_to_json(cell).encode()).hexdigest()
+    assert digest == PAIR_REPORT_DIGESTS[(scenario, attack, seed)]
 
 
 # --- the trace is off unless asked for -------------------------------------------------

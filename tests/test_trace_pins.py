@@ -47,6 +47,17 @@ PINS = {
     ("fullguard", "distributed_flood"): (
         "bfde99f263a5f7eacd96a72c76d99880286ffdcdd713394102adcf82d173c951",
         "a2bc8bc3329590a658f595d030a027bc304bd43ded07286b12773fdabe8131c2"),
+    # The rendezvous entries, the AS's grant and tokens, and the guards'
+    # relays, with no attacker and with one that garbles sealed frames.
+    ("exemptions", "none"): (
+        "7d91429d0487708047eb4dd10be76ea30fa2af400ee6b8fa3765875e5011c611",
+        "c6c89023fa1087db4e421adb8f8ebe25c7a8b5b69256b8140c115dd0869a70b5"),
+    ("exemptions", "on_path"): (
+        "7d91429d0487708047eb4dd10be76ea30fa2af400ee6b8fa3765875e5011c611",
+        "661c229f586933e6b8db5db1fca0a977257c06adfa4575da8d386557a3d6d5f2"),
+    ("fullguard", "none"): (
+        "2d990aa0549ce1a6cee86403ed485f276415e7c0a3a987b7c6890d352ac8dda8",
+        "32d93afe8c2ca0b199ff1b9c9bac7cdc8dad46c427f4a361c1d96b5917ea646f"),
 }
 
 # Events popped and `Link.transmit` calls over both sub-runs of a cell.
