@@ -2,11 +2,12 @@
 
 Tokens are bound to a subject key and an audience, carry an integrity tag
 under the AS/audience shared key, and verify without any AS round-trip.
-The bound key travels inside the token sealed under that same key, so an
-on-path observer can read the claims but cannot extract the key. Every
-token lives `TOKEN_LIFETIME_MS`. A client guard gets tokens for an
-audience under its own key once the AS has granted that key the audience
-(`AsRegistry.grant`, on the client's `authorize_binding` request).
+Payloads carry the token itself. The bound key travels inside it sealed
+under that same key, so an on-path observer can read the token's fields
+but cannot extract the key. Every token lives `TOKEN_LIFETIME_MS`. A
+client guard gets tokens for an audience under its own key once the AS
+has granted that key the audience (`AsRegistry.grant`, on the client's
+`authorize_binding` request).
 """
 
 from __future__ import annotations
@@ -27,36 +28,21 @@ class InvalidToken(Exception):
 
 
 class AccessToken:
-    def __init__(self, audience: str, subject_key_id: str, scope: str,
-                 issued_at: int, expiry: int, sealed_key: bytes,
-                 tag: bytes = b""):
+    def __init__(self, audience: str, subject_key_id: str, issued_at: int,
+                 expiry: int, sealed_key: bytes, tag: bytes = b""):
         self.audience = audience
         self.subject_key_id = subject_key_id
-        self.scope = scope
         self.issued_at = issued_at  # ms
         self.expiry = expiry  # ms
         # The subject's bound key, sealed under the audience key.
         self.sealed_key = sealed_key
         self.tag = tag
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.__dict__ == other.__dict__
-
     def claims_bytes(self) -> bytes:
         return "|".join([
-            self.audience, self.subject_key_id, self.scope,
+            self.audience, self.subject_key_id,
             str(self.issued_at), str(self.expiry), self.sealed_key.hex(),
         ]).encode()
-
-    def to_wire(self) -> dict:
-        """Observable wire form; tokens are not secret in this model."""
-        return dict(self.__dict__)
-
-    @classmethod
-    def from_wire(cls, doc: dict) -> "AccessToken":
-        return cls(**doc)
 
 
 def _token_tag(audience_key: bytes, token: AccessToken) -> bytes:
@@ -100,7 +86,6 @@ def issue_token(registry: AsRegistry, request: dict, now: int) -> AccessToken:
     token = AccessToken(
         audience=audience,
         subject_key_id=subject,
-        scope=request.get("scope", ""),
         issued_at=now,
         expiry=now + TOKEN_LIFETIME_MS,
         sealed_key=sealed_key,
@@ -110,8 +95,8 @@ def issue_token(registry: AsRegistry, request: dict, now: int) -> AccessToken:
 
 
 def verify_token(token: AccessToken, audience_key: bytes, audience: str,
-                 now: int) -> dict:
-    """Return the claims iff tag, audience and expiry all check out.
+                 now: int) -> None:
+    """Raise InvalidToken unless tag, audience and expiry all check out.
 
     Expiry is exclusive: a token presented exactly at its expiry time is
     rejected. Verification is purely local (self-contained tokens).
@@ -122,12 +107,6 @@ def verify_token(token: AccessToken, audience_key: bytes, audience: str,
         raise InvalidToken("wrong_audience")
     if now >= token.expiry:
         raise InvalidToken("expired")
-    return {
-        "audience": token.audience,
-        "subject_key_id": token.subject_key_id,
-        "scope": token.scope,
-        "expiry": token.expiry,
-    }
 
 
 def unseal_bound_key(token: AccessToken, audience_key: bytes) -> bytes:

@@ -29,7 +29,7 @@ import json
 
 from . import ace as ace_mod
 from .coap_lite import (DEFAULT_BASE_TIMEOUT_MS, DEFAULT_RETRANSMIT_LIMIT,
-                        AddressTable, ProxyTable, SimMessage, TxState, ack,
+                        AddressTable, SimMessage, TxState, ack,
                         exchange_lifetime_ms, message_size, tx_step)
 from .netsim import EnergyBudget, Frame, Link, World
 from . import seclayer
@@ -44,7 +44,9 @@ REKEY_THRESHOLD = 3
 class RendezvousEntry:
     """A server's announcement. Behind a tunnel guard it also names the
     guard, the AS (`as_hint`) and the `audience` its clients and their
-    guards use."""
+    guards use. Payloads carry the entry itself: the server, the
+    rendezvous, the client and its guard hold one record, and none of them
+    changes it."""
 
     def __init__(self, name: str, address: str,
                  proxy_address: str | None = None,
@@ -61,13 +63,6 @@ class RendezvousEntry:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.__dict__ == other.__dict__
-
-    def to_doc(self) -> dict:
-        return dict(self.__dict__)
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "RendezvousEntry":
-        return cls(**doc)
 
     @property
     def published_address(self) -> str:
@@ -445,7 +440,7 @@ class RendezvousNode(Node):
         if self.match_response(msg, frame):
             return
         if msg.payload_kind == "rd_register":
-            self.register(RendezvousEntry.from_doc(msg.payload["entry"]))
+            self.register(msg.payload["entry"])
             self.reply(msg, "legit", "2.01", payload_kind="rd_ack",
                        payload_len=2)
         elif msg.payload_kind == "rd_lookup":
@@ -455,7 +450,7 @@ class RendezvousNode(Node):
                            payload_len=2)
             else:
                 self.reply(msg, "legit", "2.05", payload_kind="rd_entry",
-                           payload={"entry": entry.to_doc()}, payload_len=20)
+                           payload={"entry": entry}, payload_len=20)
         else:
             self.world.emit("drop", self.address, reason="unknown_request")
 
@@ -474,7 +469,7 @@ class AsNode(Node):
         if msg.payload_kind != "as_token_request":
             self.world.emit("drop", self.address, reason="unknown_request")
             return
-        purpose = msg.payload.get("purpose", "token")
+        purpose = msg.payload["purpose"]
         if purpose == "authorize_binding":
             subject = msg.payload["subject_key_id"]
             audience = msg.payload["audience"]
@@ -500,7 +495,7 @@ class AsNode(Node):
                         subject=token.subject_key_id, audience=token.audience)
         if purpose == "tunnel_token":
             self.world.emit("setup_step", self.address, step=7)
-        self._respond(msg, "2.01", {"token": token.to_wire()})
+        self._respond(msg, "2.01", {"token": token})
 
     def _respond(self, req: SimMessage, code: str, payload: dict) -> None:
         self.reply(req, "legit", code, payload_kind="as_response",
@@ -569,7 +564,7 @@ class ServerNode(Node):
             entry = RendezvousEntry(name=self.address,
                                     address=self.guard_address or self.address)
         msg = self.request(self.rd_address, "rd_register",
-                           {"entry": entry.to_doc()}, 40)
+                           {"entry": entry}, 40)
         self.send_con(msg, "legit", lambda r, f: None)
 
     # --- request handling ---------------------------------------------------
@@ -721,7 +716,7 @@ class ClientNode(Node):
             if resp.code != "2.05":
                 self.world.schedule_in(2000, lookup)
                 return
-            self.entry = RendezvousEntry.from_doc(resp.payload["entry"])
+            self.entry = resp.payload["entry"]
             if self.guard_address:
                 self._authorize_binding(on_done)
             else:
@@ -745,7 +740,7 @@ class ClientNode(Node):
 
     def _brief_guard(self, on_done) -> None:
         msg = self.request(self.guard_address, "guard_brief",
-                           {"entry": self.entry.to_doc()}, 50)
+                           {"entry": self.entry}, 50)
         self.send_con(msg, "legit", lambda r, f: on_done())
 
     # --- message construction ----------------------------------------------
@@ -957,6 +952,14 @@ class ClientNode(Node):
 # --- guard proxies -----------------------------------------------------------
 
 
+class UnknownOrigin(Exception):
+    """A guard was asked to relay before a server onboarded with it."""
+
+
+class TokensExhausted(Exception):
+    """Every 16-bit proxy token is held by an outstanding exchange."""
+
+
 class GuardNode(RouterNode):
     """Router that additionally runs a guard proxy for the network behind
     its constrained link, its `inside`. Traffic from inside leaves freely,
@@ -986,7 +989,11 @@ class GuardNode(RouterNode):
     def __init__(self, world, address, key_id):
         super().__init__(world, address)
         self.key_id = key_id
-        self.table = ProxyTable(address, self.outstanding)
+        # The next token and mid of a relayed request (RFC 7252 §5.7.2).
+        # The mids are not `new_mid`'s: they reach the tunnel frames'
+        # sizes through `serialize_full`.
+        self._relay_token = 1
+        self._relay_mid = 1
         self.relaying: set[tuple] = set()  # keys awaiting the server
         self.answered: dict[tuple, tuple] = {}  # key -> (deliver, answer)
         self.origin_server: str | None = None
@@ -1050,13 +1057,20 @@ class GuardNode(RouterNode):
             return
         if key in self.relaying:
             return
-        up = self.table.rewrite_request(req, dst)
+        if dst is None:
+            raise UnknownOrigin("no origin server registered")
+        # The guard's own address, token and mid; no Proxy-Uri. The OSCORE
+        # header and payload pass untouched.
+        up = req.copy(src=self.address, dst=dst, token=self.relay_token(),
+                      mid=self._relay_mid, proxy_uri=None)
+        self._relay_mid = (self._relay_mid + 1) & 0xFFFF
         self.relaying.add(key)
 
         def on_response(resp: SimMessage, frame: Frame) -> None:
             self.relaying.discard(key)
             self.observe_upstream(req, resp)
-            answer = self.table.answer(resp, req)
+            answer = resp.copy(src=self.address, dst=req.src,
+                               token=req.token, mid=req.mid)
             self.answered[key] = (deliver, answer)
             if len(self.answered) > self.MAX_ANSWERED:
                 self.answered.pop(next(iter(self.answered)))
@@ -1068,6 +1082,17 @@ class GuardNode(RouterNode):
             deliver(ack(req, self.address, "5.04", payload_len=2), origin)
 
         self.send_upstream(up, origin, on_response, on_giveup)
+
+    def relay_token(self) -> bytes:
+        """The next 2-byte token no exchange in `outstanding` holds: the
+        counter wraps at 16 bits and skips live tokens. The guard's own
+        requests take 4-byte tokens, so the two never collide."""
+        for _ in range(0x10000):
+            token = self._relay_token.to_bytes(2, "big")
+            self._relay_token = (self._relay_token + 1) & 0xFFFF
+            if token not in self.outstanding:
+                return token
+        raise TokensExhausted("all 65536 proxy tokens are outstanding")
 
     def send_upstream(self, up: SimMessage, origin: str, on_response,
                       on_giveup) -> None:
@@ -1193,7 +1218,7 @@ class ServerTunnelGuard(TunnelGuard):
     def _token_post(self, frame: Frame) -> None:
         msg = frame.msg
         now = self.world.clock.now
-        token = ace_mod.AccessToken.from_wire(msg.payload["token"])
+        token = msg.payload["token"]
         try:
             ace_mod.verify_token(token, self.audience_key, self.audience, now)
         except ace_mod.InvalidToken as e:
@@ -1255,7 +1280,7 @@ class ClientTunnelGuard(TunnelGuard):
     def handle_inside(self, frame: Frame) -> None:
         msg = frame.msg
         if msg.payload_kind == "guard_brief":
-            entry = RendezvousEntry.from_doc(msg.payload["entry"])
+            entry = msg.payload["entry"]
             self.as_address = entry.as_hint
             self.server_guard_address = entry.published_address
             self.audience = entry.audience

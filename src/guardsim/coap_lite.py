@@ -1,5 +1,5 @@
 """Simplified CoAP message model: addresses, sizes, ACKs, confirmable
-retransmission, proxying.
+retransmission.
 
 Message sizes are synthetic (fixed header + token + per-option overhead +
 payload length), good enough for bandwidth and energy modeling but not
@@ -17,14 +17,6 @@ import json
 
 class EventAfterFinal(Exception):
     """A transmission event arrived after the exchange already concluded."""
-
-
-class UnknownOrigin(Exception):
-    pass
-
-
-class TokensExhausted(Exception):
-    """Every 16-bit proxy token is held by an outstanding exchange."""
 
 
 FIXED_HEADER = 4
@@ -149,11 +141,13 @@ def message_size(msg: SimMessage) -> int:
 
 
 def serialize_inner(msg: SimMessage) -> bytes:
-    """Deterministic byte encoding of the protected parts of a message."""
+    """Deterministic byte encoding of the protected parts of a message.
+    Its payload's values must be JSON values: the inner messages the
+    program seals carry none."""
     doc = {
         "code": msg.code,
         "payload_kind": msg.payload_kind,
-        "payload": {k: _enc(v) for k, v in sorted(msg.payload.items())},
+        "payload": msg.payload,
         "payload_len": msg.payload_len,
         "echo": msg.echo.hex() if msg.echo is not None else None,
     }
@@ -165,22 +159,10 @@ def deserialize_inner(data: bytes, template: SimMessage) -> SimMessage:
     return template.copy(
         code=doc["code"],
         payload_kind=doc["payload_kind"],
-        payload={k: _dec(v) for k, v in doc["payload"].items()},
+        payload=doc["payload"],
         payload_len=doc["payload_len"],
         echo=bytes.fromhex(doc["echo"]) if doc["echo"] is not None else None,
     )
-
-
-def _enc(v):
-    if isinstance(v, bytes):
-        return {"__b": v.hex()}
-    return v
-
-
-def _dec(v):
-    if isinstance(v, dict) and "__b" in v:
-        return bytes.fromhex(v["__b"])
-    return v
 
 
 # --- Confirmable retransmission state machine ---------------------------
@@ -228,54 +210,3 @@ def tx_step(state: TxState, event: str) -> str:
         state.outcome = TIMED_OUT
         return "give_up"
     raise ValueError(f"unknown tx event {event!r}")
-
-
-# --- Proxy rewriting -----------------------------------------------------
-
-
-class ProxyTable:
-    """Token/mid rewriting for a proxy's relayed requests. It keeps only
-    counters: a relayed request lives in its exchange, filed in `live` (the
-    owner's `Node.outstanding`) until answered or given up."""
-
-    def __init__(self, proxy_address: str, live: dict):
-        self.proxy_address = proxy_address
-        self.live = live
-        self._next_token = 1
-        self._next_mid = 1
-
-    def new_token(self) -> bytes:
-        """The next 2-byte token not held by a live exchange.
-
-        The counter wraps at 16 bits and skips live tokens. A node's own
-        requests take 4-byte tokens, so the two never collide in `live`.
-        """
-        for _ in range(0x10000):
-            t = self._next_token.to_bytes(2, "big")
-            self._next_token = (self._next_token + 1) & 0xFFFF
-            if t not in self.live:
-                return t
-        raise TokensExhausted("all 65536 proxy tokens are outstanding")
-
-    def new_mid(self) -> int:
-        m = self._next_mid
-        self._next_mid = (self._next_mid + 1) & 0xFFFF
-        return m
-
-    def rewrite_request(self, msg: SimMessage, origin: str | None) -> SimMessage:
-        """Rewrite a client request for relaying to `origin` (the server).
-
-        Any Proxy-Uri option is consumed; the OSCORE header and payload pass
-        through untouched.
-        """
-        if origin is None:
-            raise UnknownOrigin("no origin server registered")
-        return msg.copy(src=self.proxy_address, dst=origin,
-                        token=self.new_token(), mid=self.new_mid(),
-                        proxy_uri=None)
-
-    def answer(self, resp: SimMessage, req: SimMessage) -> SimMessage:
-        """The server's `resp` to a relayed request, as the proxy's answer
-        to the client's original `req`."""
-        return resp.copy(src=self.proxy_address, dst=req.src, token=req.token,
-                         mid=req.mid)

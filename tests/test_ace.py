@@ -1,5 +1,7 @@
 """Authorization tokens: issuance, verification, audiences granted to a
-client guard's key, key binding."""
+client guard's key, key binding, and the AS that hands tokens out."""
+
+import copy
 
 import pytest
 
@@ -7,7 +9,9 @@ from guardsim.ace import (TOKEN_LIFETIME_MS, AccessToken, AsRegistry, Denied,
                           InvalidToken, ace_context_master, ace_kid_pair,
                           issue_token, tunnel_contexts, unseal_bound_key,
                           verify_token)
-from guardsim.coap_lite import SimMessage
+from guardsim.actors import AsNode
+from guardsim.coap_lite import SimMessage, message_size
+from guardsim.netsim import Frame, World
 from guardsim.seclayer import (AuthError, SecurityContext, aead_nonce,
                                aead_seal, next_piv, open_sealed,
                                oscore_protect, oscore_unprotect)
@@ -29,9 +33,9 @@ def test_issue_and_verify_happy_path():
     reg = make_registry()
     token = issue_token(reg, {"subject_key_id": "key_cli",
                               "audience": "aud_srv"}, now=1000)
-    claims = verify_token(token, AUD_KEY, "aud_srv", now=2000)
-    assert claims["subject_key_id"] == "key_cli"
-    assert claims["audience"] == "aud_srv"
+    assert verify_token(token, AUD_KEY, "aud_srv", now=2000) is None
+    assert token.subject_key_id == "key_cli"
+    assert token.audience == "aud_srv"
 
 
 def test_unknown_subject_denied():
@@ -62,12 +66,12 @@ def test_tampered_token_bad_tag():
     reg = make_registry()
     token = issue_token(reg, {"subject_key_id": "key_cli",
                               "audience": "aud_srv"}, now=0)
-    tampered = AccessToken.from_wire(token.to_wire())
-    tampered.scope = "elevated"
+    tampered = copy.copy(token)
+    tampered.expiry += TOKEN_LIFETIME_MS
     with pytest.raises(InvalidToken) as e:
         verify_token(tampered, AUD_KEY, "aud_srv", now=1)
     assert e.value.reason == "bad_tag"
-    flipped = AccessToken.from_wire(token.to_wire())
+    flipped = copy.copy(token)
     flipped.tag = bytes([flipped.tag[0] ^ 1]) + flipped.tag[1:]
     with pytest.raises(InvalidToken) as e:
         verify_token(flipped, AUD_KEY, "aud_srv", now=1)
@@ -93,7 +97,7 @@ def test_expiry_boundary_is_exclusive():
     reg = make_registry()
     token = issue_token(reg, {"subject_key_id": "key_cli",
                               "audience": "aud_srv"}, now=0)
-    assert verify_token(token, AUD_KEY, "aud_srv", now=TOKEN_LIFETIME_MS - 1)
+    verify_token(token, AUD_KEY, "aud_srv", now=TOKEN_LIFETIME_MS - 1)
     with pytest.raises(InvalidToken) as e:
         verify_token(token, AUD_KEY, "aud_srv", now=TOKEN_LIFETIME_MS)
     assert e.value.reason == "expired"
@@ -102,7 +106,7 @@ def test_expiry_boundary_is_exclusive():
 
 def test_forged_token_never_verifies():
     token = AccessToken(audience="aud_srv", subject_key_id="key_cli",
-                        scope="", issued_at=0, expiry=10_000,
+                        issued_at=0, expiry=10_000,
                         sealed_key=b"\x00" * 24, tag=b"\x00" * 8)
     with pytest.raises(InvalidToken):
         verify_token(token, AUD_KEY, "aud_srv", now=1)
@@ -166,10 +170,20 @@ def test_kid_pair_distinct():
         assert a != b
 
 
-def test_token_wire_round_trip():
-    reg = make_registry()
-    token = issue_token(reg, {"subject_key_id": "key_cli",
-                              "audience": "aud_srv", "scope": "s1"}, now=5)
-    back = AccessToken.from_wire(token.to_wire())
-    assert back == token
-    assert verify_token(back, AUD_KEY, "aud_srv", now=10)
+def test_as_answers_with_the_token_it_issued():
+    """The AS's answer carries the token itself, and it verifies."""
+    authority = AsNode(World(seed=1), make_registry(), address="as")
+    sent = []
+    authority.send_frame = lambda msg, origin: sent.append(msg)
+    req = SimMessage(src="rtrC", dst="as", mid=1, token=b"\x01",
+                     code="POST", payload_kind="as_token_request",
+                     payload={"purpose": "tunnel_token",
+                              "subject_key_id": "key_cli",
+                              "audience": "aud_srv"}, payload_len=50)
+    authority.handle(Frame(req, "legit", message_size(req)), "rtrS")
+    answer, = sent
+    assert (answer.code, answer.payload_kind) == ("2.01", "as_response")
+    token = answer.payload["token"]
+    assert isinstance(token, AccessToken)
+    assert (token.subject_key_id, token.audience) == ("key_cli", "aud_srv")
+    verify_token(token, AUD_KEY, "aud_srv", now=10)

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from guardsim import actors, coap_lite, harness
+from guardsim import ace, actors, coap_lite, harness
 from guardsim.actors import (ClientTunnelGuard, FloodAttacker, GuardNode,
                              Impersonator, Interaction, Node, OnPathAttacker,
                              RendezvousEntry, RendezvousNode, ServerNode,
@@ -68,10 +68,55 @@ def test_published_address_prefers_proxy():
     assert proxied.published_address == "rtrS"
 
 
-def test_entry_doc_round_trip():
+def test_rd_answers_a_lookup_with_the_registered_entry():
+    rd = RendezvousNode(World(seed=1), "rd")
+    sent = []
+    rd.send_frame = lambda msg, origin: sent.append(msg)
     entry = RendezvousEntry(name="srv", address="srv", proxy_address="rtrS",
                             server_guard_key_id="key_sgp", as_hint="as")
-    assert RendezvousEntry.from_doc(entry.to_doc()) == entry
+    for mid, kind, payload in ((1, "rd_register", {"entry": entry}),
+                               (2, "rd_lookup", {"name": "srv"})):
+        rd.handle(make_frame(SimMessage(src="srv", dst="rd", mid=mid,
+                                        token=bytes([mid]),
+                                        payload_kind=kind, payload=payload)),
+                  "rtrS")
+    assert [(m.code, m.payload_kind) for m in sent] == \
+        [("2.01", "rd_ack"), ("2.05", "rd_entry")]
+    assert sent[1].payload["entry"] is entry
+
+
+@pytest.mark.parametrize("scenario", ["fullguard", "exemptions"])
+def test_a_record_that_is_sent_never_changes(monkeypatch, scenario):
+    """Payloads carry rendezvous entries and access tokens themselves, so
+    every node that receives one shares its sender's object: none may
+    change it. Each entry is snapshot as it registers and each token as
+    it is issued, over a no-attack cell at the trace pins' short config."""
+    records = []
+    register = RendezvousNode.register
+    issue = ace.issue_token
+
+    def registered(self, entry):
+        records.append((entry, dict(vars(entry))))
+        register(self, entry)
+
+    def issued(*args):
+        token = issue(*args)
+        records.append((token, dict(vars(token))))
+        return token
+
+    monkeypatch.setattr(RendezvousNode, "register", registered)
+    monkeypatch.setattr(ace, "issue_token", issued)
+    run_cell(config_from_dict({
+        "seed": 42,
+        "client": {"request_interval_ms": 2000, "setup_pause_ms": 2000},
+        "durations": {"setup_ms": 40_000, "warmup_ms": 5_000,
+                      "steady_ms": 40_000, "grace_ms": 10_000}}),
+        scenario, "none")
+    kinds = {type(obj) for obj, _ in records}
+    assert kinds == ({RendezvousEntry, ace.AccessToken}
+                     if scenario == "fullguard" else {RendezvousEntry})
+    for obj, snapshot in records:
+        assert vars(obj) == snapshot
 
 
 # --- routing ------------------------------------------------------------------------
@@ -455,8 +500,7 @@ def test_tunnelled_server_announces_its_as_and_audience():
                   "rtrS")
     register = sent[-1]
     assert (register.dst, register.payload_kind) == ("rd", "rd_register")
-    assert RendezvousEntry.from_doc(register.payload["entry"]) == \
-        announced_entry("as9", "aud_x")
+    assert register.payload["entry"] == announced_entry("as9", "aud_x")
 
 
 def test_client_authorizes_its_guard_for_the_announced_audience():
@@ -467,7 +511,7 @@ def test_client_authorizes_its_guard_for_the_announced_audience():
     client.bootstrap(lambda: None)
     lookup, = sent
     entry = ack(lookup, "rd", "2.05", payload_kind="rd_entry",
-                payload={"entry": announced_entry("as9", "aud_x").to_doc()})
+                payload={"entry": announced_entry("as9", "aud_x")})
     client.handle(make_frame(entry), "rtrC")
     authorize, = sent[1:]
     # The client's own key and its guard's, as the AS registry knows them.
@@ -487,7 +531,7 @@ def test_client_asks_the_announced_as_to_authorize_its_guard():
     client.bootstrap(lambda: None)
     lookup, = sent
     entry = ack(lookup, "rd", "2.05", payload_kind="rd_entry",
-                payload={"entry": announced_entry("as9").to_doc()})
+                payload={"entry": announced_entry("as9")})
     client.handle(make_frame(entry), "rtrC")
     assert [(m.dst, m.payload["purpose"]) for m in sent[1:]] == \
         [("as9", "authorize_binding")]
@@ -500,7 +544,7 @@ def test_client_guard_asks_the_announced_as_for_tunnel_tokens():
     guard.send_frame = lambda msg, origin: sent.append(msg)
     brief = SimMessage(src="cli", dst="rtrC", mid=1, token=b"\x01",
                        code="POST", payload_kind="guard_brief",
-                       payload={"entry": announced_entry("as9").to_doc()},
+                       payload={"entry": announced_entry("as9")},
                        payload_len=50)
     request = SimMessage(src="cli", dst="rtrC", mid=2, token=b"\x02",
                          code="POST", payload_kind="edhoc_m1",
@@ -518,8 +562,7 @@ def test_client_guard_asks_for_tokens_for_the_announced_audience():
     guard.send_frame = lambda msg, origin: sent.append(msg)
     brief = SimMessage(src="cli", dst="rtrC", mid=1, token=b"\x01",
                        code="POST", payload_kind="guard_brief",
-                       payload={"entry": announced_entry("as", "aud_x")
-                                .to_doc()},
+                       payload={"entry": announced_entry("as", "aud_x")},
                        payload_len=50)
     request = SimMessage(src="cli", dst="rtrC", mid=2, token=b"\x02",
                          code="POST", payload_kind="edhoc_m1",

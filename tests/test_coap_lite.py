@@ -1,12 +1,14 @@
-"""Message sizing, confirmable retransmission schedule, proxy rewriting."""
+"""Message sizing, confirmable retransmission schedule, and the proxy
+rewriting a guard does as it relays."""
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from guardsim.coap_lite import (AddressTable, EventAfterFinal, ProxyTable,
-                                SimMessage, TokensExhausted, TxState,
-                                UnknownOrigin, deserialize_inner,
-                                message_size, serialize_inner, tx_step)
+from guardsim.actors import GuardNode, TokensExhausted, UnknownOrigin
+from guardsim.coap_lite import (AddressTable, EventAfterFinal, SimMessage,
+                                TxState, deserialize_inner, message_size,
+                                serialize_inner, tx_step)
+from guardsim.netsim import Frame, World
 
 
 # --- message size -------------------------------------------------------------
@@ -145,44 +147,63 @@ def test_attempts_bounded_by_limit():
     assert state.attempts <= state.retransmit_limit + 1
 
 
-# --- proxy rewriting ---------------------------------------------------------------
+# --- proxy rewriting (RFC 7252 §5.7.2), as a guard relays -----------------------
+
+def relaying_guard():
+    """A guard at "proxy" that keeps each request it relays, with its
+    answer callback, in `sent` instead of starting its exchange, and each
+    answer it delivers in `delivered`."""
+    guard = GuardNode(World(seed=1), "proxy", key_id="key_g")
+    guard.sent, guard.delivered = [], []
+    guard.send_upstream = lambda up, origin, on_response, on_giveup: \
+        guard.sent.append((up, on_response))
+    return guard
+
+
+def relay(guard, req, origin_server="srv"):
+    """Relay `req` under a key of its own; return the request sent on."""
+    guard.relay(len(guard.sent), req, origin_server, "legit",
+                lambda answer, origin: guard.delivered.append(answer))
+    return guard.sent[-1][0]
+
 
 def test_forward_rewrite_strips_proxy_uri():
-    table = ProxyTable("proxy", {})
+    guard = relaying_guard()
     msg = SimMessage(src="cli", dst="proxy", token=b"\xaa", mid=7,
                      proxy_uri="coap://srv/r")
-    out = table.rewrite_request(msg, "srv")
+    out = relay(guard, msg)
     assert out.dst == "srv"
     assert out.src == "proxy"
     assert out.proxy_uri is None
 
 
 def test_rewrite_without_origin_raises():
-    table = ProxyTable("proxy", {})
+    guard = relaying_guard()
     msg = SimMessage(src="cli", dst="proxy", token=b"\x01")
     with pytest.raises(UnknownOrigin):
-        table.rewrite_request(msg, None)
+        relay(guard, msg, None)
     # No token was used up: the next request still gets the first one.
-    assert table.rewrite_request(msg, "srv").token == b"\x00\x01"
+    assert relay(guard, msg).token == b"\x00\x01"
 
 
 def test_reverse_round_trip_identity():
-    table = ProxyTable("proxy", {})
+    guard = relaying_guard()
     req = SimMessage(src="cli", dst="proxy", token=b"\x11\x22", mid=42)
-    up = table.rewrite_request(req, "srv")
+    up = relay(guard, req)
     resp = SimMessage(src="srv", dst="proxy", mtype="ACK", mid=up.mid,
                       token=up.token, code="2.05")
-    down = table.answer(resp, req)
+    guard.sent[-1][1](resp, Frame(resp, "legit", message_size(resp)))
+    down, = guard.delivered
     assert (down.dst, down.token, down.mid) == ("cli", b"\x11\x22", 42)
     assert down.src == "proxy"
 
 
 def test_rewrite_preserves_oscore_header_and_payload():
-    table = ProxyTable("proxy", {})
+    guard = relaying_guard()
     req = SimMessage(src="cli", dst="proxy", token=b"\x01",
                      oscore_kid=b"\x07", oscore_piv=9, payload_len=33,
                      sealed=b"sealed-bytes")
-    up = table.rewrite_request(req, "srv")
+    up = relay(guard, req)
     assert up.oscore_kid == b"\x07"
     assert up.oscore_piv == 9
     assert up.payload_len == 33
@@ -190,40 +211,40 @@ def test_rewrite_preserves_oscore_header_and_payload():
 
 
 def test_token_remap_injective():
-    table = ProxyTable("proxy", {})
+    guard = relaying_guard()
     tokens = set()
     for i in range(200):
         req = SimMessage(src=f"cli{i}", dst="proxy", token=b"\x01", mid=i)
-        up = table.rewrite_request(req, "srv")
+        up = relay(guard, req)
         tokens.add(up.token)
     assert len(tokens) == 200
 
 
 def test_new_token_skips_live_tokens_after_wrap():
-    live = {}
-    table = ProxyTable("proxy", live)
+    guard = relaying_guard()
+    live = guard.outstanding
     for i in range(2):
-        up = table.rewrite_request(SimMessage(src="cli", dst="proxy", mid=i),
-                                   "srv")
-        live[up.token] = up  # the owner files its exchange under the token
+        up = relay(guard, SimMessage(src="cli", dst="proxy", mid=i))
+        live[up.token] = up  # the guard files its exchange under the token
     assert list(live) == [b"\x00\x01", b"\x00\x02"]
-    issued = [table.new_token() for _ in range(3, 0x10000)]
+    issued = [guard.relay_token() for _ in range(3, 0x10000)]
     assert issued[-1] == b"\xff\xff"
     # The counter wraps to 0, then skips 1 and 2, which are still live.
-    assert [table.new_token() for _ in range(2)] == [b"\x00\x00", b"\x00\x03"]
+    assert [guard.relay_token() for _ in range(2)] == [b"\x00\x00",
+                                                        b"\x00\x03"]
 
 
 def test_new_token_raises_once_every_token_is_live():
-    live = {}
-    table = ProxyTable("proxy", live)
+    guard = relaying_guard()
+    live = guard.outstanding
     for mid in range(0x10000):
-        token = table.new_token()
+        token = guard.relay_token()
         assert token not in live
         live[token] = mid
     with pytest.raises(TokensExhausted):
-        table.new_token()
+        guard.relay_token()
     del live[b"\x12\x34"]
-    assert table.new_token() == b"\x12\x34"
+    assert guard.relay_token() == b"\x12\x34"
 
 
 # --- inner serialization ----------------------------------------------------------
@@ -231,12 +252,12 @@ def test_new_token_raises_once_every_token_is_live():
 def test_inner_serialization_round_trip():
     inner = SimMessage(src="cli", dst="srv", code="GET",
                        payload_kind="app_request",
-                       payload={"n": 3, "blob": b"\x01\x02"},
+                       payload={"n": 3, "tag": "t1"},
                        payload_len=8, echo=b"\xaa" * 8)
     data = serialize_inner(inner)
     back = deserialize_inner(data, SimMessage(src="cli", dst="srv"))
     assert back.code == "GET"
-    assert back.payload == {"n": 3, "blob": b"\x01\x02"}
+    assert back.payload == {"n": 3, "tag": "t1"}
     assert back.payload_len == 8
     assert back.echo == b"\xaa" * 8
 
@@ -252,5 +273,8 @@ def test_copy_takes_its_own_payload_and_rejects_unknown_fields():
 
 
 def test_inner_serialization_deterministic():
-    inner = SimMessage(src="a", dst="b", payload={"x": 1, "y": b"z"})
+    inner = SimMessage(src="a", dst="b", payload={"x": 1, "y": "z"})
     assert serialize_inner(inner) == serialize_inner(inner.copy())
+    # The payload's keys are encoded in order, whatever order they came in.
+    assert serialize_inner(inner) == \
+        serialize_inner(inner.copy(payload={"y": "z", "x": 1}))
