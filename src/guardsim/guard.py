@@ -10,6 +10,10 @@ owning node builds and sends every message, the 4.01 challenges included.
 A source holds one pending Echo nonce, for an unknown client or a piv jump
 alike, until it is answered or `echo_max_age_ms` old. A verified Echo moves
 the sequence tracker past a jump (RFC 8613 Appendix B.1.2).
+
+Per-source buckets and flow records that a fresh source would rebuild
+exactly are swept away (`ThrottlePolicy`, `GuardState.flow`), so spoofed
+sources cost memory only while their state differs from a fresh one's.
 """
 
 from __future__ import annotations
@@ -45,8 +49,7 @@ class TokenBucket:
 
     def __init__(self, rate_per_s: float, burst: float):
         self.rate = rate_per_s
-        self.burst = float(burst)
-        self.tokens = float(burst)
+        self.tokens = self.burst = float(burst)
         self.last_ms = 0
 
     def admit(self, now_ms: int) -> bool:
@@ -90,7 +93,17 @@ class ThrottlePolicy:
     A message is admitted only if both buckets have a token; the two-level
     split is what lets a single-source attacker saturate only its own
     bucket while a distributed one starves the aggregate.
+
+    A class's per-source dict is swept when it is about to gain a source
+    and holds at least twice what its last sweep kept, and `SWEEP_FLOOR`.
+    The sweep drops every bucket whose refill at `now` reaches its burst:
+    the next `admit` would start it from the burst, as it starts a fresh
+    bucket, so no verdict changes. A spoofed-source flood then keeps the
+    buckets of the sources seen within one refill time, not of every
+    source ever seen.
     """
+
+    SWEEP_FLOOR = 64
 
     def __init__(self, specs: dict[str, BucketSpec]):
         self.specs = dict(specs)
@@ -101,21 +114,37 @@ class ThrottlePolicy:
         # a (class, source) key tuple.
         self._per_source: dict[str, dict[str, TokenBucket]] = {
             cls: {} for cls in self.specs}
-        # Each class's burst as one float that all its buckets share.
-        self._source_burst = {cls: float(spec.per_source_burst)
-                              for cls, spec in self.specs.items()}
+        # Each class's per-source rate and burst, the burst as one float
+        # that all its buckets share.
+        self._source_args = {cls: (spec.per_source_rate,
+                                   float(spec.per_source_burst))
+                             for cls, spec in self.specs.items()}
+        # The size at which each class's dict is next swept.
+        self._sweep_at = {cls: self.SWEEP_FLOOR for cls in self.specs}
 
     def admit(self, cls: str, source: str, now_ms: int) -> bool:
         buckets = self._per_source[cls]
         bucket = buckets.get(source)
         if bucket is None:
-            bucket = buckets[source] = TokenBucket(
-                self.specs[cls].per_source_rate, self._source_burst[cls])
+            if len(buckets) >= self._sweep_at[cls]:
+                buckets = self._sweep(cls, now_ms)
+            bucket = buckets[source] = TokenBucket(*self._source_args[cls])
         # Per-source first: a refusal there returns before the aggregate
         # bucket is touched. An aggregate refusal still spends the
         # per-source token, so a starved aggregate does not make per-source
         # budgets refillable.
         return bucket.admit(now_ms) and self._aggregate[cls].admit(now_ms)
+
+    def _sweep(self, cls: str, now_ms: int) -> dict[str, TokenBucket]:
+        # The float sum that `TokenBucket.admit` caps at the burst. At
+        # `now_ms == last_ms` it adds 0.0 and leaves `tokens` as they are,
+        # and a NaN from an infinite rate keeps the bucket.
+        rate, burst = self._source_args[cls]
+        kept = self._per_source[cls] = {
+            source: b for source, b in self._per_source[cls].items()
+            if not b.tokens + (now_ms - b.last_ms) * rate / 1000.0 >= burst}
+        self._sweep_at[cls] = max(self.SWEEP_FLOOR, 2 * len(kept))
+        return kept
 
 
 class FlowRecord:
@@ -216,12 +245,38 @@ class GuardState:
             NON_PROXY: config.non_proxy_bucket,
             REACHABILITY_VERIFIED: config.verified_bucket,
         })
+        self._sweep_at = ThrottlePolicy.SWEEP_FLOOR
 
     def flow(self, source: str, now_ms: int) -> FlowRecord:
+        """The flow record of `source`, made on first sight.
+
+        `flows` is swept as `ThrottlePolicy` sweeps its buckets: when it is
+        about to gain a source and holds at least twice what its last sweep
+        kept, and `ThrottlePolicy.SWEEP_FLOOR`. The sweep drops every
+        record that a fresh one would rebuild: unknown via proxy, not
+        elevated, never reachable, and with no Echo nonce or one older than
+        `echo_max_age_ms`. `_challenge` draws a new nonce for either, and
+        `verify_echo` answers either "stale" or "mismatch", never
+        "verified"; `last_update_ms` is read only for allow-listed flows,
+        and every class change sets it. So no allow-listed or verified flow
+        is dropped, and no decision changes.
+        """
         rec = self.flows.get(source)
         if rec is None:
+            if len(self.flows) >= self._sweep_at:
+                self._sweep(now_ms)
             rec = self.flows[source] = FlowRecord(now_ms)
         return rec
+
+    def _sweep(self, now_ms: int) -> None:
+        max_age = self.config.echo_max_age_ms
+        flows = self.flows = {
+            source: rec for source, rec in self.flows.items()
+            if rec.cls != UNKNOWN_VIA_PROXY or rec.elevated
+            or rec.reachable_since_ms is not None
+            or (rec.echo_nonce is not None
+                and now_ms - rec.echo_issued_ms <= max_age)}
+        self._sweep_at = max(ThrottlePolicy.SWEEP_FLOOR, 2 * len(flows))
 
     def _set_class(self, rec: FlowRecord, cls: str, now_ms: int) -> None:
         rec.cls = cls

@@ -2,7 +2,7 @@
 allow-listing, sequence plausibility."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from guardsim.coap_lite import SimMessage
 from guardsim.guard import (ALLOW_LISTED, BucketSpec, CLASS_PRIORITY,
@@ -158,10 +158,20 @@ def _state(bucket):
     return (bucket.tokens, bucket.last_ms)
 
 
+def _full_at(bucket, now):
+    """Whether `bucket`'s refill at `now` reaches its burst: then it admits
+    as a fresh bucket does, and an absent bucket stands for it."""
+    return bucket.tokens + (now - bucket.last_ms) * bucket.rate / 1000.0 \
+        >= bucket.burst
+
+
+# Up to 204 sources, so that a class's dict can pass `SWEEP_FLOOR` and be
+# swept; steps up to 3 s, where the guard's buckets refill in 1-20 s.
 @given(st.lists(st.tuples(
     st.sampled_from([UNKNOWN_VIA_PROXY, NON_PROXY, REACHABILITY_VERIFIED]),
-    st.sampled_from(["a", "b", "c", "d"]),
-    st.integers(0, 3_000)), max_size=60))
+    st.one_of(st.sampled_from(["a", "b", "c", "d"]),
+              st.integers(0, 199).map(str)),
+    st.integers(0, 3_000)), max_size=300))
 def test_admit_matches_tuple_keyed_reference(steps):
     config = GuardConfig()
     specs = {UNKNOWN_VIA_PROXY: config.unknown_bucket,
@@ -172,10 +182,13 @@ def test_admit_matches_tuple_keyed_reference(steps):
     for cls, source, dt in steps:
         now += dt
         assert policy.admit(cls, source, now) == ref.admit(cls, source, now)
+    # The policy may have dropped buckets full at `now`: absent and full at
+    # `now` are the same state.
     assert {(cls, src): _state(b)
             for cls, by_src in policy._per_source.items()
-            for src, b in by_src.items()} == {
-        key: _state(b) for key, b in ref.per_source.items()}
+            for src, b in by_src.items() if not _full_at(b, now)} == {
+        key: _state(b) for key, b in ref.per_source.items()
+        if not _full_at(b, now)}
     # The policy builds every class's aggregate bucket up front, the
     # reference on first use: a bucket not yet used is full at last_ms 0.
     assert {cls: _state(b) for cls, b in policy._aggregate.items()} == {
@@ -516,3 +529,151 @@ def test_legitimate_client_is_forwarded_within_two_tries(steps):
             echo = detail["echo"]
             now += answer_after
         assert action == "forward", (src, piv, detail)
+
+
+# --- reclaiming per-source state --------------------------------------------------------
+
+def unswept_guard():
+    """`make_guard` with a sweep floor that no dict reaches: it keeps every
+    source's state, as the guard did before it swept."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ThrottlePolicy, "SWEEP_FLOOR", 10**9)
+        return make_guard()
+
+
+def _rebuilt_alike(rec, now):
+    """Whether `rec` behaves as the record a fresh source gets."""
+    return (rec.cls == UNKNOWN_VIA_PROXY and not rec.elevated
+            and rec.reachable_since_ms is None
+            and (rec.echo_nonce is None
+                 or now - rec.echo_issued_ms > GuardConfig.echo_max_age_ms))
+
+
+# Gaps small enough for over 64 sources to meet inside one refill or Echo
+# window, and gaps at and past those windows' edges: one token of the
+# unknown (5 s) and non-proxy (20 s) buckets, the Echo max age (40 s) and
+# the allow-list idle expiry (600 s).
+GAPS = st.one_of(st.integers(0, 200), st.integers(0, 12_000),
+                 st.sampled_from([5_000, 10_000, 20_000, 40_000, 40_001,
+                                  600_001]))
+# Four sources that come back often, among 120.
+GUARD_STEPS = st.lists(st.tuples(
+    st.sampled_from(["request", "answer", "protected", "past", "observe"]),
+    st.one_of(st.integers(0, 3), st.integers(0, 119)), GAPS,
+    st.integers(0, 300)), min_size=80, max_size=300)
+
+
+# At the shipped floor, more than 64 sources fill `flows` past it; at a
+# floor of 2 the buckets are swept too, nearly on every new source. Each
+# input is up to 300 steps, so drawing it is slow where a profiler hooks
+# every call.
+@pytest.mark.parametrize("floor", [None, 2], ids=["shipped_floor", "floor_2"])
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(steps=GUARD_STEPS)
+def test_reclaiming_guard_decides_as_one_that_keeps_every_source(floor,
+                                                                 steps):
+    ref = unswept_guard()
+    with pytest.MonkeyPatch.context() as mp:
+        if floor is not None:
+            mp.setattr(ThrottlePolicy, "SWEEP_FLOOR", floor)
+        g = make_guard()
+        _decide_alike(g, ref, steps)
+
+
+def _decide_alike(g, ref, steps):
+    now = 0
+    for n, (op, source, gap, k) in enumerate(steps):
+        now += gap
+        src, token = f"s{source}", n.to_bytes(2, "big")
+        if op == "observe":
+            response = protected_response() if k % 3 else unprotected_error()
+            kind = "tunnel_token_post" if k % 3 == 2 else "oscore"
+            assert (g.observe_exchange(src, kind, response, now)
+                    == ref.observe_exchange(src, kind, response, now))
+            continue
+        if op == "past":
+            msg = SimMessage(src=src, dst="srv")
+        elif op == "request":
+            msg = proxied(src=src, token=token)
+        else:
+            # An Echo answer carries the nonce the source was last sent,
+            # which the reclaiming guard may have dropped as stale, or a
+            # wrong one; half of the answers are protected requests.
+            echo = kid = None
+            if op == "answer":
+                rec = ref.flows.get(src)
+                echo = (rec.echo_nonce if rec is not None and rec.echo_nonce
+                        and k % 4 else b"\x00" * 8)
+            if op == "protected" or k % 2:
+                # Pivs of 0-300 under two kids: replays, conflicts, jumps.
+                kid = bytes([1 + k // 2 % 2])
+            msg = proxied(src=src, token=token, kid=kid,
+                          piv=None if kid is None else k, echo=echo)
+        assert g.decide(msg, now) == ref.decide(msg, now), (n, op, src)
+    for src, rec in ref.flows.items():
+        if not _rebuilt_alike(rec, now):
+            kept = g.flows[src]
+            assert (kept.cls, kept.reachable_since_ms, kept.elevated) == (
+                rec.cls, rec.reachable_since_ms, rec.elevated)
+
+
+def test_fresh_source_flood_keeps_per_source_state_bounded():
+    # 20,000 fresh sources at 1/ms: every one is throttled or challenged
+    # once and never heard from again. Per-source state stays within twice
+    # what a fresh source would not rebuild, plus the floor; an idle
+    # allow-listed flow survives every sweep.
+    g = make_guard()
+    g.observe_exchange("cli", "oscore", protected_response(), 0)
+    cli = g.flows["cli"]
+    floor = ThrottlePolicy.SWEEP_FLOOR
+    for now in range(1, 20_001):
+        g.decide(proxied(src=f"x{now}"), now)
+        held = sum(not _rebuilt_alike(rec, now) for rec in g.flows.values())
+        assert len(g.flows) <= 2 * held + floor, now
+        if now % 100 == 0:
+            for buckets in g.policy._per_source.values():
+                held = sum(not _full_at(b, now) for b in buckets.values())
+                assert len(buckets) <= 2 * held + floor, now
+    assert g.flows["cli"] is cli and cli.cls == ALLOW_LISTED
+    assert len(g.flows) < 200
+    assert len(g.policy._per_source[UNKNOWN_VIA_PROXY]) < 11_000
+
+
+def test_a_sweep_drops_a_bucket_only_once_it_is_full():
+    # One spent token of a 0.2/s bucket refills in exactly 5 s: at 5,000 ms
+    # the bucket spent at 0 is full, and the one spent at 1 is not.
+    floor = ThrottlePolicy.SWEEP_FLOOR
+
+    def verdicts(policy):
+        policy.admit(UNKNOWN_VIA_PROXY, "spent_at_0", 0)
+        policy.admit(UNKNOWN_VIA_PROXY, "spent_at_1", 1)
+        for i in range(floor):
+            policy.admit(UNKNOWN_VIA_PROXY, f"f{i}", 5_000)
+        held = set(policy._per_source[UNKNOWN_VIA_PROXY])
+        return held, [policy.admit(UNKNOWN_VIA_PROXY, src, 5_000)
+                      for src in ("spent_at_0", "spent_at_0", "spent_at_1",
+                                  "spent_at_1")]
+
+    spec = {UNKNOWN_VIA_PROXY: BucketSpec(0.2, 2, 10**6, 10**6)}
+    held, swept = verdicts(ThrottlePolicy(spec))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ThrottlePolicy, "SWEEP_FLOOR", 10**9)
+        _, kept = verdicts(ThrottlePolicy(spec))
+    assert "spent_at_0" not in held and "spent_at_1" in held
+    assert swept == kept == [True, True, True, False]
+
+
+@pytest.mark.parametrize("answer_ms, verdict", [(40_000, "forward"),
+                                                (40_001, "drop")])
+def test_a_sweep_drops_a_flow_only_once_its_nonce_is_stale(answer_ms,
+                                                            verdict):
+    # A nonce issued at 0 verifies up to `echo_max_age_ms` (40 s) later.
+    g = make_guard()
+    _, first = g.decide(proxied(src="a"), 0)
+    for i in range(ThrottlePolicy.SWEEP_FLOOR):
+        g.decide(proxied(src=f"f{i}"), answer_ms)
+    assert ("a" in g.flows) == (verdict == "forward")
+    action, _ = g.decide(proxied(src="a", token=b"\x02", echo=first["echo"]),
+                         answer_ms)
+    assert action == verdict
