@@ -30,17 +30,6 @@ REACHABILITY_VERIFIED = "reachability_verified"
 UNKNOWN_VIA_PROXY = "unknown_via_proxy"
 NON_PROXY = "non_proxy"
 
-CLASS_PRIORITY = {
-    TUNNEL: 5,
-    ALLOW_LISTED: 5,
-    REACHABILITY_VERIFIED: 4,
-    UNKNOWN_VIA_PROXY: 3,
-    NON_PROXY: 2,
-}
-
-DEFAULT_JUMP_THRESHOLD = 128
-DEFAULT_SEQ_MEMORY = 64
-
 
 class TokenBucket:
     """Continuous-refill token bucket; deterministic given call order."""
@@ -88,16 +77,17 @@ class BucketSpec:
 
 
 class ThrottlePolicy:
-    """Two-level throttling: per-source and per-class aggregate buckets.
+    """The two-level throttle of one traffic class: a bucket per source and
+    one aggregate bucket.
 
     A message is admitted only if both buckets have a token; the two-level
     split is what lets a single-source attacker saturate only its own
     bucket while a distributed one starves the aggregate.
 
-    A class's per-source dict is swept when it is about to gain a source
-    and holds at least twice what its last sweep kept, and `SWEEP_FLOOR`.
-    The sweep drops every bucket whose refill at `now` reaches its burst:
-    the next `admit` would start it from the burst, as it starts a fresh
+    The per-source dict is swept when it is about to gain a source and
+    holds at least twice what its last sweep kept, and `SWEEP_FLOOR`. The
+    sweep drops every bucket whose refill at `now` reaches its burst: the
+    next `admit` would start it from the burst, as it starts a fresh
     bucket, so no verdict changes. A spoofed-source flood then keeps the
     buckets of the sources seen within one refill time, not of every
     source ever seen.
@@ -105,46 +95,36 @@ class ThrottlePolicy:
 
     SWEEP_FLOOR = 64
 
-    def __init__(self, specs: dict[str, BucketSpec]):
-        self.specs = dict(specs)
-        self._aggregate = {cls: TokenBucket(spec.aggregate_rate,
-                                            spec.aggregate_burst)
-                           for cls, spec in self.specs.items()}
-        # Per-source buckets by class, then source, so that no bucket needs
-        # a (class, source) key tuple.
-        self._per_source: dict[str, dict[str, TokenBucket]] = {
-            cls: {} for cls in self.specs}
-        # Each class's per-source rate and burst, the burst as one float
-        # that all its buckets share.
-        self._source_args = {cls: (spec.per_source_rate,
-                                   float(spec.per_source_burst))
-                             for cls, spec in self.specs.items()}
-        # The size at which each class's dict is next swept.
-        self._sweep_at = {cls: self.SWEEP_FLOOR for cls in self.specs}
+    def __init__(self, spec: BucketSpec):
+        self.aggregate = TokenBucket(spec.aggregate_rate, spec.aggregate_burst)
+        self.buckets: dict[str, TokenBucket] = {}
+        # The per-source rate and burst, the burst as one float that all
+        # the buckets share.
+        self.rate = spec.per_source_rate
+        self.burst = float(spec.per_source_burst)
+        # The size at which `buckets` is next swept.
+        self._sweep_at = self.SWEEP_FLOOR
 
-    def admit(self, cls: str, source: str, now_ms: int) -> bool:
-        buckets = self._per_source[cls]
+    def admit(self, source: str, now_ms: int) -> bool:
+        buckets = self.buckets
         bucket = buckets.get(source)
         if bucket is None:
-            if len(buckets) >= self._sweep_at[cls]:
-                buckets = self._sweep(cls, now_ms)
-            bucket = buckets[source] = TokenBucket(*self._source_args[cls])
+            if len(buckets) >= self._sweep_at:
+                # The float sum that `TokenBucket.admit` caps at the burst.
+                # At `now_ms == last_ms` it adds 0.0 and leaves `tokens` as
+                # they are, and a NaN from an infinite rate keeps the bucket.
+                rate, burst = self.rate, self.burst
+                buckets = self.buckets = {
+                    src: b for src, b in buckets.items()
+                    if not b.tokens + (now_ms - b.last_ms) * rate / 1000.0
+                    >= burst}
+                self._sweep_at = max(self.SWEEP_FLOOR, 2 * len(buckets))
+            bucket = buckets[source] = TokenBucket(self.rate, self.burst)
         # Per-source first: a refusal there returns before the aggregate
         # bucket is touched. An aggregate refusal still spends the
         # per-source token, so a starved aggregate does not make per-source
         # budgets refillable.
-        return bucket.admit(now_ms) and self._aggregate[cls].admit(now_ms)
-
-    def _sweep(self, cls: str, now_ms: int) -> dict[str, TokenBucket]:
-        # The float sum that `TokenBucket.admit` caps at the burst. At
-        # `now_ms == last_ms` it adds 0.0 and leaves `tokens` as they are,
-        # and a NaN from an infinite rate keeps the bucket.
-        rate, burst = self._source_args[cls]
-        kept = self._per_source[cls] = {
-            source: b for source, b in self._per_source[cls].items()
-            if not b.tokens + (now_ms - b.last_ms) * rate / 1000.0 >= burst}
-        self._sweep_at[cls] = max(self.SWEEP_FLOOR, 2 * len(kept))
-        return kept
+        return bucket.admit(now_ms) and self.aggregate.admit(now_ms)
 
 
 class FlowRecord:
@@ -173,7 +153,7 @@ class SeqTracker:
 
     def __init__(self):
         self.highest_seen = -1
-        self.seen: dict[int, str] = {}
+        self.seen: dict[int, bytes] = {}
         self.known_sources: set[str] = set()
 
 
@@ -197,15 +177,14 @@ def seq_check(trackers: dict[bytes, SeqTracker], kid: bytes, piv: int,
     tracker = trackers.get(kid)
     if tracker is None:
         tracker = trackers[kid] = SeqTracker()
-    token_key = coap_token.hex()
     if piv in tracker.seen:
-        if tracker.seen[piv] != token_key:
+        if tracker.seen[piv] != coap_token:
             return CONFLICT
         return PLAUSIBLE  # retransmission of a recorded pair
     if tracker.highest_seen >= 0 and piv > tracker.highest_seen + jump_threshold:
         return IMPLAUSIBLE_JUMP
     mobile = bool(tracker.known_sources) and source not in tracker.known_sources
-    tracker.seen[piv] = token_key
+    tracker.seen[piv] = coap_token
     if len(tracker.seen) > memory:
         del tracker.seen[min(tracker.seen)]
     if piv > tracker.highest_seen:
@@ -217,8 +196,8 @@ def seq_check(trackers: dict[bytes, SeqTracker], kid: bytes, piv: int,
 class GuardConfig:
     """Policy settings of the exemptions guard; the `guard` config section."""
 
-    jump_threshold: int = DEFAULT_JUMP_THRESHOLD
-    seq_memory: int = DEFAULT_SEQ_MEMORY
+    jump_threshold: int = 128
+    seq_memory: int = 64
     echo_max_age_ms: int = 40_000
     allowlist_idle_expiry_ms: int = 600_000
     unknown_bucket: BucketSpec
@@ -240,11 +219,10 @@ class GuardState:
         self.rng = rng
         self.flows: dict[str, FlowRecord] = {}
         self.trackers: dict[bytes, SeqTracker] = {}
-        self.policy = ThrottlePolicy({
-            UNKNOWN_VIA_PROXY: config.unknown_bucket,
-            NON_PROXY: config.non_proxy_bucket,
-            REACHABILITY_VERIFIED: config.verified_bucket,
-        })
+        # One throttle per throttled class, named after its config section.
+        self.non_proxy = ThrottlePolicy(config.non_proxy_bucket)
+        self.unknown = ThrottlePolicy(config.unknown_bucket)
+        self.verified = ThrottlePolicy(config.verified_bucket)
         self._sweep_at = ThrottlePolicy.SWEEP_FLOOR
 
     def flow(self, source: str, now_ms: int) -> FlowRecord:
@@ -291,7 +269,8 @@ class GuardState:
 
     def verify_echo(self, rec: FlowRecord, msg: SimMessage, now_ms: int) -> str:
         """Verified | stale | mismatch, against the flow's one pending nonce,
-        which verified and stale clear; verified lifts the flow's class."""
+        which verified and stale clear; verified lifts an unknown flow to
+        reachability verified."""
         if rec.echo_nonce is None or msg.echo != rec.echo_nonce:
             return "mismatch"
         issued = rec.echo_issued_ms
@@ -300,7 +279,7 @@ class GuardState:
             return "stale"
         if rec.reachable_since_ms is None:
             rec.reachable_since_ms = issued
-        if CLASS_PRIORITY[rec.cls] < CLASS_PRIORITY[REACHABILITY_VERIFIED]:
+        if rec.cls == UNKNOWN_VIA_PROXY:
             self._set_class(rec, REACHABILITY_VERIFIED, now_ms)
         rec.elevated = False
         return "verified"
@@ -341,7 +320,7 @@ class GuardState:
         nonce it recorded, which the 4.01 answer must carry.
         """
         if msg.dst != self.proxy_address:
-            if self.policy.admit(NON_PROXY, msg.src, now_ms):
+            if self.non_proxy.admit(msg.src, now_ms):
                 return ("forward", {"cls": NON_PROXY})
             return ("drop", {"cls": NON_PROXY, "reason": "throttled"})
 
@@ -372,13 +351,13 @@ class GuardState:
             rec.last_update_ms = now_ms
             return ("forward", {"cls": cls})
         if cls == REACHABILITY_VERIFIED:
-            if not self.policy.admit(REACHABILITY_VERIFIED, msg.src, now_ms):
+            if not self.verified.admit(msg.src, now_ms):
                 return ("drop", {"cls": cls, "reason": "throttled"})
             return ("forward", {"cls": cls})
         # Unknown via proxy; mobile flows are prioritized through the
         # reachability-verified buckets but still challenged.
-        bucket_cls = REACHABILITY_VERIFIED if rec.elevated else UNKNOWN_VIA_PROXY
-        if not self.policy.admit(bucket_cls, msg.src, now_ms):
+        policy = self.verified if rec.elevated else self.unknown
+        if not policy.admit(msg.src, now_ms):
             return ("drop", {"cls": cls, "reason": "throttled"})
         return self._challenge(rec, now_ms, "unknown_client",
                                {"cls": cls, "reason": "challenge_pending"})

@@ -278,6 +278,8 @@ def load_config(path: str) -> SimConfig:
         raise ConfigError(f"config is not valid UTF-8: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
+    except RecursionError as e:
+        raise ConfigError(f"config is nested too deeply: {e}") from e
     return config_from_dict(doc)
 
 

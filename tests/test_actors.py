@@ -13,7 +13,7 @@ from guardsim.actors import (ClientTunnelGuard, FloodAttacker, GuardNode,
 from guardsim.coap_lite import (DEFAULT_BASE_TIMEOUT_MS,
                                 DEFAULT_RETRANSMIT_LIMIT, SimMessage, ack,
                                 exchange_lifetime_ms, message_size)
-from guardsim.guard import ALLOW_LISTED, CLASS_PRIORITY, REACHABILITY_VERIFIED
+from guardsim.guard import ALLOW_LISTED, UNKNOWN_VIA_PROXY
 from guardsim.harness import (SimConfig, build_world, config_from_dict,
                               derive_seed, report_to_json, run_cell,
                               run_subrun)
@@ -1250,7 +1250,7 @@ def test_spoofed_sources_never_reach_verified():
     spoofed = [rec for src, rec in gstate.flows.items() if src.startswith("x")]
     assert spoofed, "flood never observed at the guard"
     for rec in spoofed:
-        assert CLASS_PRIORITY[rec.cls] < CLASS_PRIORITY[REACHABILITY_VERIFIED]
+        assert rec.cls == UNKNOWN_VIA_PROXY
 
 
 def test_attacker_blackholes_replies():

@@ -92,6 +92,18 @@ def test_config_not_utf8_is_config_error(tmp_path, capsys):
     assert err.startswith("config error: config is not valid UTF-8")
 
 
+def test_config_nested_past_the_recursion_limit_is_config_error(tmp_path,
+                                                                capsys):
+    # `json` parses nested arrays recursively: this one runs past the
+    # interpreter's recursion limit before it can find the missing `]`.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: config is nested too deeply")
+
+
 def test_number_too_large_for_a_float_is_config_error(tmp_path, capsys):
     # A JSON integer has no size limit; `float` of this one overflows.
     path = tmp_path / "huge.json"

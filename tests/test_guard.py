@@ -5,13 +5,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from guardsim.coap_lite import SimMessage
-from guardsim.guard import (ALLOW_LISTED, BucketSpec, CLASS_PRIORITY,
-                            CONFLICT, FlowRecord, GuardConfig, GuardState,
-                            IMPLAUSIBLE_JUMP, KNOWN_MOBILE, NON_PROXY,
-                            PLAUSIBLE, REACHABILITY_VERIFIED, SeqTracker,
-                            ThrottlePolicy, TokenBucket, TUNNEL,
-                            UNKNOWN_VIA_PROXY, DEFAULT_JUMP_THRESHOLD,
-                            DEFAULT_SEQ_MEMORY, seq_check)
+from guardsim.guard import (ALLOW_LISTED, BucketSpec, CONFLICT, FlowRecord,
+                            GuardConfig, GuardState, IMPLAUSIBLE_JUMP,
+                            KNOWN_MOBILE, NON_PROXY, PLAUSIBLE,
+                            REACHABILITY_VERIFIED, SeqTracker,
+                            ThrottlePolicy, TokenBucket, UNKNOWN_VIA_PROXY,
+                            seq_check)
 from guardsim.netsim import Rng
 
 PROXY = "rtrS"
@@ -26,14 +25,6 @@ def proxied(src="cli", token=b"\x01", kid=None, piv=None, echo=None, mid=1):
                       oscore_kid=kid, oscore_piv=piv, echo=echo,
                       payload_kind="oscore" if kid else "edhoc_m1",
                       payload_len=20)
-
-
-# --- priority order -----------------------------------------------------------
-
-def test_class_priority_total_order():
-    assert CLASS_PRIORITY[TUNNEL] == CLASS_PRIORITY[ALLOW_LISTED]
-    assert (CLASS_PRIORITY[ALLOW_LISTED] > CLASS_PRIORITY[REACHABILITY_VERIFIED]
-            > CLASS_PRIORITY[UNKNOWN_VIA_PROXY] > CLASS_PRIORITY[NON_PROXY])
 
 
 # --- classes -----------------------------------------------------------------------
@@ -55,40 +46,39 @@ def test_direct_to_server_is_non_proxy():
 # --- throttling ---------------------------------------------------------------------
 
 def test_zero_rate_bucket_drops_everything():
-    policy = ThrottlePolicy({UNKNOWN_VIA_PROXY: BucketSpec(0, 0, 0, 0)})
+    policy = ThrottlePolicy(BucketSpec(0, 0, 0, 0))
     for t in (0, 1000, 60_000):
-        assert policy.admit(UNKNOWN_VIA_PROXY, "a", t) is False
+        assert policy.admit("a", t) is False
 
 
 def test_bucket_burst_arithmetic():
     # rate 1/s, burst 2: five messages at t=0 -> 2 admitted, 3 dropped.
-    policy = ThrottlePolicy({UNKNOWN_VIA_PROXY: BucketSpec(1.0, 2, 100.0, 100)})
-    verdicts = [policy.admit(UNKNOWN_VIA_PROXY, "a", 0) for _ in range(5)]
+    policy = ThrottlePolicy(BucketSpec(1.0, 2, 100.0, 100))
+    verdicts = [policy.admit("a", 0) for _ in range(5)]
     assert verdicts == [True, True, False, False, False]
 
 
 def test_bucket_refills_over_time():
-    policy = ThrottlePolicy({UNKNOWN_VIA_PROXY: BucketSpec(1.0, 1, 100.0, 100)})
-    assert policy.admit(UNKNOWN_VIA_PROXY, "a", 0) is True
-    assert policy.admit(UNKNOWN_VIA_PROXY, "a", 500) is False
-    assert policy.admit(UNKNOWN_VIA_PROXY, "a", 1500) is True
+    policy = ThrottlePolicy(BucketSpec(1.0, 1, 100.0, 100))
+    assert policy.admit("a", 0) is True
+    assert policy.admit("a", 500) is False
+    assert policy.admit("a", 1500) is True
 
 
 def test_aggregate_bucket_caps_distributed_sources():
     # per-source 1/s burst 1, aggregate 3/s burst 3: ten sources sending one
     # message each at t=0 admit exactly 3 in total.
-    policy = ThrottlePolicy({UNKNOWN_VIA_PROXY: BucketSpec(1.0, 1, 3.0, 3)})
-    admitted = sum(
-        policy.admit(UNKNOWN_VIA_PROXY, f"s{i}", 0) for i in range(10))
+    policy = ThrottlePolicy(BucketSpec(1.0, 1, 3.0, 3))
+    admitted = sum(policy.admit(f"s{i}", 0) for i in range(10))
     assert admitted == 3
 
 
 def test_starved_aggregate_still_consumes_per_source():
-    policy = ThrottlePolicy({UNKNOWN_VIA_PROXY: BucketSpec(1.0, 1, 1.0, 1)})
-    assert policy.admit(UNKNOWN_VIA_PROXY, "a", 0) is True
-    assert policy.admit(UNKNOWN_VIA_PROXY, "b", 0) is False
+    policy = ThrottlePolicy(BucketSpec(1.0, 1, 1.0, 1))
+    assert policy.admit("a", 0) is True
+    assert policy.admit("b", 0) is False
     # b's per-source token was consumed by the failed attempt.
-    assert policy._per_source[UNKNOWN_VIA_PROXY]["b"].tokens < 1.0
+    assert policy.buckets["b"].tokens < 1.0
 
 
 class MinBucket:
@@ -132,8 +122,8 @@ def test_bucket_admit_matches_min_reference(rate, burst, steps):
 
 
 class TupleKeyedPolicy:
-    """Reference: `ThrottlePolicy.admit` with one `MinBucket` per (class,
-    source) tuple, each converting its own burst."""
+    """Reference for one `ThrottlePolicy` per class: a `MinBucket` per
+    (class, source) tuple, each converting its own burst."""
 
     def __init__(self, specs):
         self.specs = specs
@@ -177,21 +167,22 @@ def test_admit_matches_tuple_keyed_reference(steps):
     specs = {UNKNOWN_VIA_PROXY: config.unknown_bucket,
              NON_PROXY: config.non_proxy_bucket,
              REACHABILITY_VERIFIED: config.verified_bucket}
-    policy, ref = ThrottlePolicy(specs), TupleKeyedPolicy(specs)
+    policies = {cls: ThrottlePolicy(spec) for cls, spec in specs.items()}
+    ref = TupleKeyedPolicy(specs)
     now = 0
     for cls, source, dt in steps:
         now += dt
-        assert policy.admit(cls, source, now) == ref.admit(cls, source, now)
-    # The policy may have dropped buckets full at `now`: absent and full at
+        assert policies[cls].admit(source, now) == ref.admit(cls, source, now)
+    # A policy may have dropped buckets full at `now`: absent and full at
     # `now` are the same state.
     assert {(cls, src): _state(b)
-            for cls, by_src in policy._per_source.items()
-            for src, b in by_src.items() if not _full_at(b, now)} == {
+            for cls, policy in policies.items()
+            for src, b in policy.buckets.items() if not _full_at(b, now)} == {
         key: _state(b) for key, b in ref.per_source.items()
         if not _full_at(b, now)}
-    # The policy builds every class's aggregate bucket up front, the
-    # reference on first use: a bucket not yet used is full at last_ms 0.
-    assert {cls: _state(b) for cls, b in policy._aggregate.items()} == {
+    # A policy builds its aggregate bucket up front, the reference on
+    # first use: a bucket not yet used is full at last_ms 0.
+    assert {cls: _state(p.aggregate) for cls, p in policies.items()} == {
         cls: _state(ref.aggregate[cls]) if cls in ref.aggregate
         else (float(specs[cls].aggregate_burst), 0) for cls in specs}
 
@@ -352,10 +343,10 @@ def test_decide_expires_an_unreachable_idle_tentative_entry_to_unknown():
 
 # --- sequence plausibility ----------------------------------------------------------------
 
-def check(trackers, piv, token, source, memory=DEFAULT_SEQ_MEMORY):
+def check(trackers, piv, token, source, memory=GuardConfig.seq_memory):
     """`seq_check` of kid 0x01 at the guard's default jump threshold."""
     return seq_check(trackers, b"\x01", piv, token, source,
-                     DEFAULT_JUMP_THRESHOLD, memory)
+                     GuardConfig.jump_threshold, memory)
 
 
 def seeded_tracker():
@@ -485,7 +476,7 @@ def test_known_mobile_is_prioritized_but_still_challenged():
     action, _ = g.decide(proxied(src="cli-roam", kid=b"\x01", piv=4,
                                  token=b"\x0a", echo=detail["echo"]), 1_100)
     assert action == "forward"
-    jump = 5 + DEFAULT_JUMP_THRESHOLD
+    jump = 5 + GuardConfig.jump_threshold
     action, detail = g.decide(proxied(src="cli-roam", kid=b"\x01", piv=jump,
                                       token=b"\x0b"), 2_100)
     assert (action, detail["reason"]) == ("challenge", "implausible_jump")
@@ -501,7 +492,7 @@ def test_known_mobile_is_prioritized_but_still_challenged():
 # answer a challenge. Every try comes at least 1 s after the one before,
 # so that no bucket refuses it, and every answer comes in time.
 CLIENT_STEPS = st.lists(st.tuples(
-    st.integers(0, 3), st.integers(0, 3 * DEFAULT_JUMP_THRESHOLD),
+    st.integers(0, 3), st.integers(0, 3 * GuardConfig.jump_threshold),
     st.integers(1_000, 100_000),
     st.integers(1_000, GuardConfig.echo_max_age_ms)), min_size=1, max_size=12)
 
@@ -632,12 +623,13 @@ def test_fresh_source_flood_keeps_per_source_state_bounded():
         held = sum(not _rebuilt_alike(rec, now) for rec in g.flows.values())
         assert len(g.flows) <= 2 * held + floor, now
         if now % 100 == 0:
-            for buckets in g.policy._per_source.values():
-                held = sum(not _full_at(b, now) for b in buckets.values())
-                assert len(buckets) <= 2 * held + floor, now
+            for policy in (g.non_proxy, g.unknown, g.verified):
+                held = sum(not _full_at(b, now)
+                           for b in policy.buckets.values())
+                assert len(policy.buckets) <= 2 * held + floor, now
     assert g.flows["cli"] is cli and cli.cls == ALLOW_LISTED
     assert len(g.flows) < 200
-    assert len(g.policy._per_source[UNKNOWN_VIA_PROXY]) < 11_000
+    assert len(g.unknown.buckets) < 11_000
 
 
 def test_a_sweep_drops_a_bucket_only_once_it_is_full():
@@ -646,16 +638,16 @@ def test_a_sweep_drops_a_bucket_only_once_it_is_full():
     floor = ThrottlePolicy.SWEEP_FLOOR
 
     def verdicts(policy):
-        policy.admit(UNKNOWN_VIA_PROXY, "spent_at_0", 0)
-        policy.admit(UNKNOWN_VIA_PROXY, "spent_at_1", 1)
+        policy.admit("spent_at_0", 0)
+        policy.admit("spent_at_1", 1)
         for i in range(floor):
-            policy.admit(UNKNOWN_VIA_PROXY, f"f{i}", 5_000)
-        held = set(policy._per_source[UNKNOWN_VIA_PROXY])
-        return held, [policy.admit(UNKNOWN_VIA_PROXY, src, 5_000)
+            policy.admit(f"f{i}", 5_000)
+        held = set(policy.buckets)
+        return held, [policy.admit(src, 5_000)
                       for src in ("spent_at_0", "spent_at_0", "spent_at_1",
                                   "spent_at_1")]
 
-    spec = {UNKNOWN_VIA_PROXY: BucketSpec(0.2, 2, 10**6, 10**6)}
+    spec = BucketSpec(0.2, 2, 10**6, 10**6)
     held, swept = verdicts(ThrottlePolicy(spec))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ThrottlePolicy, "SWEEP_FLOOR", 10**9)
